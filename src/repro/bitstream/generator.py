@@ -97,38 +97,17 @@ def set_rig_cache(cache: Optional[object]) -> None:
     _RIG_CACHE = cache
 
 
-#: Dependency fence for the memo key: the rig builder's call-graph
-#: fingerprint (installed by the sweep layer via
-#: :func:`set_dependency_fence`), or the package version when unset.
-_DEP_FENCE: Optional[str] = None
-
-
-def set_dependency_fence(fence: Optional[str]) -> None:
-    """Fence memo keys with a dependency fingerprint instead of the
-    blanket package version (``None`` restores the version fence).
-
-    Computed by :func:`repro.checks.depfp.rig_fingerprint`; the setter
-    indirection keeps the dependency pointing sweep -> bitstream, like
-    :func:`set_rig_cache`.
-    """
-    global _DEP_FENCE
-    _DEP_FENCE = fence
-
-
 def static_configuration_key(
     memory: ConfigMemory, region: Optional[Region], seed: str
 ) -> str:
     """Content address of one static-configuration result.
 
     The generated image is fully determined by the device geometry, the
-    region rectangle (whose rows are blanked), the seed string, and a
-    fence against generator changes — the builder's call-graph dependency
-    fingerprint when the sweep installed one (so a version bump with
-    untouched sources keeps warm entries), the package version otherwise
-    — the same keying discipline as the sweep result cache.
+    region rectangle (whose rows are blanked) and the seed string.  The
+    in-process memo cannot outlive a source edit, so the key carries no
+    code fence; the disk-backed rig cache adds the package digest to its
+    own file names (:class:`repro.sweep.rigcache.RigCache`).
     """
-    from .. import __version__  # deferred: repro/__init__ imports this module
-
     device = memory.device
     region_part = "none" if region is None else repr(region.rect)
     text = "\n".join(
@@ -138,7 +117,6 @@ def static_configuration_key(
             str(memory.geometry.words_per_frame),
             region_part,
             seed,
-            _DEP_FENCE if _DEP_FENCE is not None else __version__,
         ]
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -153,7 +131,7 @@ def initialize_static_configuration(
     bits in the rows *above and below* the region — the exact hazard the
     paper's partial configurations must not disturb.
 
-    The result is memoized per (device, region, seed, version): every rig
+    The result is memoized per (device, region, seed): every rig
     built for the same scenario parameters produces the identical image, so
     the frame generation loop runs once per key and later builds restore
     the arrays (same data, same ``writes`` accounting).  Disabled together

@@ -1,6 +1,6 @@
 """Static-analysis subsystem: model DRC + simulator-discipline lint.
 
-Three layers share one diagnostic vocabulary (:mod:`repro.checks.diagnostics`):
+Two layers share one diagnostic vocabulary (:mod:`repro.checks.diagnostics`):
 
 * **Layer 1 — model DRC**: pure functions that validate built objects
   without simulating — component placements and produced bitstreams
@@ -10,12 +10,11 @@ Three layers share one diagnostic vocabulary (:mod:`repro.checks.diagnostics`):
   (:mod:`~repro.checks.drc_system`).
 * **Layer 2 — codebase lint**: an AST pass enforcing the simulator's
   modelling contract on ``src/repro`` itself (:mod:`~repro.checks.lint`).
-* **Layer 3 — cache soundness**: a whole-program call-graph analyzer
-  (:mod:`~repro.checks.callgraph`) feeding per-scenario dependency
-  fingerprints and the CKEY rule family (:mod:`~repro.checks.depfp`),
-  which key the sweep and rig caches.
 
-Run all three from the command line with ``python -m repro.checks`` or
+:mod:`~repro.checks.depfp` holds the package digest that keys the sweep
+and rig caches; it reports no diagnostics.
+
+Run both from the command line with ``python -m repro.checks`` or
 ``python -m repro check``; every rule is documented in ``docs/CHECKS.md``.
 """
 
@@ -35,19 +34,9 @@ from .drc_dma import (
     program_from_descriptors,
 )
 from .drc_system import check_system
-from .depfp import (
-    DependencyFingerprint,
-    check_dependencies,
-    rig_fingerprint,
-    scenario_fingerprint,
-)
 from .lint import lint_package, lint_paths, lint_source
 
 __all__ = [
-    "DependencyFingerprint",
-    "check_dependencies",
-    "rig_fingerprint",
-    "scenario_fingerprint",
     "ChainDescriptor",
     "CheckReport",
     "Diagnostic",

@@ -5,22 +5,15 @@ Reached two ways with identical flags::
     python -m repro.checks [...]        # standalone
     python -m repro check [...]         # subcommand of the main CLI
 
-Default behaviour runs **all three layers**: the simulator-discipline
-self-lint over the installed ``repro`` package, the system/bitstream DRC
-over the example systems (32, 64, dual), and the cache-soundness
-dependency pass (CKEY rules over every registered scenario's call-graph
-closure plus the rig builder).  Exit status is non-zero iff any
-error-severity diagnostic was produced, so CI can gate on it directly.
-
-``--deps NAME`` prints one scenario's dependency closure and cache
-fingerprint (repeatable; ``all`` = every scenario, ``rig`` = the static
-rig builder) and runs only the dependency pass.
+Default behaviour runs **both layers**: the simulator-discipline
+self-lint over the installed ``repro`` package and the system/bitstream
+DRC over the example systems (32, 64, dual).  Exit status is non-zero iff
+any error-severity diagnostic was produced, so CI can gate on it directly.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -43,15 +36,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--drc-only", action="store_true", help="run only the system/bitstream DRC"
-    )
-    parser.add_argument(
-        "--deps",
-        action="append",
-        default=None,
-        metavar="SCENARIO",
-        help="print the dependency closure + cache fingerprint for SCENARIO "
-        "and run only the dependency pass ('all' = every registered "
-        "scenario, 'rig' = the static rig builder; repeatable)",
     )
     parser.add_argument(
         "--system",
@@ -83,23 +67,6 @@ def _build_example(which: str):
     return system
 
 
-def _run_deps(args: argparse.Namespace) -> int:
-    """The ``--deps`` mode: dependency pass only, with closure output."""
-    from . import depfp
-
-    report = CheckReport()
-    names = None if "all" in args.deps else list(args.deps)
-    fingerprints = depfp.check_dependencies(report=report, names=names)
-    if args.json:
-        payload = json.loads(report.to_json())
-        payload["closures"] = [fp.as_dict() for fp in fingerprints]
-        print(json.dumps(payload, indent=2))
-    else:
-        print(depfp.closure_table(fingerprints))
-        print(report.format_text())
-    return 1 if report.has_errors else 0
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute the checks described by parsed ``args``; returns exit status."""
     if args.list_rules:
@@ -107,9 +74,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"{rule.id}  [{rule.severity.value}]  {rule.title}")
             print(f"         {rule.rationale}")
         return 0
-
-    if getattr(args, "deps", None):
-        return _run_deps(args)
 
     report = CheckReport()
     ran: List[str] = []
@@ -129,14 +93,6 @@ def run(args: argparse.Namespace) -> int:
             check_system(_build_example(which), report=report)
             ran.append(f"drc(system{which})")
 
-    if not args.lint_only and not args.drc_only and not args.path:
-        # Cache-soundness pass: CKEY rules over every registered scenario's
-        # dependency closure plus the rig builder.
-        from . import depfp
-
-        depfp.check_dependencies(report=report)
-        ran.append("depfp(scenarios+rig)")
-
     if args.json:
         print(report.to_json())
     else:
@@ -149,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.checks",
         description="Static analysis for the repro library: system/bitstream "
-        "DRC + simulator-discipline lint + cache-soundness dependency "
-        "fingerprints.",
+        "DRC + simulator-discipline lint.",
     )
     add_arguments(parser)
     return parser

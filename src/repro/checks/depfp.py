@@ -1,489 +1,52 @@
-"""Dependency fingerprints: call-graph-derived cache-key components.
+"""The package digest: the source-tree component of both cache keys.
 
-Built on :mod:`repro.checks.callgraph`.  For a root function — a registered
-sweep scenario, or the rig builder ``initialize_static_configuration`` —
-this module computes the transitive closure of package functions/modules the
-root can reach and hashes the reached modules' source texts into one SHA-256
-**dependency fingerprint**.  ``repro.sweep.cache`` and the rig cache key on
-that fingerprint instead of the blanket ``repro.__version__`` fence, so:
-
-* a release that does not touch a scenario's closure keeps the warm cache;
-* editing any helper module invalidates exactly the scenarios whose closure
-  contains it — no manual version bumps required for soundness.
-
-The fingerprint is only sound when static resolution actually saw every
-dependency.  The **CKEY rule family** reports constructs that defeat it;
-any *error*-severity CKEY finding inside a closure makes that one root fall
-back to the version fence (``fallback=True``) rather than claim unsound
-precision:
-
-* **CKEY001** — dynamic dispatch (``importlib``/``__import__``/``eval``/
-  ``exec``, or calling a ``getattr(...)`` result directly): the callee is
-  invisible to the graph.
-* **CKEY002** — environment reads (``os.environ``/``os.getenv``): the value
-  influences the result but is not part of the cache key.
-* **CKEY003** — data-file reads (``open``, ``Path.read_*``, ``np.load`` &
-  friends): file contents influence the result but are not fingerprinted.
-* **CKEY004** — too many unresolvable call edges (computed callees,
-  ``f()()``, subscripted handlers) in one closure: the over-approximation
-  has lost its meaning.
-* **CKEY005** — the closure imports a package that is neither ``repro``,
-  the stdlib, nor a pinned trusted dependency; its version is not in the
-  key.
-
-Findings honour the lint suppression syntax (``# repro: noqa CKEY001``)
-so individually audited sites — e.g. a bounded ``getattr`` dispatch over
-methods of an already-fingerprinted class — can vouch for themselves.
+One SHA-256 over the sorted ``(relative path, file sha256)`` pairs of every
+``*.py`` under the imported ``repro`` package, computed once per process.
+``repro.sweep.cache`` and ``repro.sweep.rigcache`` key on it, so any source
+edit — a helper, a scenario body, the orchestration layer — invalidates
+every entry.  That is coarser than tracking what each scenario reaches,
+and sound by construction: no dependency can be missed.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
-import sys
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Optional
 
-from .callgraph import MODULE_BODY, CallGraph, FuncKey, FunctionNode, ModuleInfo
-from .diagnostics import CheckReport, Diagnostic, Severity, get_rule, register_rule
 from .lint import package_root
 
-register_rule(
-    "CKEY001",
-    "dynamic-dispatch-in-closure",
-    "importlib/__import__/eval/exec or an immediately-called getattr() hide "
-    "the real callee from the call graph, so the dependency fingerprint "
-    "cannot cover it.",
-)
-register_rule(
-    "CKEY002",
-    "env-read-in-closure",
-    "An os.environ/os.getenv read inside a cached closure lets the host "
-    "environment change the result without changing the cache key.",
-)
-register_rule(
-    "CKEY003",
-    "unfingerprinted-file-read",
-    "Reading a data file inside a cached closure lets file contents change "
-    "the result without changing the cache key; hash the file into a "
-    "parameter instead.",
-)
-register_rule(
-    "CKEY004",
-    "unresolved-call-budget-exceeded",
-    "Too many call edges in this closure resolve to nothing statically; "
-    "the over-approximated closure can no longer vouch for soundness.",
-)
-register_rule(
-    "CKEY005",
-    "closure-escapes-package",
-    "The closure imports a third-party package whose version is not part "
-    "of the cache key; pin it in the trusted set or fence by version.",
-)
-
-#: Maximum unresolvable call edges tolerated per closure (CKEY004).
-UNRESOLVED_BUDGET = 25
-
-#: Third-party roots whose behaviour the cache schema vouches for (their
-#: version is pinned by the environment, and the simulation treats them as
-#: part of the language substrate, like the stdlib).
-TRUSTED_PACKAGES = frozenset({"numpy"})
-
-_STDLIB = frozenset(sys.stdlib_module_names)
-
-#: Attribute names that read file contents (CKEY003).
-_FILE_READ_ATTRS = frozenset({"read_text", "read_bytes"})
-_NUMPY_FILE_READERS = frozenset({"load", "loadtxt", "genfromtxt", "fromfile", "memmap"})
-_NUMPY_ALIASES = frozenset({"np", "numpy"})
+_DIGEST: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class _Finding:
-    rule: str
-    qualname: str
-    lineno: int
-    message: str
-    hint: str
+def source_digest(root: Path) -> str:
+    """SHA-256 over the sorted ``(relative path, file sha256)`` pairs of
+    every ``*.py`` file under ``root``; renaming a file changes it too."""
+    files = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*.py"))
+    digest = hashlib.sha256()
+    for relative, path in files:
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{relative}\0{content}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
-@dataclass
-class DependencyFingerprint:
-    """One root's dependency closure, fingerprint and soundness verdict."""
-
-    label: str  # scenario name, or "rig"
-    root: str  # "module:qualname"
-    fingerprint: str
-    modules: Tuple[str, ...]
-    function_count: int
-    unresolved: Tuple[Tuple[str, int, str], ...]
-    externals: Tuple[str, ...]
-    findings: Tuple[Diagnostic, ...]
-    #: True when an error-severity CKEY finding voids the fingerprint and
-    #: the cache must fall back to the blanket version fence.
-    fallback: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "root": self.root,
-            "fingerprint": self.fingerprint,
-            "fallback": self.fallback,
-            "modules": list(self.modules),
-            "function_count": self.function_count,
-            "unresolved_count": len(self.unresolved),
-            "externals": list(self.externals),
-            "findings": [diag.as_dict() for diag in self.findings],
-        }
+def package_graph() -> str:
+    """The package digest of the imported ``repro`` package, memoized for
+    the life of the process.  (The old name is kept: ``perfbench`` times
+    it as the ``checks.graph`` span.)"""
+    global _DIGEST
+    if _DIGEST is None:
+        _DIGEST = source_digest(package_root())
+    return _DIGEST
 
 
-# --------------------------------------------------------------------------
-# Graph lifecycle
-# --------------------------------------------------------------------------
-
-_GRAPH: Optional[CallGraph] = None
-
-
-def package_graph(refresh: bool = False) -> CallGraph:
-    """The memoized call graph of the installed ``repro`` package."""
-    global _GRAPH
-    if _GRAPH is None or refresh:
-        _GRAPH = CallGraph.build(package_root(), package="repro")
-    return _GRAPH
+def scenario_fingerprint(scenario) -> str:
+    """The package digest combined with the scenario body's own hash, so
+    scenarios defined outside the package (tests) are covered too."""
+    material = f"{package_graph()}\n{scenario.source_fingerprint()}"
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def reset_graph() -> None:
-    """Drop the memoized graph (tests that rewrite sources call this)."""
-    global _GRAPH
-    _GRAPH = None
-
-
-# --------------------------------------------------------------------------
-# CKEY scanning
-# --------------------------------------------------------------------------
-
-
-def _chain_of(node: ast.AST) -> List[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return []
-
-
-def _scan_function(module: ModuleInfo, fn: FunctionNode) -> List[_Finding]:
-    """CKEY001–003/005 findings inside one function's AST, pre-suppression."""
-    findings: List[_Finding] = []
-
-    def flag(rule: str, node: ast.AST, message: str, hint: str) -> None:
-        findings.append(_Finding(rule, fn.qualname, getattr(node, "lineno", 0), message, hint))
-
-    package_head = module.name.split(".")[0]
-
-    def check_import_target(node: ast.AST, dotted: str) -> None:
-        head = dotted.split(".")[0]
-        if not head or head == package_head or head in _STDLIB or head in TRUSTED_PACKAGES:
-            return
-        flag(
-            "CKEY005",
-            node,
-            f"import of untrusted package {head!r} inside a cached closure",
-            "add it to depfp.TRUSTED_PACKAGES after pinning, or fence by version",
-        )
-
-    for root_node in fn.scan_nodes:
-        for node in ast.walk(root_node):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Call):
-                    inner = func.func
-                    if isinstance(inner, ast.Name) and inner.id == "getattr":
-                        flag(
-                            "CKEY001",
-                            node,
-                            "calling a getattr() result — callee invisible to the call graph",
-                            "dispatch through an explicit mapping, or suppress after auditing "
-                            "that every candidate lives in an already-reached module",
-                        )
-                # Checked structurally (not via the dotted chain) so that a
-                # call-expression base like Path(p).read_text() is caught too.
-                if isinstance(func, ast.Attribute) and func.attr in _FILE_READ_ATTRS:
-                    flag(
-                        "CKEY003",
-                        node,
-                        f".{func.attr}() reads file contents the cache key does not cover",
-                        "hash the file into a parameter, or fence by version",
-                    )
-                    continue
-                chain = _chain_of(func)
-                if not chain:
-                    continue
-                root, attr = chain[0], chain[-1]
-                if root in {"__import__", "eval", "exec"} and len(chain) == 1:
-                    flag(
-                        "CKEY001",
-                        node,
-                        f"{root}() defeats static call resolution",
-                        "import statically so the dependency is fingerprinted",
-                    )
-                elif root == "importlib":
-                    flag(
-                        "CKEY001",
-                        node,
-                        f"importlib call ({'.'.join(chain)}()) defeats static call resolution",
-                        "import statically so the dependency is fingerprinted",
-                    )
-                elif chain[:2] == ["os", "environ"] or chain == ["os", "getenv"]:
-                    flag(
-                        "CKEY002",
-                        node,
-                        f"environment read ({'.'.join(chain)}()) not captured by the cache key",
-                        "thread the value through a scenario parameter instead",
-                    )
-                elif root == "open" and len(chain) == 1:
-                    flag(
-                        "CKEY003",
-                        node,
-                        "open() reads file contents the cache key does not cover",
-                        "hash the file into a parameter, or fence by version",
-                    )
-                elif root in _NUMPY_ALIASES and attr in _NUMPY_FILE_READERS and len(chain) == 2:
-                    flag(
-                        "CKEY003",
-                        node,
-                        f"{'.'.join(chain)}() reads file contents the cache key does not cover",
-                        "hash the file into a parameter, or fence by version",
-                    )
-            elif isinstance(node, ast.Subscript):
-                if _chain_of(node.value)[:2] == ["os", "environ"]:
-                    flag(
-                        "CKEY002",
-                        node,
-                        "os.environ[...] read not captured by the cache key",
-                        "thread the value through a scenario parameter instead",
-                    )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    check_import_target(node, alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module:
-                    check_import_target(node, node.module)
-    return findings
-
-
-def _module_findings(graph: CallGraph, module: ModuleInfo) -> Dict[str, List[_Finding]]:
-    """Per-qualname CKEY findings for one module, with noqa applied."""
-    memo_key = ("findings", module.name)
-    cached = graph.memo.get(memo_key)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    by_qualname: Dict[str, List[_Finding]] = {}
-    for qualname, fn in module.functions.items():
-        kept: List[_Finding] = []
-        for finding in _scan_function(module, fn):
-            rules = module.suppressions.get(finding.lineno, ())
-            if rules is None:  # blanket ``# repro: noqa``
-                continue
-            if finding.rule in rules:
-                continue
-            kept.append(finding)
-        if kept:
-            by_qualname[qualname] = kept
-    graph.memo[memo_key] = by_qualname
-    return by_qualname
-
-
-# --------------------------------------------------------------------------
-# Fingerprints
-# --------------------------------------------------------------------------
-
-
-def fingerprint_root(
-    module: str,
-    qualname: str,
-    label: Optional[str] = None,
-    graph: Optional[CallGraph] = None,
-) -> Optional[DependencyFingerprint]:
-    """Closure + fingerprint of one in-graph function, or ``None`` when the
-    function is not statically analyzable (defined outside the package, or
-    dynamically)."""
-    graph = graph if graph is not None else package_graph()
-    info = graph.modules.get(module)
-    if info is None or qualname not in info.functions:
-        return None
-    memo_key = ("fp", module, qualname)
-    cached = graph.memo.get(memo_key)
-    if cached is not None:
-        fp: DependencyFingerprint = cached  # type: ignore[assignment]
-        if label is not None and fp.label != label:
-            fp = DependencyFingerprint(**{**fp.__dict__, "label": label})
-        return fp
-
-    closure = graph.closure([(module, qualname)])
-    diagnostics: List[Diagnostic] = []
-    for mod_name in sorted(closure.modules):
-        mod = graph.modules[mod_name]
-        if mod.parse_error is not None:
-            diagnostics.append(
-                Diagnostic(
-                    rule="CKEY004",
-                    severity=Severity.ERROR,
-                    message=f"module {mod_name} does not parse: {mod.parse_error}",
-                    file=mod.display,
-                )
-            )
-            continue
-        per_function = _module_findings(graph, mod)
-        reached = {qn for m, qn in closure.functions if m == mod_name}
-        for qn in sorted(reached):
-            for finding in per_function.get(qn, ()):
-                rule = get_rule(finding.rule)
-                diagnostics.append(
-                    Diagnostic(
-                        rule=finding.rule,
-                        severity=rule.severity,
-                        message=f"{finding.message} (reached via {qn})",
-                        file=mod.display,
-                        line=finding.lineno,
-                        hint=finding.hint,
-                    )
-                )
-    if len(closure.unresolved) > UNRESOLVED_BUDGET:
-        examples = ", ".join(
-            f"{display}:{lineno} ({callee})"
-            for display, lineno, callee in closure.unresolved[:3]
-        )
-        diagnostics.append(
-            Diagnostic(
-                rule="CKEY004",
-                severity=Severity.ERROR,
-                message=(
-                    f"{len(closure.unresolved)} unresolvable call edges exceed the "
-                    f"budget of {UNRESOLVED_BUDGET} (e.g. {examples})"
-                ),
-                file=graph.modules[module].display,
-                hint="make the hot callees statically resolvable, or fence by version",
-            )
-        )
-
-    material = graph.fingerprint_material(closure)
-    fingerprint = hashlib.sha256(material.encode("utf-8")).hexdigest()
-    result = DependencyFingerprint(
-        label=label if label is not None else f"{module}:{qualname}",
-        root=f"{module}:{qualname}",
-        fingerprint=fingerprint,
-        modules=tuple(sorted(closure.modules)),
-        function_count=len(closure.functions),
-        unresolved=tuple(closure.unresolved),
-        externals=tuple(sorted(closure.externals)),
-        findings=tuple(diagnostics),
-        fallback=any(d.severity is Severity.ERROR for d in diagnostics),
-    )
-    graph.memo[memo_key] = result
-    return result
-
-
-def fingerprint_function(
-    fn, label: Optional[str] = None, graph: Optional[CallGraph] = None
-) -> Optional[DependencyFingerprint]:
-    """Fingerprint a live function object by locating it in the graph."""
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if not module or not qualname:
-        return None
-    return fingerprint_root(module, qualname, label=label, graph=graph)
-
-
-def scenario_fingerprint(scenario, graph: Optional[CallGraph] = None):
-    """Fingerprint of a registered scenario's body, or ``None`` (fall back
-    to the version fence) when the body is not statically analyzable."""
-    return fingerprint_function(scenario.fn, label=scenario.name, graph=graph)
-
-
-def rig_fingerprint(graph: Optional[CallGraph] = None) -> Optional[DependencyFingerprint]:
-    """Fingerprint of the static-rig builder feeding the rig cache."""
-    from ..bitstream.generator import initialize_static_configuration
-
-    return fingerprint_function(initialize_static_configuration, label="rig", graph=graph)
-
-
-# --------------------------------------------------------------------------
-# Whole-tree pass (CLI / CI entry point)
-# --------------------------------------------------------------------------
-
-
-def check_dependencies(
-    report: Optional[CheckReport] = None,
-    graph: Optional[CallGraph] = None,
-    names: Optional[Sequence[str]] = None,
-    include_rig: bool = True,
-) -> List[DependencyFingerprint]:
-    """Fingerprint registered scenarios (and the rig builder), funnelling
-    deduplicated CKEY findings into ``report``.
-
-    ``names`` limits the pass to those scenario names (the rig is selected
-    with the pseudo-name ``"rig"``).
-    """
-    from ..scenarios import all_scenarios, get_scenario
-
-    graph = graph if graph is not None else package_graph()
-    report = report if report is not None else CheckReport()
-
-    roots: List[Tuple[str, object]] = []
-    if names:
-        for name in names:
-            if name == "rig":
-                roots.append(("rig", None))
-            else:
-                roots.append((name, get_scenario(name)))
-    else:
-        roots = [(sc.name, sc) for sc in all_scenarios()]
-        if include_rig:
-            roots.append(("rig", None))
-
-    fingerprints: List[DependencyFingerprint] = []
-    seen: Set[Tuple[object, ...]] = set()
-    for label, scenario in roots:
-        if scenario is None:
-            fp = rig_fingerprint(graph=graph)
-        else:
-            fp = scenario_fingerprint(scenario, graph=graph)
-        if fp is None:
-            report.add(
-                "CKEY004",
-                f"{label}: body not statically analyzable (defined outside the "
-                "package?); cache falls back to the version fence",
-                severity=Severity.INFO,
-            )
-            continue
-        fingerprints.append(fp)
-        for diag in fp.findings:
-            key = (diag.rule, diag.file, diag.line, diag.message)
-            if key in seen:
-                continue
-            seen.add(key)
-            report.diagnostics.append(diag)
-    return fingerprints
-
-
-def closure_table(fingerprints: Iterable[DependencyFingerprint]) -> str:
-    """Human-readable summary used by ``repro check --deps``."""
-    lines: List[str] = []
-    for fp in fingerprints:
-        mode = "version-fence fallback" if fp.fallback else "depfp"
-        lines.append(f"{fp.label}  [{mode}]")
-        lines.append(f"  root         {fp.root}")
-        lines.append(f"  fingerprint  {fp.fingerprint}")
-        lines.append(
-            f"  closure      {fp.function_count} functions over "
-            f"{len(fp.modules)} modules, {len(fp.unresolved)} unresolved edges"
-        )
-        for mod_name in fp.modules:
-            lines.append(f"    {mod_name}")
-        if fp.externals:
-            shown = ", ".join(fp.externals[:8])
-            more = f", +{len(fp.externals) - 8} more" if len(fp.externals) > 8 else ""
-            lines.append(f"  externals    {shown}{more}")
-    return "\n".join(lines)
+def rig_fingerprint() -> str:
+    """The source fence of the disk-backed rig cache: the package digest."""
+    return package_graph()

@@ -32,10 +32,7 @@ def enabled() -> bool:
     """Whether the vectorized fast path may be used right now."""
     if _forced is not None:
         return _forced
-    # CKEY002: the env var toggles host cost only — fast and reference
-    # paths are pinned byte-identical (docs/MODELING.md §8), so cached
-    # results are unaffected by its value.
-    return os.environ.get(ENV_VAR, "") in _FALSEY  # repro: noqa CKEY002
+    return os.environ.get(ENV_VAR, "") in _FALSEY
 
 
 def force(value: Optional[bool]) -> None:

@@ -82,9 +82,9 @@ class Scenario:
     def source_fingerprint(self) -> str:
         """SHA-256 over the scenario function's source text.
 
-        The first cache-key component: editing a scenario body invalidates
-        its cached results.  Helpers it calls are covered by the
-        dependency-fingerprint component of the key (see ``docs/SWEEP.md``).
+        Hashed together with the package digest into the cache key's
+        fingerprint, so scenario bodies defined outside ``src/repro``
+        (tests) are covered too (see ``docs/SWEEP.md``).
 
         When the source is unavailable (dynamically defined scenarios,
         e.g. in tests), the fingerprint falls back to the function's

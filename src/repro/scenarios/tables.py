@@ -287,11 +287,8 @@ def table07_transfers64_pio(length: int) -> ScenarioResult:
         ("read", "pio_read_sequence"),
         ("write/read pair", "pio_interleaved_sequence"),
     ):
-        # Bounded dispatch over TransferBench methods named in the literal
-        # tuple above; TransferBench's module is reached through the
-        # constructors, so the fingerprint already covers every candidate.
-        t32 = getattr(bench32, method)(length).per_transfer_ns  # repro: noqa CKEY001
-        t64 = getattr(bench64, method)(length).per_transfer_ns  # repro: noqa CKEY001
+        t32 = getattr(bench32, method)(length).per_transfer_ns
+        t64 = getattr(bench64, method)(length).per_transfer_ns
         rows.append([label, t64, t32, t32 / t64])
     return ScenarioResult(
         name="table07_transfers64_pio",

@@ -1,22 +1,18 @@
 """Content-addressed, on-disk cache for scenario results.
 
 A scenario is pure (LINT006-enforced), so its result is fully determined
-by its inputs — and those inputs are exactly the cache key:
+by its inputs and the code that computes it — and those are exactly the
+cache key:
 
-1. the scenario function's **source fingerprint** (SHA-256 of its source
-   text, via the registry) — editing a scenario invalidates its entries;
+1. the **fingerprint** (:func:`repro.checks.depfp.scenario_fingerprint`):
+   SHA-256 over the package digest — one hash of every ``*.py`` under
+   ``src/repro`` — and the scenario body's own source hash.  Any source
+   edit invalidates every entry; scenarios defined outside the package
+   (tests) are covered by their body hash;
 2. the **resolved parameters** (canonical JSON) — every distinct
    parameterisation caches separately (smoke and full runs never mix);
-3. the **dependency fence**: by default the scenario's call-graph
-   **dependency fingerprint** (:mod:`repro.checks.depfp` — SHA-256 over
-   the source of every module its body can transitively reach), so
-   editing any helper invalidates exactly the dependent scenarios while
-   a release that does not touch the closure keeps the warm cache.  When
-   static analysis cannot vouch for the closure (a CKEY finding, or a
-   dynamically defined scenario), that scenario falls back to the old
-   blanket ``repro.__version__`` fence — sound, just coarser;
-4. the cache schema number — envelope-format and orchestration-layer
-   changes are fenced here (see ``docs/SWEEP.md`` for the policy).
+3. the cache schema number — envelope-format changes are fenced here (see
+   ``docs/SWEEP.md`` for the policy).
 
 Entries are versioned JSON envelopes under ``benchmarks/results/cache/``
 by default.  A corrupted or mismatched entry is deleted and treated as a
@@ -31,27 +27,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from .. import __version__
+from ..checks import depfp
 from ..scenarios.registry import Scenario
 from ..scenarios.result import ScenarioResult, _canon
 from .results_io import ensure_dir
 
-#: Bump when the envelope layout — or anything in the orchestration layer
-#: excluded from dependency fingerprints — changes; old entries become
-#: misses.
-CACHE_SCHEMA = 3
-
-
-def _repro_version() -> str:
-    """The package version, read at call time so test fixtures that
-    simulate a release bump (monkeypatching ``repro.__version__``) are
-    observed."""
-    from .. import __version__
-
-    return __version__
+#: Bump when the envelope layout or the keying changes; old entries become
+#: misses.  4 = package-digest fingerprint.
+CACHE_SCHEMA = 4
 
 
 def canonical_params(params: Mapping[str, object]) -> str:
@@ -59,37 +49,24 @@ def canonical_params(params: Mapping[str, object]) -> str:
     return json.dumps({k: _canon(v) for k, v in params.items()}, sort_keys=True)
 
 
-def dependency_fence(scenario: Scenario) -> Dict[str, str]:
-    """The key components fencing library changes for this scenario.
-
-    ``key_mode == "depfp"`` carries the call-graph dependency fingerprint;
-    ``key_mode == "version"`` is the blanket fallback used when the body is
-    not statically analyzable or a CKEY finding voids the fingerprint.
-    """
-    from ..checks import depfp
-
-    fp = depfp.scenario_fingerprint(scenario)
-    if fp is None or fp.fallback:
-        return {"key_mode": "version", "repro_version": _repro_version()}
-    return {"key_mode": "depfp", "dep_fingerprint": fp.fingerprint}
-
-
 def key_components(scenario: Scenario, params: Mapping[str, object]) -> Dict[str, object]:
     """Every component of the content address, by name — hashed into the
     key, stored in the envelope, and diffed by :meth:`ResultCache.explain`."""
-    components: Dict[str, object] = {
-        "source": scenario.source_fingerprint(),
+    return {
+        "fingerprint": depfp.scenario_fingerprint(scenario),
         "params": json.loads(canonical_params(params)),
         "cache_schema": CACHE_SCHEMA,
     }
-    components.update(dependency_fence(scenario))
-    return components
+
+
+def _key_of(components: Mapping[str, object]) -> str:
+    material = json.dumps(components, sort_keys=True)
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 def cache_key(scenario: Scenario, params: Mapping[str, object]) -> str:
     """The content address of one (scenario, params) result."""
-    material = json.dumps(key_components(scenario, params), sort_keys=True)
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return _key_of(key_components(scenario, params))
 
 
 def _summarize(value: object) -> str:
@@ -126,11 +103,18 @@ class ResultCache:
         self.root = Path(self.root)
 
     # -- addressing --------------------------------------------------------
-    def entry_path(self, scenario: Scenario, params: Mapping[str, object]) -> Path:
-        key = cache_key(scenario, params)
+    def _address(
+        self, scenario: Scenario, params: Mapping[str, object]
+    ) -> Tuple[Dict[str, object], str, Path]:
+        """``(key components, key, entry path)``, derived once per call."""
+        components = key_components(scenario, params)
+        key = _key_of(components)
         # Scenario name in the filename keeps the directory human-navigable;
         # the key suffix is the actual content address.
-        return self.root / f"{scenario.name}-{key[:20]}.json"
+        return components, key, self.root / f"{scenario.name}-{key[:20]}.json"
+
+    def entry_path(self, scenario: Scenario, params: Mapping[str, object]) -> Path:
+        return self._address(scenario, params)[2]
 
     # -- read --------------------------------------------------------------
     def load(
@@ -141,7 +125,7 @@ class ResultCache:
         Any malformed entry — unreadable file, bad JSON, schema or key
         mismatch, unparseable result — is deleted and reported as a miss.
         """
-        path = self.entry_path(scenario, params)
+        _, key, path = self._address(scenario, params)
         if not path.exists():
             self.telemetry.misses += 1
             return None
@@ -149,7 +133,7 @@ class ResultCache:
             envelope = json.loads(path.read_text(encoding="utf-8"))
             if envelope.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"cache schema {envelope.get('schema')!r}")
-            if envelope.get("key") != cache_key(scenario, params):
+            if envelope.get("key") != key:
                 raise ValueError("cache key mismatch")
             result = ScenarioResult.from_dict(envelope["result"])
             host_seconds = float(envelope.get("host_seconds", 0.0))
@@ -173,23 +157,29 @@ class ResultCache:
         result: ScenarioResult,
         host_seconds: float,
     ) -> Path:
-        """Persist one result; atomic enough for concurrent same-key writers
-        (both write identical bytes, last rename wins)."""
+        """Persist one result atomically.  Each writer renames its own temp
+        file into place, so concurrent same-key writers never collide (both
+        write identical bytes; the last rename wins)."""
         ensure_dir(self.root)
-        path = self.entry_path(scenario, params)
+        components, key, path = self._address(scenario, params)
         envelope = {
             "schema": CACHE_SCHEMA,
-            "key": cache_key(scenario, params),
+            "key": key,
             "scenario": scenario.name,
-            "params": json.loads(canonical_params(params)),
-            "key_components": key_components(scenario, params),
-            "repro_version": _repro_version(),
+            "params": components["params"],
+            "key_components": components,
+            "repro_version": __version__,
             "host_seconds": host_seconds,
             "result": result.to_dict(),
         }
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(envelope, indent=2, sort_keys=True), encoding="utf-8")
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(envelope, indent=2, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         self.telemetry.stores += 1
         return path
 

@@ -3,10 +3,11 @@
 The in-process memo in :mod:`repro.bitstream.generator` makes repeated rig
 builds free *within* one process; sweep workers are separate processes, so
 each would regenerate the same static image from scratch.  This cache
-persists the memoized entries as ``.npz`` files keyed by the same content
-address (device, region, seed, and the rig builder's call-graph dependency
-fingerprint — see :func:`repro.checks.depfp.rig_fingerprint`), letting a
-cold worker restore a rig's configuration memory with one array load.
+persists the memoized entries as ``.npz`` files named by the memo's content
+address (device, region, seed) plus the package digest
+(:func:`repro.checks.depfp.rig_fingerprint`), so any source edit turns
+every entry into a miss, and a cold worker restores a rig's configuration
+memory with one array load.
 
 Same recovery policy as the result cache: a corrupted, truncated or
 schema-mismatched entry is deleted and treated as a miss — the cache is
@@ -30,11 +31,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..checks import depfp
 from .results_io import ensure_dir
 
 #: Bump when the npz layout (or the keying discipline) changes; old
-#: entries become misses.  2 = dependency-fingerprint fence.
-RIG_CACHE_SCHEMA = 2
+#: entries become misses.  3 = package-digest file key.
+RIG_CACHE_SCHEMA = 3
 
 
 class RigCache:
@@ -42,12 +44,13 @@ class RigCache:
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
+        self.fingerprint = depfp.rig_fingerprint()
         self.loads = 0
         self.stores = 0
         self.invalidations = 0
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
+        return self.root / f"{key}-{self.fingerprint[:20]}.npz"
 
     def load(self, key: str) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
         path = self._path(key)

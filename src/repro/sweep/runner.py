@@ -57,31 +57,14 @@ def apply_seed_base(name: str, params: Dict[str, object], seed_base: Optional[in
     return derived
 
 
-def _install_rig_cache(rig_cache_dir: Optional[str], dep_fence: Optional[str] = None) -> None:
-    """Attach the disk-backed rig memo (worker initializer; no-op if None).
-
-    ``dep_fence`` — the rig builder's dependency fingerprint, computed once
-    in the parent (workers inherit it through the initializer rather than
-    re-running the static analysis per process).
-    """
+def _install_rig_cache(rig_cache_dir: Optional[str]) -> None:
+    """Attach the disk-backed rig memo (worker initializer; no-op if None)."""
     if rig_cache_dir is None:
         return
     from ..bitstream import generator
     from .rigcache import RigCache
 
     generator.set_rig_cache(RigCache(rig_cache_dir))
-    generator.set_dependency_fence(dep_fence)
-
-
-def _rig_dependency_fence() -> Optional[str]:
-    """The rig builder's dependency fingerprint, or ``None`` (version
-    fence) when the closure is not statically sound."""
-    from ..checks import depfp
-
-    fingerprint = depfp.rig_fingerprint()
-    if fingerprint is None or fingerprint.fallback:
-        return None
-    return fingerprint.fingerprint
 
 
 def _execute_scenario(name: str, params: Mapping[str, object]) -> Dict[str, object]:
@@ -211,8 +194,7 @@ def run_batch(
     scenario name.
     """
     started = _now()
-    rig_fence = _rig_dependency_fence() if rig_cache_dir is not None else None
-    _install_rig_cache(rig_cache_dir, rig_fence)
+    _install_rig_cache(rig_cache_dir)
     if labels is None:
         labels = [entry.name for entry, _ in items]
     if len(labels) != len(items):
@@ -300,7 +282,7 @@ def run_batch(
             max_workers=jobs,
             mp_context=context,
             initializer=_install_rig_cache,
-            initargs=(rig_cache_dir, rig_fence),
+            initargs=(rig_cache_dir,),
         ) as pool:
             futures = {
                 pool.submit(_execute_scenario, entry.name, params): (index, label, entry, params)

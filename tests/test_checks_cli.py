@@ -28,7 +28,6 @@ EXPECTED_RULES = {
     *(f"DMA00{i}" for i in range(1, 7)),
     *(f"SYS00{i}" for i in range(1, 4)),
     *(f"LINT00{i}" for i in range(0, 10)),
-    *(f"CKEY00{i}" for i in range(1, 6)),
 }
 
 
@@ -193,30 +192,3 @@ def test_demo_divergence_raises_check_error(monkeypatch):
     with pytest.raises(CheckError, match="diverges"):
         repro_main(["demo", "--no-drc"])
 
-
-# -- dependency pass (--deps) -------------------------------------------------
-
-def test_checks_deps_single_scenario(capsys):
-    assert checks_main(["--deps", "table01_resources32"]) == 0
-    out = capsys.readouterr().out
-    assert "table01_resources32  [depfp]" in out
-    assert "fingerprint" in out
-
-
-def test_checks_deps_all_json(capsys):
-    assert checks_main(["--deps", "all", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    closures = payload["closures"]
-    assert len(closures) >= 30
-    labels = {c["label"] for c in closures}
-    assert "rig" in labels
-    for closure in closures:
-        assert closure["fallback"] is False
-        assert len(closure["fingerprint"]) == 64
-        assert closure["modules"]
-
-
-def test_checks_deps_rig(capsys):
-    assert checks_main(["--deps", "rig"]) == 0
-    out = capsys.readouterr().out
-    assert "rig  [depfp]" in out

@@ -1,13 +1,20 @@
 """Content-addressed result cache: hits, invalidation, recovery.
 
-The cache key is (scenario source fingerprint, canonical params, repro
-version, schema) — these tests pin down each invalidation axis plus the
+The cache key is (fingerprint = package digest + scenario body hash,
+canonical params, schema) — these tests pin down each invalidation axis,
+the package digest itself, concurrent same-key stores, and the
 corrupted-entry recovery path (a bad entry must become a miss, never an
 exception).
 """
 
 import json
+import os
+import shutil
 
+import pytest
+
+from repro.checks import depfp
+from repro.checks.lint import package_root
 from repro.scenarios import ScenarioResult
 from repro.scenarios.registry import Scenario
 from repro.sweep import ResultCache, cache_key, canonical_params
@@ -117,11 +124,10 @@ def test_entry_path_is_human_navigable(tmp_path):
     assert path.suffix == ".json"
 
 
-# -- dependency-fence keying --------------------------------------------------
+# -- package-digest keying ---------------------------------------------------
 #
-# Scenarios registered from real package modules key on their call-graph
-# dependency fingerprint; dynamic test scenarios (like the ones above, whose
-# bodies live outside src/repro) fall back to the blanket version fence.
+# Every key carries the package digest: one SHA-256 over all of src/repro,
+# so any source edit (helper, scenario, orchestration) invalidates everything.
 
 def _registered(name="table01_resources32"):
     import repro.scenarios  # registration side effects
@@ -130,22 +136,15 @@ def _registered(name="table01_resources32"):
     return get_scenario(name)
 
 
-def test_dynamic_scenario_uses_version_fence():
-    from repro.sweep.cache import dependency_fence
-
-    fence = dependency_fence(_scenario())
-    assert fence["key_mode"] == "version"
-    import repro
-
-    assert fence["repro_version"] == repro.__version__
+def _package_copy(tmp_path):
+    return shutil.copytree(
+        package_root(), tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
 
 
-def test_registered_scenario_uses_depfp_fence():
-    from repro.sweep.cache import dependency_fence
-
-    fence = dependency_fence(_registered())
-    assert fence["key_mode"] == "depfp"
-    assert len(fence["dep_fingerprint"]) == 64
+def test_package_digest_hashes_the_imported_package():
+    assert depfp.package_graph() == depfp.source_digest(package_root())
+    assert len(depfp.package_graph()) == 64
 
 
 def test_version_bump_keeps_key_when_sources_unchanged(monkeypatch):
@@ -158,37 +157,59 @@ def test_version_bump_keeps_key_when_sources_unchanged(monkeypatch):
     assert cache_key(entry, params) == before
 
 
-def test_version_bump_invalidates_version_fenced_scenario(monkeypatch):
-    entry = _scenario()
-    before = cache_key(entry, {"n": 3})
-    monkeypatch.setattr("repro.__version__", "99.0.0")
-    assert cache_key(entry, {"n": 3}) != before
+def test_edit_outside_the_scenario_module_changes_its_key(tmp_path, monkeypatch):
+    """``table01_resources32`` never reaches the serve report module, yet
+    editing it must still invalidate the table: no call edge can be missed."""
+    tree = _package_copy(tmp_path)
+    entry = _registered()
+    params = dict(entry.params)
+    monkeypatch.setattr(depfp, "_DIGEST", depfp.source_digest(tree))
+    before = cache_key(entry, params)
+
+    report = tree / "serve" / "report.py"
+    report.write_text(report.read_text(encoding="utf-8") + "\n# edited\n", encoding="utf-8")
+    monkeypatch.setattr(depfp, "_DIGEST", depfp.source_digest(tree))
+    assert cache_key(entry, params) != before
 
 
-def test_helper_edit_invalidates_exactly_dependents():
-    """Simulate editing one helper module by tampering with its hash in the
-    memoized graph: every scenario whose closure contains it must change
-    key, every other scenario must not."""
-    from repro.checks import depfp
+def test_renaming_a_file_changes_the_digest(tmp_path):
+    tree = _package_copy(tmp_path)
+    before = depfp.source_digest(tree)
+    (tree / "serve" / "report.py").rename(tree / "serve" / "report_renamed.py")
+    assert depfp.source_digest(tree) != before
 
-    fig = _registered("fig1_generic_architecture")
-    table = _registered("table01_resources32")
-    fig_params, table_params = dict(fig.params), dict(table.params)
-    try:
-        graph = depfp.package_graph()
-        helper = "repro.bus.plb"  # reached by the table rig, not the figure
-        assert helper in depfp.scenario_fingerprint(table, graph=graph).modules
-        assert helper not in depfp.scenario_fingerprint(fig, graph=graph).modules
-        fig_before = cache_key(fig, fig_params)
-        table_before = cache_key(table, table_params)
 
-        graph.modules[helper].source_hash = "0" * 64
-        graph.memo.clear()
+def test_rig_cache_file_key_follows_the_digest(tmp_path, monkeypatch):
+    import numpy as np
 
-        assert cache_key(table, table_params) != table_before
-        assert cache_key(fig, fig_params) == fig_before
-    finally:
-        depfp.reset_graph()
+    from repro.sweep.rigcache import RigCache
+
+    data, written = np.arange(4, dtype=np.uint32), np.ones(4, dtype=bool)
+    monkeypatch.setattr(depfp, "_DIGEST", "a" * 64)
+    before = RigCache(tmp_path)
+    before.store("k" * 64, data, written, 4)
+    assert before.load("k" * 64) is not None
+
+    monkeypatch.setattr(depfp, "_DIGEST", "b" * 64)
+    after = RigCache(tmp_path)
+    assert after._path("k" * 64) != before._path("k" * 64)
+    assert after.load("k" * 64) is None
+
+
+def test_load_and_store_derive_the_key_once(tmp_path, monkeypatch):
+    calls = []
+    original = depfp.scenario_fingerprint
+
+    def counting(scenario):
+        calls.append(scenario.name)
+        return original(scenario)
+
+    monkeypatch.setattr(depfp, "scenario_fingerprint", counting)
+    cache = ResultCache(tmp_path)
+    cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
+    assert len(calls) == 1
+    assert cache.load(_scenario(), {"n": 3}) is not None
+    assert len(calls) == 2
 
 
 def test_stored_envelope_records_key_components(tmp_path):
@@ -196,8 +217,45 @@ def test_stored_envelope_records_key_components(tmp_path):
     path = cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
     envelope = json.loads(path.read_text(encoding="utf-8"))
     components = envelope["key_components"]
-    assert components["key_mode"] == "version"
+    assert components["fingerprint"] == depfp.scenario_fingerprint(_scenario())
     assert components["params"] == {"n": 3}
+    assert envelope["key"] == cache_key(_scenario(), {"n": 3})
+
+
+# -- concurrent writers -------------------------------------------------------
+
+def test_concurrent_same_key_stores_do_not_collide(tmp_path, monkeypatch):
+    """A second writer stores the same key between the first writer's write
+    and its rename (``repro sweep`` and ``repro dse`` share one cache
+    directory); both stores must succeed and leave one valid entry."""
+    cache = ResultCache(tmp_path)
+    entry, params = _scenario(), {"n": 3}
+    real_replace = os.replace
+    interleaved = []
+
+    def replace_after_a_rival_store(src, dst):
+        if not interleaved:
+            interleaved.append(src)
+            ResultCache(tmp_path).store(entry, params, _result([[3]]), host_seconds=0.2)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_a_rival_store)
+    path = cache.store(entry, params, _result([[3]]), host_seconds=0.1)
+    monkeypatch.setattr(os, "replace", real_replace)
+
+    assert interleaved
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert cache.load(entry, params) is not None
+
+
+def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        ResultCache(tmp_path).store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- miss attribution ---------------------------------------------------------
@@ -216,12 +274,12 @@ def test_explain_attributes_params_change(tmp_path):
     assert any("params" in line for line in lines)
 
 
-def test_explain_attributes_version_fence(tmp_path, monkeypatch):
+def test_explain_attributes_fingerprint_change(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     cache.store(_scenario(), {"n": 3}, _result([[3]]), host_seconds=0.1)
-    monkeypatch.setattr("repro.__version__", "99.0.0")
+    monkeypatch.setattr(depfp, "_DIGEST", "0" * 64)
     lines = cache.explain(_scenario(), {"n": 3})
-    assert any("repro_version" in line for line in lines)
+    assert any("fingerprint changed" in line for line in lines)
 
 
 def test_explain_reports_hit(tmp_path):
