@@ -31,7 +31,7 @@ when none is armed the hooks are single ``is None`` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -406,14 +406,12 @@ class ReconfigManager:
             )
         cpu = self.system.cpu
         start = cpu.now_ps
-        repair: List[Tuple[FrameAddress, np.ndarray]] = []
-        checked = 0
-        for address in ref:
-            expected = np.asarray(ref[address], dtype=np.uint32)
-            data = self._readback_frame(address)
-            checked += 1
-            if not np.array_equal(data, expected):
-                repair.append((address, expected))
+        repair = [
+            (address, expected)
+            for address, expected, _ in self._mismatched_frames(
+                (address, address, ref[address]) for address in ref
+            )
+        ]
         if repair:
             stream = Bitstream(
                 device_name=self.system.device.name,
@@ -423,7 +421,7 @@ class ReconfigManager:
             )
             self._feed_through_icap(stream)
         return ScrubReport(
-            frames_checked=checked,
+            frames_checked=len(ref),
             frames_repaired=len(repair),
             repaired=[address for address, _ in repair],
             elapsed_ps=cpu.now_ps - start,
@@ -463,6 +461,19 @@ class ReconfigManager:
         head = np.array([first, second], dtype=np.uint32)
         return np.concatenate([head, rest]) if extra else head
 
+    def _mismatched_frames(
+        self, frames: Iterable[Tuple[object, FrameAddress, np.ndarray]]
+    ) -> Iterator[Tuple[object, np.ndarray, np.ndarray]]:
+        """Read back each ``(key, address, expected)`` frame through the ICAP
+        and yield ``(key, expected, data)`` for every frame whose readback
+        differs.  Lazy: a consumer that stops early stops the reads.
+        """
+        for key, address, expected in frames:
+            expected = np.asarray(expected, dtype=np.uint32)
+            data = self._readback_frame(address)
+            if not np.array_equal(data, expected):
+                yield key, expected, data
+
     def _sample_indices(self, count: int, samples: Optional[int]) -> Sequence[int]:
         """Evenly spaced frame indices, clamped to ``min(samples, count)``.
 
@@ -482,19 +493,20 @@ class ReconfigManager:
         frames = bitstream.frames
         if not frames:
             return 0, 0
-        checked = 0
-        for index in self._sample_indices(len(frames), samples):
-            address, expected = frames[index]
-            data = self._readback_frame(address)
+        indices = self._sample_indices(len(frames), samples)
+        mismatch = next(
+            self._mismatched_frames((frames[index][0], *frames[index]) for index in indices),
+            None,
+        )
+        if mismatch is not None:
+            address, expected, data = mismatch
             if int(data[0]) != int(expected[0]):
                 raise ReconfigurationError(
                     f"readback mismatch at {address}: {int(data[0]):#010x} != "
                     f"{int(expected[0]):#010x}"
                 )
-            if not np.array_equal(data[1:], np.asarray(expected[1:], dtype=np.uint32)):
-                raise ReconfigurationError(f"readback mismatch within {address}")
-            checked += 1
-        return cpu.now_ps - start, checked
+            raise ReconfigurationError(f"readback mismatch within {address}")
+        return cpu.now_ps - start, len(indices)
 
     def _scan_frames(
         self,
@@ -514,15 +526,11 @@ class ReconfigManager:
             indices: Sequence[int] = only
         else:
             indices = self._sample_indices(len(frames), samples)
-        bad: List[int] = []
-        checked = 0
-        for index in indices:
-            address, expected = frames[index]
-            data = self._readback_frame(address)
-            checked += 1
-            if not np.array_equal(data, np.asarray(expected, dtype=np.uint32)):
-                bad.append(index)
-        return bad, checked
+        bad = [
+            index
+            for index, _, _ in self._mismatched_frames((index, *frames[index]) for index in indices)
+        ]
+        return bad, len(indices)
 
     def _scrub_frames(self, bitstream: Bitstream, indices: Sequence[int]) -> None:
         """Rewrite only the given frames of ``bitstream`` through the ICAP."""

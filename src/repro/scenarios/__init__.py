@@ -3,8 +3,8 @@
 Importing this package registers every table, ablation and figure
 scenario.  Consumers:
 
-* the pytest benches under ``benchmarks/`` — thin wrappers that run one
-  scenario each and assert the paper's shape claims on its rows;
+* ``tests/test_paper_shapes.py`` — runs each table, ablation and figure
+  scenario and asserts the paper's shape claims on its rows;
 * the sweep orchestrator (:mod:`repro.sweep`) — fans the registry out
   over a process pool with content-addressed result caching;
 * ``repro sweep list/run`` on the command line.

@@ -1,11 +1,10 @@
 """Ablation scenarios — the reproduction's design-space probes as pure
 functions.
 
-Extracted from ``benchmarks/bench_ablation_*.py``.  Same contract as the
-table scenarios: build everything locally, deterministic parameters,
-equivalence failures raise :class:`~repro.errors.CheckError`, and every
-quantity a wrapping test asserts on is exposed through ``rows`` or
-``headline``.
+Same contract as the table scenarios: build everything locally,
+deterministic parameters, equivalence failures raise
+:class:`~repro.errors.CheckError`, and every quantity the paper-shape
+tests assert on is exposed through ``rows`` or ``headline``.
 """
 
 from __future__ import annotations

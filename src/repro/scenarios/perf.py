@@ -1,11 +1,12 @@
-"""Reconfiguration-datapath perf scenario.
+"""Perf scenarios: the reconfiguration datapath and the batch-compiled engine.
 
-Registered like every other scenario (pure, deterministic, cacheable): it
-reports the *simulated* cost and traffic of repeated load/clear cycles on
-the 64-bit system — the workload the host-time benchmark
-``benchmarks/bench_perf_reconfig.py`` times with the vectorized fast path
-on and off.  Keeping the workload definition here means the benchmark, the
-sweep and the equivalence suite all drive the identical cycle sequence.
+Registered like every other scenario (pure, deterministic, cacheable):
+``perf_reconfig`` reports the *simulated* cost and traffic of repeated
+load/swap/clear cycles on the 64-bit system, and ``perf_engine_e2e`` runs
+the per-word PIO driver loops the steady-state compiler
+(:mod:`repro.engine.batch`) compresses on both systems.  Host time is
+measured by ``perfbench/``; fast == reference is enforced by the
+equivalence suites.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ def run_reconfig_cycles(manager, cycles: int, kernel: str, alternate: str):
 
     Returns the per-phase :class:`~repro.core.reconfig.ReconfigResult`
     lists ``(loads, differentials, clears)``.  Shared by the scenario below
-    and by the host-time benchmark so both measure the same datapath.
+    and by the reconfiguration fast-path equivalence suite so both drive
+    the same datapath.
     """
     loads, differentials, clears = [], [], []
     for _ in range(cycles):
@@ -99,40 +101,6 @@ def _checksum(result) -> int:
     return int(result) & 0xFFFFFFFFFFFFFFFF
 
 
-def engine_workload_tasks(system, manager, height: int, width: int):
-    """PIO-heavy batchable workload for the batch-compiled engine core.
-
-    Every task runs through the per-word PIO driver loops that the
-    steady-state compiler (:mod:`repro.engine.batch`) compresses: image
-    brightness/fade, pattern matching over strips, and lookup2 hashing.
-    Yields ``(task, thunk)`` pairs where each thunk performs the driver
-    run; consume in order (each yield follows the matching kernel load).
-    Shared by the ``perf_engine_e2e`` scenario and
-    ``benchmarks/bench_perf_sweep.py`` so the host-time floors and the
-    simulated observables come from the identical datapath — the split
-    lets the benchmark put a timer around exactly the driver loop, with
-    the reconfiguration loads outside it.
-    """
-    a = grayscale_image(height, width, seed=1)
-    b = grayscale_image(height, width, seed=2)
-    image = binary_image(height, width, seed=height * width)
-    key = random_key(4 * height * width, seed=width)
-    manager.load("brightness")
-    yield "brightness", lambda: HwBrightnessPio().run(system, a)
-    manager.load("fade")
-    yield "fade", lambda: HwFadePio().run(system, a, b)
-    manager.load("patmatch")
-    yield "patmatch", lambda: HwPatternMatch().run(system, image)
-    manager.load("lookup2")
-    yield "lookup2", lambda: HwJenkinsHash().run(system, key)
-    manager.clear()
-
-
-def run_engine_workload(system, manager, height: int, width: int):
-    """Run :func:`engine_workload_tasks`; returns ``[(task, RunResult)]``."""
-    return [(task, thunk()) for task, thunk in engine_workload_tasks(system, manager, height, width)]
-
-
 @scenario(
     "perf_engine_e2e",
     title="Batch-compiled engine: PIO-heavy workload on both systems",
@@ -141,6 +109,10 @@ def run_engine_workload(system, manager, height: int, width: int):
     smoke_params={"height": 32, "width": 32},
 )
 def perf_engine_e2e(height: int, width: int) -> ScenarioResult:
+    a = grayscale_image(height, width, seed=1)
+    b = grayscale_image(height, width, seed=2)
+    image = binary_image(height, width, seed=height * width)
+    key = random_key(4 * height * width, seed=width)
     system32, manager32 = build_rig32()
     system64, manager64 = build_rig64()
     rows: List[List[object]] = []
@@ -148,7 +120,17 @@ def perf_engine_e2e(height: int, width: int) -> ScenarioResult:
     total_ps = 0
     for label, (system, manager) in (("32-bit", (system32, manager32)),
                                      ("64-bit", (system64, manager64))):
-        for task, run in run_engine_workload(system, manager, height, width):
+        runs = []
+        manager.load("brightness")
+        runs.append(("brightness", HwBrightnessPio().run(system, a)))
+        manager.load("fade")
+        runs.append(("fade", HwFadePio().run(system, a, b)))
+        manager.load("patmatch")
+        runs.append(("patmatch", HwPatternMatch().run(system, image)))
+        manager.load("lookup2")
+        runs.append(("lookup2", HwJenkinsHash().run(system, key)))
+        manager.clear()
+        for task, run in runs:
             digest = _checksum(run.result)
             rows.append([label, task, run.elapsed_ps / 1e6, digest])
             headline[f"{label.replace('-', '')}_{task}_ps"] = run.elapsed_ps

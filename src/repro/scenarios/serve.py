@@ -53,9 +53,8 @@ def build_serve_inputs(
 ) -> Tuple[CostTable, np.ndarray]:
     """Calibrate a cost table and generate the matching request trace.
 
-    Shared between the scenarios and ``benchmarks/bench_perf_serve.py``
-    so the bench times exactly the workload the scenarios report on.
-    The arrival rate is derived *from the calibrated table* (mean
+    Shared by the serve scenarios so each builds its workload the same
+    way.  The arrival rate is derived *from the calibrated table* (mean
     hardware cost / target utilization), keeping the service in an
     interesting load regime on any cost model.
     """

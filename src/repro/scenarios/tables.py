@@ -1,12 +1,11 @@
 """Table scenarios — the paper's twelve numbered tables as pure functions.
 
-Extracted from ``benchmarks/bench_table*.py``; the benches are now thin
-wrappers that run these through the registry.  Each function builds its
-own rig, runs the simulation, cross-checks hardware results against the
-software reference (raising :class:`~repro.errors.CheckError` on any
-divergence) and returns a :class:`ScenarioResult` whose rows are exactly
-the rows the benches used to build — the sweep cache and the serial
-pytest path therefore produce byte-identical simulated numbers.
+Each function builds its own rig, runs the simulation, cross-checks
+hardware results against the software reference (raising
+:class:`~repro.errors.CheckError` on any divergence) and returns a
+:class:`ScenarioResult` whose rows are the rendered table — the sweep
+cache and a serial ``run_scenario`` call therefore produce byte-identical
+simulated numbers.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Result-file plumbing shared by the sweep CLI and the pytest benches.
+"""Result-file plumbing for the sweep and DSE command lines.
 
 Centralises "where do rendered tables and reports go" so nothing else
 assumes the results directory exists: every writer creates it on demand,
-which keeps a fresh clone working (the old ``benchmarks/conftest.py``
-assumed ``benchmarks/results/`` was present).
+which keeps a fresh clone working.
 """
 
 from __future__ import annotations

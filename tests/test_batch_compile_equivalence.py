@@ -147,3 +147,19 @@ def test_env_var_round_trip_disables_compilation():
             os.environ.pop(fastpath.ENV_VAR, None)
         else:
             os.environ[fastpath.ENV_VAR] = old
+
+
+def test_every_pio_driver_loop_of_perf_engine_e2e_compiles():
+    """The compiler engages on the whole ``perf_engine_e2e`` workload: no
+    driver iteration falls back to the reference interpreter."""
+    from repro.engine.batch import reset_telemetry, telemetry
+    from repro.scenarios import run_scenario
+
+    try:
+        with fastpath.forced_on():
+            reset_telemetry()
+            run_scenario("perf_engine_e2e", smoke=True)
+        assert telemetry().reference_iterations == 0
+        assert telemetry().compiled_phases > 0
+    finally:
+        reset_telemetry()

@@ -1,8 +1,8 @@
 """Batched fast paths must match real per-word loops.
 
-The long sequences in the benchmarks use calibrate-and-multiply shortcuts
-(`io_read_batch`, `io_write_batch`, stream charges).  These tests pin the
-shortcut against the ground truth on both systems, within a tight
+The long transfer sequences of the paper tables use calibrate-and-multiply
+shortcuts (`io_read_batch`, `io_write_batch`, stream charges).  These tests
+pin the shortcut against the ground truth on both systems, within a tight
 tolerance — if a timing model change breaks the equivalence, this is the
 suite that catches it.
 """

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TransferBench, build_system64, memmap
+from repro.core import TransferBench, build_system32, build_system64, memmap
 from repro.dock.dma import Descriptor
 from repro.engine import fastpath
 from repro.engine.trace import TraceRecorder
@@ -187,6 +187,22 @@ def test_transfer_bench_sequences_equivalence(n):
         return w, r, wr
 
     _assert_equivalent(*_run_both(scenario))
+
+
+@pytest.mark.parametrize("builder", [build_system32, build_system64], ids=["32", "64"])
+def test_pio_sequences_equivalence(builder):
+    def totals():
+        bench = TransferBench(builder())
+        return [
+            getattr(bench, method)(10_000).total_ps
+            for method in ("pio_write_sequence", "pio_read_sequence", "pio_interleaved_sequence")
+        ]
+
+    with fastpath.forced_on():
+        fast = totals()
+    with fastpath.disabled():
+        slow = totals()
+    assert fast == slow
 
 
 def test_trace_hook_forces_reference_path_and_is_byte_identical():
