@@ -31,7 +31,7 @@ when none is armed the hooks are single ``is None`` checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from ..bitstream.bitlinker import Placement
 from ..bitstream.bitstream import Bitstream, BitstreamKind
 from ..bitstream.generator import verify_preserves_static
 from ..dock.interface import StreamingKernel
+from ..engine.batch import declare_phases, run_steady
 from ..errors import FabricError, KernelError, ReconfigurationError, ResourceError
 from ..fabric.config_memory import ConfigMemory
 from ..fabric.frames import FrameAddress
@@ -46,6 +47,10 @@ from ..kernels.base import BaseKernel
 from ..sw.costmodel import charge_word_reads
 from . import memmap
 from .system import System
+
+#: The frame-readback loop, declared batchable by every manager (see
+#: :meth:`ReconfigManager._readback_frames`).
+PHASE_ICAP_READBACK = "icap-readback"
 
 
 @dataclass
@@ -111,6 +116,7 @@ class ReconfigManager:
         #: ``load_robust`` calls or :meth:`mark_golden`); the reference
         #: :meth:`scrub` repairs towards.
         self._golden = None
+        declare_phases(system, PHASE_ICAP_READBACK)
 
     # -- library ------------------------------------------------------------
     def register(self, kernel: BaseKernel, software=None) -> None:
@@ -168,16 +174,39 @@ class ReconfigManager:
         reads CLB-column widths); raises the same error as :meth:`load`
         for unregistered kernels.
         """
+        return self._entry(name)[1]
+
+    def _entry(self, name: str) -> Tuple[BaseKernel, object]:
+        """The registered ``(kernel, component)`` pair for ``name``."""
         if name not in self._library:
             raise ReconfigurationError(
                 f"kernel {name!r} not registered with {self.system.name}"
             )
-        return self._library[name][1]
+        return self._library[name]
+
+    def _link(self, component, differential: bool) -> Bitstream:
+        """BitLinker's complete (or differential) partial bitstream for ``component``."""
+        placements = [Placement(component, col_offset=0, row_offset=0)]
+        if differential:
+            return self.bitlinker.link_differential(placements, current=self.system.config_memory)
+        return self.bitlinker.link(placements)
 
     # -- fault hooks ---------------------------------------------------------
     def _plan(self):
         """The armed :class:`~repro.faults.plan.FaultPlan`, or None."""
         return getattr(self.system, "fault_plan", None)
+
+    def _pre_load_state(self) -> ConfigMemory:
+        """Strike any armed load upset, then copy the configuration a load
+        must leave intact outside its region (and may roll back to) — so
+        the preservation check also holds when other dynamic regions
+        already carry kernels."""
+        plan = self._plan()
+        if plan is not None:
+            plan.take_load_upset(self.system.config_memory)
+        before = ConfigMemory(self.system.device)
+        before.restore(self.system.config_memory.snapshot())
+        return before
 
     # -- loading --------------------------------------------------------------
     def load(
@@ -193,29 +222,11 @@ class ReconfigManager:
         caps how many frames are checked (at least 1; never more than the
         bitstream holds).
         """
-        if name not in self._library:
-            raise ReconfigurationError(
-                f"kernel {name!r} not registered with {self.system.name}"
-            )
+        kernel, component = self._entry(name)
         if verify and verify_samples < 1:
             raise ValueError(f"verify_samples must be >= 1, got {verify_samples}")
-        kernel, component = self._library[name]
-        plan = self._plan()
-        if plan is not None:
-            plan.take_load_upset(self.system.config_memory)
-        placements = [Placement(component, col_offset=0, row_offset=0)]
-        if differential:
-            bitstream = self.bitlinker.link_differential(
-                placements, current=self.system.config_memory
-            )
-        else:
-            bitstream = self.bitlinker.link(placements)
-
-        # Snapshot the pre-load state so the preservation check also holds
-        # when other dynamic regions already carry kernels.
-        before = ConfigMemory(self.system.device)
-        before.restore(self.system.config_memory.snapshot())
-
+        before = self._pre_load_state()
+        bitstream = self._link(component, differential)
         elapsed, word_count = self._feed_through_icap(bitstream)
         verify_ps = 0
         frames_verified = 0
@@ -270,21 +281,12 @@ class ReconfigManager:
         result's ``elapsed_ps`` covers everything, ``attempts``/
         ``scrubbed_frames``/``rolled_back`` report what recovery cost.
         """
-        if name not in self._library:
-            raise ReconfigurationError(
-                f"kernel {name!r} not registered with {self.system.name}"
-            )
+        kernel, component = self._entry(name)
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if verify_samples is not None and verify_samples < 1:
             raise ValueError(f"verify_samples must be >= 1, got {verify_samples}")
-        kernel, component = self._library[name]
-        plan = self._plan()
-        if plan is not None:
-            plan.take_load_upset(self.system.config_memory)
-
-        before = ConfigMemory(self.system.device)
-        before.restore(self.system.config_memory.snapshot())
+        before = self._pre_load_state()
 
         cpu = self.system.cpu
         start = cpu.now_ps
@@ -297,13 +299,7 @@ class ReconfigManager:
 
         while attempts < max_attempts:
             attempts += 1
-            placements = [Placement(component, col_offset=0, row_offset=0)]
-            if differential:
-                bitstream = self.bitlinker.link_differential(
-                    placements, current=self.system.config_memory
-                )
-            else:
-                bitstream = self.bitlinker.link(placements)
+            bitstream = self._link(component, differential)
             try:
                 _, word_count = self._feed_through_icap(bitstream)
             except ReconfigurationError as err:
@@ -317,7 +313,10 @@ class ReconfigManager:
             frames_verified += checked
             if bad:
                 try:
-                    self._scrub_frames(bitstream, bad)
+                    self._feed_frames(
+                        [bitstream.frames[index] for index in bad],
+                        f"scrub of {len(bad)} frame(s)",
+                    )
                 except ReconfigurationError as err:
                     verify_ps_total += cpu.now_ps - verify_start
                     last_error = err
@@ -406,20 +405,10 @@ class ReconfigManager:
             )
         cpu = self.system.cpu
         start = cpu.now_ps
-        repair = [
-            (address, expected)
-            for address, expected, _ in self._mismatched_frames(
-                (address, address, ref[address]) for address in ref
-            )
-        ]
+        checked = [(address, ref[address]) for address in ref]
+        repair = [checked[position] for position in self._mismatched(checked)]
         if repair:
-            stream = Bitstream(
-                device_name=self.system.device.name,
-                kind=BitstreamKind.PARTIAL_COMPLETE,
-                frames=repair,
-                description=f"scrub repair of {len(repair)} frame(s)",
-            )
-            self._feed_through_icap(stream)
+            self._feed_frames(repair, f"scrub repair of {len(repair)} frame(s)")
         return ScrubReport(
             frames_checked=len(ref),
             frames_repaired=len(repair),
@@ -431,12 +420,13 @@ class ReconfigManager:
     def _readback_frame(self, address: FrameAddress) -> np.ndarray:
         """Read one frame back through the ICAP, charging the bus time.
 
-        The first two RDATA words are real uncached loads (the second is
-        the steady-state calibration sample, matching the batch idiom of
-        :meth:`~repro.cpu.ppc405.Ppc405.io_read_batch`); the remainder is
-        drained in bulk with its time and counters extrapolated — and
-        attributed to the HWICAP *readback* counter, exactly as the
-        word-by-word loop would record it.
+        The reference step of :meth:`_readback_frames`, run once per
+        probed frame.  The first two RDATA words are real uncached loads
+        (the second is the steady-state calibration sample, matching the
+        batch idiom of :meth:`~repro.cpu.ppc405.Ppc405.io_read_batch`); the
+        remainder is drained in bulk with its time and counters
+        extrapolated — and attributed to the HWICAP *readback* counter,
+        exactly as the word-by-word loop would record it.
         """
         from ..periph.hwicap import CTRL_READBACK, REG_CONTROL, REG_FAR, REG_RDATA
 
@@ -461,52 +451,71 @@ class ReconfigManager:
         head = np.array([first, second], dtype=np.uint32)
         return np.concatenate([head, rest]) if extra else head
 
-    def _mismatched_frames(
-        self, frames: Iterable[Tuple[object, FrameAddress, np.ndarray]]
-    ) -> Iterator[Tuple[object, np.ndarray, np.ndarray]]:
-        """Read back each ``(key, address, expected)`` frame through the ICAP
-        and yield ``(key, expected, data)`` for every frame whose readback
-        differs.  Lazy: a consumer that stops early stops the reads.
+    def _readback_frames(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
+        """Read ``addresses`` back through the ICAP: an ``(n, words_per_frame)`` array.
+
+        Every frame costs the same bridged transactions whatever its
+        address, so the frame loop is the declared :data:`PHASE_ICAP_READBACK`
+        phase of :func:`~repro.engine.batch.run_steady`: probed frames run
+        :meth:`_readback_frame`, the rest are read functionally.
         """
-        for key, address, expected in frames:
-            expected = np.asarray(expected, dtype=np.uint32)
-            data = self._readback_frame(address)
-            if not np.array_equal(data, expected):
-                yield key, expected, data
+        icap = self.system.hwicap
+        out = np.empty((len(addresses), self.system.device.words_per_frame), dtype=np.uint32)
+
+        def step(i: int) -> None:
+            out[i] = self._readback_frame(addresses[i])
+
+        def bulk(start: int, n: int) -> None:
+            out[start:] = icap.bulk_readback(addresses[start : start + n])
+
+        run_steady(self.system, len(addresses), step, bulk, phase=PHASE_ICAP_READBACK)
+        return out
+
+    def _mismatched(self, frames: Sequence[Tuple[FrameAddress, np.ndarray]]) -> np.ndarray:
+        """Positions in ``(address, expected)`` ``frames`` whose readback differs."""
+        if not frames:
+            return np.zeros(0, dtype=np.intp)
+        data = self._readback_frames([address for address, _ in frames])
+        expected = np.array([frame for _, frame in frames], dtype=np.uint32)
+        return np.flatnonzero((data != expected).any(axis=1))
 
     def _sample_indices(self, count: int, samples: Optional[int]) -> Sequence[int]:
         """Evenly spaced frame indices, clamped to ``min(samples, count)``.
 
         Spacing ``(count-1)/(num-1) >= 1`` guarantees the floored indices
-        are distinct, so exactly ``num`` frames are checked — never more
-        than requested (the old ``count // samples`` stepping could check
-        up to twice as many).
+        are distinct, so exactly ``num`` frames are checked.
         """
         if samples is None or samples >= count:
             return range(count)
         return [int(i) for i in np.linspace(0, count - 1, num=int(samples))]
 
     def _verify_by_readback(self, bitstream: Bitstream, samples: int) -> Tuple[int, int]:
-        """Read back evenly spaced frames via the ICAP and compare."""
+        """Read back evenly spaced frames via the ICAP; raise on the first mismatch.
+
+        As in a frame-by-frame loop, only the frames up to the first
+        mismatch are read back (and charged); readback returns memory as it
+        stands, so an uncounted peek finds that prefix before time is spent.
+        """
         cpu = self.system.cpu
         start = cpu.now_ps
         frames = bitstream.frames
         if not frames:
             return 0, 0
-        indices = self._sample_indices(len(frames), samples)
-        mismatch = next(
-            self._mismatched_frames((frames[index][0], *frames[index]) for index in indices),
-            None,
-        )
-        if mismatch is not None:
-            address, expected, data = mismatch
-            if int(data[0]) != int(expected[0]):
+        sampled = [frames[index] for index in self._sample_indices(len(frames), samples)]
+        addresses = [address for address, _ in sampled]
+        expected = np.array([frame for _, frame in sampled], dtype=np.uint32)
+        peek = self.system.config_memory.rows_for(addresses, count=False)
+        bad = np.flatnonzero((peek != expected).any(axis=1))
+        stop = int(bad[0]) + 1 if bad.size else len(addresses)
+        data = self._readback_frames(addresses[:stop])
+        if bad.size:
+            got, want = int(data[-1, 0]), int(expected[stop - 1, 0])
+            if got != want:
                 raise ReconfigurationError(
-                    f"readback mismatch at {address}: {int(data[0]):#010x} != "
-                    f"{int(expected[0]):#010x}"
+                    f"readback mismatch at {addresses[stop - 1]}: {got:#010x} != {want:#010x}"
                 )
-            raise ReconfigurationError(f"readback mismatch within {address}")
-        return cpu.now_ps - start, len(indices)
+            raise ReconfigurationError(f"readback mismatch within {addresses[stop - 1]}")
+        return cpu.now_ps - start, len(addresses)
 
     def _scan_frames(
         self,
@@ -526,22 +535,13 @@ class ReconfigManager:
             indices: Sequence[int] = only
         else:
             indices = self._sample_indices(len(frames), samples)
-        bad = [
-            index
-            for index, _, _ in self._mismatched_frames((index, *frames[index]) for index in indices)
-        ]
-        return bad, len(indices)
+        bad = self._mismatched([frames[index] for index in indices])
+        return [indices[position] for position in bad], len(indices)
 
-    def _scrub_frames(self, bitstream: Bitstream, indices: Sequence[int]) -> None:
-        """Rewrite only the given frames of ``bitstream`` through the ICAP."""
-        frames = [bitstream.frames[index] for index in indices]
-        repair = Bitstream(
-            device_name=bitstream.device_name,
-            kind=BitstreamKind.PARTIAL_COMPLETE,
-            frames=frames,
-            description=f"scrub of {len(frames)} frame(s)",
-        )
-        self._feed_through_icap(repair)
+    def _feed_frames(self, frames: List[Tuple[FrameAddress, np.ndarray]], description: str) -> None:
+        """Rewrite only ``frames`` through the ICAP (a complete partial bitstream)."""
+        kind = BitstreamKind.PARTIAL_COMPLETE
+        self._feed_through_icap(Bitstream(self.system.device.name, kind, frames, description))
 
     def _rollback(self, before: ConfigMemory) -> bool:
         """Restore the pre-load configuration, charging the repair feed.
@@ -553,18 +553,10 @@ class ReconfigManager:
         """
         memory = self.system.config_memory
         baseline = before.snapshot()
-        repair: List[Tuple[FrameAddress, np.ndarray]] = []
-        for address, _ in memory.diff(baseline):
-            repair.append((address, before.read_frame(address)))
+        repair = [(address, before.read_frame(address)) for address, _ in memory.diff(baseline)]
         if repair:
-            stream = Bitstream(
-                device_name=self.system.device.name,
-                kind=BitstreamKind.PARTIAL_COMPLETE,
-                frames=repair,
-                description=f"rollback of {len(repair)} frame(s)",
-            )
             try:
-                self._feed_through_icap(stream)
+                self._feed_frames(repair, f"rollback of {len(repair)} frame(s)")
             except ReconfigurationError:
                 # Even a faulted rollback feed ends in the functional
                 # restore below; the attempt's bus time stays charged.
@@ -574,12 +566,8 @@ class ReconfigManager:
 
     def clear(self) -> ReconfigResult:
         """Blank the dynamic region (complete partial bitstream of zeros)."""
-        plan = self._plan()
-        if plan is not None:
-            plan.take_load_upset(self.system.config_memory)
+        before = self._pre_load_state()
         bitstream = self.bitlinker.clear_bitstream()
-        before = ConfigMemory(self.system.device)
-        before.restore(self.system.config_memory.snapshot())
         elapsed, word_count = self._feed_through_icap(bitstream)
         # A buggy clear stream must not silently disturb static logic or
         # other regions any more than a load may.

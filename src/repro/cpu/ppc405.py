@@ -140,8 +140,8 @@ class Ppc405:
         Issues a single real transaction to calibrate the steady-state cost
         and multiplies — valid because the bus timing is deterministic and
         the CPU is the only master during programmed I/O.  Use only for
-        side-effect-free targets (memory); device reads that pop state must
-        go through :meth:`io_read` word by word.
+        side-effect-free targets (memory); stateful device reads go through
+        :meth:`io_read` per word, batched by :func:`~repro.engine.batch.run_steady`.
         """
         if count <= 0:
             return

@@ -39,9 +39,9 @@ the contract under hypothesis.
 
 **Division of labour** — the compiler owns simulated time and every
 watched statistics group (CPU, buses, bridge, dock, DMA engine, HWICAP);
-``bulk`` callbacks own data movement and the FIFO's functional
-statistics (``push_many``/``pop_array`` charge those aggregates
-themselves, matching the per-word reference exactly).  A ``bulk``
+``bulk`` callbacks own data movement and functional counters (FIFO
+statistics via ``push_many``/``pop_array``, ICAP readback counts via
+``bulk_readback``), matching the per-word reference exactly.  A ``bulk``
 callback must therefore never touch engine state — LINT008 flags
 violations (see ``docs/CHECKS.md``).
 

@@ -169,14 +169,19 @@ class ConfigMemory:
         self.write_frame(address, merged)
 
     # -- bulk helpers ----------------------------------------------------
-    def rows_for(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
+    def rows_for(self, addresses: Sequence[FrameAddress], count: bool = True) -> np.ndarray:
         """Stacked copy of ``addresses``' frames (zeros when unwritten).
 
-        Counts one read per frame, mirroring a :meth:`read_frame` loop.
+        Counts one read per frame, mirroring a :meth:`read_frame` loop (which
+        out-of-catalogue addresses go through), unless ``count`` is False.
         """
-        rows = self.geometry.frame_rows(addresses)
-        self.reads += len(addresses)
-        return self._data[rows]
+        reads = self.reads
+        try:
+            block = self._data[self.geometry.frame_rows(addresses)]
+        except BitstreamError:
+            block = np.stack([self.read_frame(address) for address in addresses])
+        self.reads = reads + (len(addresses) if count else 0)
+        return block
 
     def has_extra_frames(self) -> bool:
         """True when any frame outside the device catalogue was written."""

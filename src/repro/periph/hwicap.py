@@ -21,7 +21,7 @@ reference: same frames, same counters, same errors, same simulated time.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -147,13 +147,22 @@ class OpbHwIcap:
         """Remove and return every word still in the readback FIFO.
 
         The bulk counterpart of reading REG_RDATA until empty; the
-        reconfiguration manager uses it to compare a whole frame at once
-        (the bus time for those reads is charged separately as a batch).
+        reconfiguration manager calls it once per *probed* frame (the bus
+        time for those reads is charged separately as a batch).
         """
         remainder = self._rb[self._rb_pos :].copy()
         self._rb = _EMPTY_WORDS
         self._rb_pos = 0
         return remainder
+
+    def bulk_readback(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
+        """Functional side of reading ``addresses`` back frame by frame: their
+        ``(n, words_per_frame)`` contents, leaving the FAR, ``frames_read_back``
+        and the memory's read counter where the FAR/CONTROL/RDATA sequences
+        would.  No time, no statistics: a ``run_steady`` ``bulk`` callback."""
+        self._far = addresses[-1].packed()
+        self.frames_read_back += len(addresses)
+        return self.config_memory.rows_for(addresses)
 
     def readback_frame(self, address: FrameAddress):
         """Zero-time functional readback (testbench convenience)."""
@@ -274,7 +283,3 @@ class OpbHwIcap:
         self._rb = _EMPTY_WORDS
         self._rb_pos = 0
         self._status = STATUS_DONE
-
-    def last_frame_written(self) -> Optional[FrameAddress]:
-        addresses = list(self.config_memory.written_addresses())
-        return addresses[-1] if addresses else None

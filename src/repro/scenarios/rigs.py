@@ -41,7 +41,7 @@ def register_all(system, pattern) -> ReconfigManager:
     registered here are exactly the ones whose bulk data paths have been
     verified word-for-word equivalent to the interleaved reference loops,
     so the steady-state compiler (:mod:`repro.engine.batch`) may compress
-    them.  Scenarios that bypass this helper run fully interpreted.
+    them.  Scenarios that bypass this helper run their driver loops interpreted.
     """
     declare_phases(system, *PIO_PHASES)
     manager = ReconfigManager(system)

@@ -106,6 +106,20 @@ def test_write_counters(mem):
     assert mem.reads >= 1
 
 
+def test_rows_for_matches_a_read_frame_loop(mem):
+    stray = addr(999)  # outside the device catalogue: the scalar side-store
+    mem.write_frame(addr(1), frame_of(mem, 1))
+    mem.write_frame(stray, frame_of(mem, 2))
+    addresses = [addr(1), stray, addr(2)]
+    before = mem.reads
+    rows = mem.rows_for(addresses)
+    assert mem.reads - before == len(addresses)
+    assert [int(row[0]) for row in rows] == [1, 2, 0]
+    peek = mem.rows_for(addresses, count=False)
+    assert mem.reads - before == len(addresses)
+    assert np.array_equal(peek, rows)
+
+
 def test_written_addresses_sorted(mem):
     mem.write_frame(addr(3), frame_of(mem, 1))
     mem.write_frame(addr(1), frame_of(mem, 1))

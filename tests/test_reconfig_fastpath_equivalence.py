@@ -14,10 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bitstream.bitstream import Bitstream
+from repro.core import build_system32, build_system64
+from repro.core.reconfig import ReconfigManager
 from repro.engine import fastpath
+from repro.engine.batch import MIN_PROBES, reset_telemetry, telemetry
+from repro.engine.trace import TraceRecorder
 from repro.errors import ReconfigurationError
+from repro.fabric.frames import BlockType, FrameAddress
+from repro.kernels import BrightnessKernel
 from repro.scenarios.perf import run_reconfig_cycles
 from repro.scenarios.rigs import build_rig64
 
@@ -200,3 +208,283 @@ def test_unarmed_hooks_do_not_change_observables():
 
     fast, slow = _both(observables)
     assert fast == slow
+
+
+# -- batched frame readback -------------------------------------------------
+# Scrub, robust-load scans and verified loads all read frames back through
+# one run_steady phase; these tests pin it to the frame-by-frame loop.
+
+BUILDERS = {"system32": build_system32, "system64": build_system64}
+
+#: Where upsets land among the frames read back: the first probed frame,
+#: the first extrapolated one, and the last.
+UPSET_SITES = st.sets(st.sampled_from(["probed", "extrapolated", "last"]))
+
+
+def _fresh(name):
+    system = BUILDERS[name]()
+    manager = ReconfigManager(system)
+    manager.register(BrightnessKernel(5))
+    return system, manager
+
+
+def _positions(sites, count):
+    """Indices among ``count`` frames read back that ``sites`` name (an
+    integer site names its index directly)."""
+    wanted = {"probed": 0, "extrapolated": MIN_PROBES, "last": count - 1}
+    indices = {wanted.get(site, site) for site in sites}
+    return sorted(index for index in indices if 0 <= index < count)
+
+
+def _upset(system, address, word):
+    memory = system.config_memory
+    memory.flip_bit(memory.geometry.frame_index(address), word, 3)
+
+
+def _corrupt_feeds(system, manager, samples, sites, word, sticky=False):
+    """After the first full feed (every feed when ``sticky``), flip a bit in
+    the sampled frames ``sites`` names, wherever a feed rewrites them."""
+    original = manager._feed_through_icap
+    targets = []
+
+    def feed(bitstream):
+        result = original(bitstream)
+        frames = bitstream.frames
+        if not targets and frames:
+            sampled = manager._sample_indices(len(frames), samples)
+            targets.extend(frames[sampled[p]][0] for p in _positions(sites, len(sampled)))
+            hit = targets
+        elif sticky:
+            written = {address for address, _ in frames}
+            hit = [address for address in targets if address in written]
+        else:
+            hit = []
+        for address in hit:
+            _upset(system, address, word)
+        return result
+
+    manager._feed_through_icap = feed
+
+
+def _readback_observables(name, scenario):
+    """``scenario(system, manager)`` with the fast path on and off, plus
+    every observable the batched readback could disturb."""
+
+    def run():
+        system, manager = _fresh(name)
+        outcome = scenario(system, manager)
+        return {
+            "outcome": outcome,
+            "now_ps": system.cpu.now_ps,
+            "stats": [
+                group.snapshot()
+                for group in (
+                    system.cpu.stats, system.plb.stats, system.opb.stats,
+                    system.bridge.stats, system.hwicap.stats,
+                )
+            ],
+            "frames_read_back": system.hwicap.frames_read_back,
+            "far": system.hwicap._far,
+            "memory_reads": system.config_memory.reads,
+            "memory_writes": system.config_memory.writes,
+        }
+
+    return _both(run)
+
+
+def _raised(action):
+    try:
+        return action()
+    except ReconfigurationError as err:
+        return ("error", str(err))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    count=st.one_of(st.integers(0, 5), st.none()),
+    sites=UPSET_SITES,
+    word=st.sampled_from([0, 1]),
+)
+def test_scrub_readback_identical(name, count, sites, word):
+    def scenario(system, manager):
+        manager.load_robust(KERNEL, verify_samples=2)
+        golden = system.config_memory.snapshot()
+        addresses = list(golden)[:count] if count is not None else list(golden)
+        for position in _positions(sites, len(addresses)):
+            _upset(system, addresses[position], word)
+        report = manager.scrub(reference={address: golden[address] for address in addresses})
+        return (
+            report.frames_checked, report.frames_repaired,
+            [str(address) for address in report.repaired], report.elapsed_ps,
+        )
+
+    fast, slow = _readback_observables(name, scenario)
+    assert fast == slow
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    samples=st.one_of(st.integers(1, 5), st.none()),
+    sites=UPSET_SITES,
+    word=st.sampled_from([0, 1]),
+    sticky=st.booleans(),
+)
+def test_robust_load_readback_identical(name, samples, sites, word, sticky):
+    # A non-sticky upset is found by the scan, scrubbed, and the only=bad
+    # rescan comes back clean; a sticky one survives the rescan and ends
+    # in rollback and a raised error after both attempts.
+    def scenario(system, manager):
+        _corrupt_feeds(system, manager, samples, sites, word, sticky)
+
+        def load():
+            result = manager.load_robust(KERNEL, max_attempts=2, verify_samples=samples)
+            return (
+                result.elapsed_ps, result.verify_ps, result.frames_verified,
+                result.attempts, result.scrubbed_frames, result.rolled_back,
+            )
+
+        return _raised(load)
+
+    fast, slow = _readback_observables(name, scenario)
+    assert fast == slow
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    samples=st.integers(1, 5),
+    sites=UPSET_SITES,
+    word=st.sampled_from([0, 1]),
+)
+def test_verified_load_readback_identical(name, samples, sites, word):
+    def scenario(system, manager):
+        _corrupt_feeds(system, manager, samples, sites, word)
+
+        def load():
+            result = manager.load(KERNEL, verify=True, verify_samples=samples)
+            return (result.elapsed_ps, result.verify_ps, result.frames_verified)
+
+        return _raised(load)
+
+    fast, slow = _readback_observables(name, scenario)
+    assert fast == slow
+
+
+def test_scrub_over_an_out_of_catalogue_frame_identical():
+    """A stray reference frame outside the device catalogue, in the
+    extrapolated range, is read back through ``read_frame`` and repaired
+    exactly as the per-frame loop does."""
+
+    def scenario(system, manager):
+        manager.mark_golden()
+        golden = system.config_memory.snapshot()
+        items = [(address, golden[address]) for address in list(golden)[:6]]
+        stray = np.full(system.device.words_per_frame, 0xA5A5A5A5, dtype=np.uint32)
+        items.insert(4, (FrameAddress(BlockType.CLB, 999, 0), stray))
+        report = manager.scrub(reference=dict(items))
+        return report.frames_repaired, [str(address) for address in report.repaired]
+
+    fast, slow = _readback_observables("system32", scenario)
+    assert fast == slow
+    assert fast["outcome"] == (1, [str(FrameAddress(BlockType.CLB, 999, 0))])
+
+
+def _per_frame_verify(manager):
+    """Swap in the frame-by-frame verification loop that batched readback
+    replaced (the oracle for the prefix rule)."""
+
+    def verify(bitstream, samples):
+        start = manager.system.cpu.now_ps
+        indices = manager._sample_indices(len(bitstream.frames), samples)
+        for index in indices:
+            address, expected = bitstream.frames[index]
+            data = manager._readback_frame(address)
+            if not np.array_equal(data, expected):
+                if int(data[0]) != int(expected[0]):
+                    raise ReconfigurationError(
+                        f"readback mismatch at {address}: {int(data[0]):#010x} != "
+                        f"{int(expected[0]):#010x}"
+                    )
+                raise ReconfigurationError(f"readback mismatch within {address}")
+        return manager.system.cpu.now_ps - start, len(indices)
+
+    manager._verify_by_readback = verify
+
+
+@pytest.mark.parametrize("k", [None, 0, MIN_PROBES + 2, 7])
+@pytest.mark.parametrize("word", [0, 1])
+def test_verify_matches_the_per_frame_loop_up_to_the_first_mismatch(k, word):
+    """With an upset in the k-th of 8 sampled frames, verification stops
+    there: the error, the time charged and every counter match the
+    frame-by-frame loop, and exactly frames 0..k are read back."""
+    samples = 8
+
+    def run(oracle):
+        system, manager = _fresh("system64")
+        if oracle:
+            _per_frame_verify(manager)
+        _corrupt_feeds(system, manager, samples, () if k is None else (k,), word)
+        outcome = _raised(
+            lambda: manager.load(KERNEL, verify=True, verify_samples=samples).verify_ps
+        )
+        return {
+            "outcome": outcome,
+            "now_ps": system.cpu.now_ps,
+            "frames_read_back": system.hwicap.frames_read_back,
+            "memory_reads": system.config_memory.reads,
+            "stats": [group.snapshot() for group in (system.cpu.stats, system.hwicap.stats)],
+        }
+
+    with fastpath.forced_on():
+        batched, oracle = run(oracle=False), run(oracle=True)
+    assert batched == oracle
+    assert batched["frames_read_back"] == (samples if k is None else k + 1)
+    if k is not None:
+        assert ("mismatch at" if word == 0 else "mismatch within") in batched["outcome"][1]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_full_golden_scrub_compiles_the_readback_phase(name):
+    """The readback loop engages the phase compiler: all but the probed
+    frames of a full scrub are extrapolated.  Without the manager's phase
+    declaration nothing compiles and this fails."""
+    try:
+        with fastpath.forced_on():
+            _, manager = _fresh(name)
+            manager.mark_golden()
+            reset_telemetry()
+            report = manager.scrub()
+        assert report.frames_checked > MIN_PROBES
+        assert telemetry().compiled_phases >= 1
+        assert telemetry().extrapolated_iterations == report.frames_checked - MIN_PROBES
+    finally:
+        reset_telemetry()
+
+
+def test_traced_scrub_takes_the_per_frame_path():
+    """A trace hook forces the reference loop: four PLB events per frame
+    (FAR write, CONTROL write, two RDATA reads), byte-identical traces."""
+
+    def run():
+        system, manager = _fresh("system32")
+        manager.mark_golden()
+        tracer = TraceRecorder(capacity=1_000_000)
+        system.plb.tracer = tracer
+        reset_telemetry()
+        report = manager.scrub()
+        return report.frames_checked, system.cpu.now_ps, tracer.to_jsonl(), len(tracer)
+
+    try:
+        with fastpath.forced_on():
+            fast = run()
+            assert telemetry().compiled_phases == 0
+            assert telemetry().reference_iterations == fast[0]
+        with fastpath.disabled():
+            slow = run()
+    finally:
+        reset_telemetry()
+    assert fast == slow
+    frames, _, _, events = fast
+    assert events == 4 * frames
