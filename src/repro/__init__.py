@@ -15,7 +15,7 @@ Quick start::
     result = HwBrightnessPio().run(system, grayscale_image(64, 64))
     print(result.elapsed_us, "us")
 
-The package layers, bottom-up: :mod:`repro.engine` (event kernel),
+The package layers, bottom-up: :mod:`repro.engine` (time and clocks),
 :mod:`repro.fabric` (device/frames), :mod:`repro.bitstream` (BitLinker
 toolchain), :mod:`repro.bus`/:mod:`repro.cpu`/:mod:`repro.mem`/
 :mod:`repro.periph`/:mod:`repro.dock` (the platform), :mod:`repro.kernels`

@@ -620,7 +620,7 @@ class _Visitor(ast.NodeVisitor):
                     "LINT001",
                     node,
                     f"wall-clock read {'.'.join(chain)}()",
-                    hint="use simulated time (Simulator.now / ClockDomain)",
+                    hint="use simulated time (cpu.now_ps / ClockDomain)",
                 )
             if root == "random":
                 self._flag(

@@ -21,7 +21,6 @@ from ..bus.bus import Bus
 from ..bus.bridge import PlbOpbBridge
 from ..cpu.ppc405 import Ppc405
 from ..engine.clock import ClockDomain
-from ..engine.events import Simulator
 from ..errors import SystemConfigError
 from ..fabric.config_memory import ConfigMemory
 from ..fabric.device import DeviceSpec
@@ -70,7 +69,6 @@ class System:
         self.name = name
         self.device = device
         self.region = region
-        self.sim = Simulator()
         self.cpu_clock = cpu_clock
         self.plb = plb
         self.opb = opb

@@ -13,12 +13,11 @@ costs two bus tenures (amortised over up to 16-beat bursts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..bus.arbiter import DMA_ENGINE
 from ..bus.bus import Bus
 from ..bus.transaction import Op, Transaction
-from ..engine.events import Process, Simulator
 from ..engine.stats import StatsGroup
 from ..errors import InvariantError, TransferError
 
@@ -94,55 +93,6 @@ class SgDmaEngine:
                 cursor = self._memory_to_memory(cursor, descriptor)
             self.stats.count("descriptors")
         return cursor
-
-    def run_chain_process(
-        self, sim: Simulator, when_ps: int, descriptors: Sequence[Descriptor]
-    ) -> Process:
-        """Event-driven variant of :meth:`run_chain`.
-
-        Returns a :class:`Process` that completes (with the finish time as
-        its value) when the chain is done.  Chunk boundaries become real
-        simulation events, so other processes — notably a CPU model doing
-        useful work, "since the CPU is free during DMA transfers" — can
-        interleave with the transfer in simulated time.
-        """
-
-        def _runner() -> Generator[int, None, int]:
-            cursor = max(when_ps, sim.now)
-            for descriptor in descriptors:
-                self._check_descriptor_fault()
-                cursor += self.bus.clock.cycles_to_ps(self.DESCRIPTOR_FETCH_CYCLES)
-                remaining = descriptor.word_count
-                address_src = descriptor.src
-                address_dst = descriptor.dst
-                while remaining:
-                    chunk = min(remaining, self._chunk())
-                    before = cursor
-                    one = Descriptor(
-                        src=address_src,
-                        dst=address_dst,
-                        word_count=chunk,
-                        size_bytes=descriptor.size_bytes,
-                    )
-                    if one.dst is None:
-                        cursor = self._memory_to_dock(cursor, one)
-                        address_src += chunk * descriptor.size_bytes
-                    elif one.src is None:
-                        cursor = self._fifo_to_memory(cursor, one)
-                        address_dst += chunk * descriptor.size_bytes
-                    else:
-                        cursor = self._memory_to_memory(cursor, one)
-                        address_src += chunk * descriptor.size_bytes
-                        address_dst += chunk * descriptor.size_bytes
-                    remaining -= chunk
-                    # Yield until the chunk's bus activity completes, making
-                    # the chunk boundary visible to concurrent processes.
-                    if cursor > sim.now:
-                        yield cursor - sim.now
-                self.stats.count("descriptors")
-            return cursor
-
-        return sim.process(_runner(), name=f"{self.name}.chain")
 
     # -- movement primitives ------------------------------------------------
     #

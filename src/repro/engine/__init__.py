@@ -1,12 +1,13 @@
-"""Discrete-event simulation engine.
+"""Simulation engine.
 
-Integer-picosecond time base, clock domains, a small SimPy-style event
-kernel, and statistics groups used by every simulated component.
+Integer-picosecond time base, clock domains, the steady-state phase
+compiler, and statistics groups used by every simulated component.  Time
+is kept by cursors (``cpu.now_ps``, bus busy watermarks), not an event
+queue.
 """
 
 from .batch import declare_phases, declared_phases, phase_declared, run_steady
 from .clock import ClockDomain, mhz
-from .events import AllOf, AnyOf, Event, Process, Simulator, Timeout
 from .stats import Accumulator, Counter, StatsGroup
 from .time import (
     PS_PER_MS,
@@ -23,20 +24,14 @@ from .time import (
 )
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Accumulator",
     "ClockDomain",
     "Counter",
-    "Event",
     "PS_PER_MS",
     "PS_PER_NS",
     "PS_PER_S",
     "PS_PER_US",
-    "Process",
-    "Simulator",
     "StatsGroup",
-    "Timeout",
     "declare_phases",
     "declared_phases",
     "format_time",

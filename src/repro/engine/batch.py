@@ -26,9 +26,9 @@ by the same delta.
    buffer — plus one vectorized ``bulk`` callback for the functional
    effects (data movement only, never time or statistics);
 3. anything irregular — a trace hook on a bus, the fast path disabled via
-   ``REPRO_NO_FAST_PATH``, an undeclared phase, simulator-queue activity
-   during the probe, or signatures that never converge — falls back to
-   per-iteration reference execution, which is always correct.
+   ``REPRO_NO_FAST_PATH``, an undeclared phase, or signatures that never
+   converge — falls back to per-iteration reference execution, which is
+   always correct.
 
 Equivalence is exact, not approximate: the extrapolated samples repeat
 the probe iteration's integer-valued figures, so the closed-form charges
@@ -151,8 +151,8 @@ class _Watch:
     """Snapshot/extrapolate view over everything timing-relevant.
 
     Watches the CPU cursor, each bus's busy watermark and clock phase, the
-    bridge's posted-write buffer, the PLB dock's DMA watermark, the
-    simulator queue, and the statistics groups of every timed component.
+    bridge's posted-write buffer, the PLB dock's DMA watermark, and the
+    statistics groups of every timed component.
     The dock FIFO's group is deliberately *not* watched: its statistics
     are functional (charged by ``push_many``/``pop_array`` inside the
     reference path and the ``bulk`` callbacks alike).
@@ -160,7 +160,6 @@ class _Watch:
 
     def __init__(self, system) -> None:
         self.cpu = system.cpu
-        self.sim = getattr(system, "sim", None)
         self.buses = [
             bus
             for bus in (getattr(system, "plb", None), getattr(system, "opb", None))
@@ -200,19 +199,7 @@ class _Watch:
                 for name, a in group._accumulators.items()
             }
             stats.append((counters, accs))
-        sim_state = None
-        if self.sim is not None:
-            sim_state = (
-                self.sim._now,
-                len(self.sim._queue),
-                len(self.sim._deferred),
-                self.sim._processed_events,
-            )
-        return (now, cursor_vals, inflight, stats, sim_state)
-
-    def sim_perturbed(self, prev, cur) -> bool:
-        """Event-queue activity during the probe: not a pure steady phase."""
-        return prev[4] != cur[4]
+        return (now, cursor_vals, inflight, stats)
 
     def signature(self, prev, cur):
         """The iteration's timeline signature, or ``None`` if irregular.
@@ -223,8 +210,8 @@ class _Watch:
         extremes — so by induction every further iteration is the same
         iteration shifted by ``dt``.
         """
-        pnow, pcursors, pinflight, pstats, _ = prev
-        cnow, ccursors, cinflight, cstats, _ = cur
+        pnow, pcursors, pinflight, pstats = prev
+        cnow, ccursors, cinflight, cstats = cur
         dt = cnow - pnow
         if dt <= 0:
             return None
@@ -308,9 +295,8 @@ def run_steady(
 
     The phase compiles only when every gate passes: ``bulk`` provided,
     ``phase`` declared on ``system`` via :func:`declare_phases`, the
-    fast path enabled, no trace hook installed, no simulator activity
-    during the probe, and signatures that converge within
-    :data:`MAX_PROBES`.  Otherwise every iteration runs ``step`` — the
+    fast path enabled, no trace hook installed, and signatures that
+    converge within :data:`MAX_PROBES`.  Otherwise every iteration runs ``step`` — the
     result is identical either way; only host time differs.
     """
     count = int(count)
@@ -343,8 +329,6 @@ def run_steady(
         step(i)
         i += 1
         snap = watch.snapshot()
-        if watch.sim_perturbed(prev_snap, snap):
-            break  # event-queue activity: hand the rest to the interpreter
         sig = watch.signature(prev_snap, snap)
         prev_snap = snap
         if sig is not None and sig == prev_sig and i >= MIN_PROBES:
@@ -358,7 +342,7 @@ def run_steady(
             return
         prev_sig = sig
 
-    # Irregular (or perturbed) phase: finish through the reference path.
+    # Irregular phase: finish through the reference path.
     _TELEMETRY.reference_iterations += count
     while i < count:
         step(i)

@@ -25,11 +25,7 @@ class InvariantError(ReproError):
 
 
 class SimulationError(ReproError):
-    """Errors raised by the discrete-event simulation engine."""
-
-
-class ScheduleInPastError(SimulationError):
-    """An event was scheduled before the current simulation time."""
+    """Errors raised by simulated components: CPU, cache, clock domains, MiniPPC."""
 
 
 class FabricError(ReproError):

@@ -23,7 +23,7 @@ untouched):
   for a well-formed stream (hook in ``OpbHwIcap._commit``);
 * **DMA transfer errors** — a descriptor aborts with
   :class:`~repro.errors.TransferError` (hook in
-  ``SgDmaEngine.run_chain``/``run_chain_process``).
+  ``SgDmaEngine.run_chain``).
 
 Each injector keys on the *ordinal* of its hook call, so "the fault hits
 the first feed" is spelled ``seu_feeds={0}``.  Arm a plan on a system

@@ -1,11 +1,16 @@
-"""Tests for event-driven DMA concurrency and polled completion."""
+"""Tests for DMA/compute overlap and polled completion.
+
+The overlapped write is closed form: the DMA chain and the CPU's work both
+start at the CPU cursor, and the completion interrupt joins them at
+``max(dma_done, compute_done)``.
+"""
 
 import pytest
 
 from repro.core.transfer import TransferBench
 from repro.dock.dma import Descriptor
 from repro.errors import TransferError
-from repro.kernels.streams import SinkKernel
+from repro.scenarios.rigs import build_rig64
 
 N = 1024
 
@@ -38,20 +43,33 @@ def test_overlapped_data_actually_arrives(system64):
     assert kernel.words == N
 
 
-def test_process_chain_matches_analytic_time(system64):
-    dock = system64.dock
-    dock.attach_kernel(SinkKernel())
-    descriptors = [Descriptor(src=0x1000, dst=None, word_count=500)]
-    analytic_done = dock.dma.run_chain(0, descriptors)
+@pytest.mark.parametrize(
+    "words, cycles, expected",
+    [
+        (4096, 25_000, (110_386_640, 110_120_000, 83_325_000)),
+        (1024, 6_000, (27_826_640, 27_560_000, 19_998_000)),
+        (4096, 10_000_000, (33_330_266_640, 110_120_000, 33_330_000_000)),
+    ],
+)
+def test_overlap_pinned_times(words, cycles, expected):
+    """(total_ps, dma_ps, compute_ps) on a fresh rig, at paper, smoke and
+    compute-bound parameters."""
+    system, _ = build_rig64()
+    result = TransferBench(system).dma_write_overlapped(words, compute_cycles=cycles)
+    assert (result.total_ps, result.dma_ps, result.compute_ps) == expected
 
-    # Fresh rig for the process variant (bus busy state must match).
-    from repro.core import build_system64
 
-    fresh = build_system64()
-    fresh.dock.attach_kernel(SinkKernel())
-    proc = fresh.dock.dma.run_chain_process(fresh.sim, 0, descriptors)
-    process_done = fresh.sim.run(proc)
-    assert process_done == analytic_done
+def test_overlap_starts_at_the_cpu_cursor():
+    """Compute time is exact and every field sane when the CPU ran first."""
+    system, _ = build_rig64()
+    cpu = system.cpu
+    cpu.execute_cycles(100_000)
+    bench = TransferBench(system)
+    for _ in range(2):
+        result = bench.dma_write_overlapped(1024, compute_cycles=6_000)
+        assert result.compute_ps == cpu.clock.cycles_to_ps(6_000)
+        assert result.sequential_ps >= result.total_ps >= max(result.dma_ps, result.compute_ps)
+        assert min(result.total_ps, result.dma_ps, result.compute_ps, result.sequential_ps) > 0
 
 
 def test_polled_completion_detects_done(system64):

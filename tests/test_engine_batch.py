@@ -1,9 +1,9 @@
 """Unit contract of the steady-state phase compiler (`repro.engine.batch`).
 
 `run_steady` must be a pure host-time optimization: for any mix of gates
-(declaration, fast-path switch, trace hooks, irregular timing, simulator
-activity) the simulated clock, per-component statistics and data contents
-must match the stepped reference exactly.
+(declaration, fast-path switch, trace hooks, irregular timing) the
+simulated clock, per-component statistics and data contents must match
+the stepped reference exactly.
 """
 
 import numpy as np
@@ -169,32 +169,6 @@ def test_irregular_phase_falls_back_and_stays_exact():
                 system.dock.feed_words(
                     np.arange(start, start + count, dtype=np.uint64), 32, 0
                 )
-
-            run_steady(system, N, step, bulk, phase=PHASE)
-            return _observables(system)
-
-    assert run(fastpath.forced_on) == run(fastpath.disabled)
-    assert telemetry().compiled_phases == 0
-
-
-def test_simulator_activity_breaks_the_probe():
-    """A step that schedules simulator events hands over to the interpreter."""
-    from repro.engine.events import Timeout
-
-    def run(ctx_factory):
-        with ctx_factory():
-            system = _loaded_system(build_rig32)
-            cpu = system.cpu
-            base = system.dock.base
-
-            def step(i):
-                Timeout(system.sim, 10)
-                system.sim.run()
-                cpu.io_write(base, i)
-                cpu.execute_cycles(4)
-
-            def bulk(start, count):  # pragma: no cover - must never be used
-                raise AssertionError("bulk applied despite simulator activity")
 
             run_steady(system, N, step, bulk, phase=PHASE)
             return _observables(system)

@@ -13,7 +13,6 @@ def test_everything_derives_from_repro_error():
 
 
 def test_sub_hierarchies():
-    assert issubclass(errors.ScheduleInPastError, errors.SimulationError)
     assert issubclass(errors.RegionError, errors.FabricError)
     assert issubclass(errors.ResourceError, errors.FabricError)
     assert issubclass(errors.CRCError, errors.BitstreamError)
