@@ -184,23 +184,30 @@ class BitLinker:
     def _assemble_frames(
         self, placements: Sequence[Placement]
     ) -> List[Tuple[FrameAddress, np.ndarray]]:
-        frames: List[Tuple[FrameAddress, np.ndarray]] = []
         cleared = self._cleared_baseline_rows()
         if cleared is not None:
-            for index, address in enumerate(self.region.frame_addresses):
-                frame = cleared[index]
-                for placement in placements:
-                    frame = placement_frame_content(
+            # Only frames inside a placement's x-span take its content, so
+            # write those rows in placement order (the reference loop's
+            # per-frame order) and leave the rest cleared.
+            addresses = self.region.frame_addresses
+            columns = self.region.frame_columns
+            for placement in placements:
+                col0 = self.region.rect.col + placement.col_offset
+                covered = np.flatnonzero(
+                    (columns >= col0) & (columns < col0 + placement.component.width)
+                )
+                for index in covered:
+                    cleared[index] = placement_frame_content(
                         self.geometry,
                         self.region,
                         placement.component,
                         placement.col_offset,
                         placement.row_offset,
-                        address,
-                        frame,
+                        addresses[index],
+                        cleared[index],
                     )
-                frames.append((address, frame))
-            return frames
+            return list(zip(addresses, cleared))
+        frames: List[Tuple[FrameAddress, np.ndarray]] = []
         empty = self.geometry.empty_frame()
         for address in self.region.frame_addresses:
             baseline = self._baseline.get(address, empty)

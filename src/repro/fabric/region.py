@@ -13,9 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import RegionError
 from .device import DeviceSpec
-from .frames import FrameAddress, FrameGeometry
+from .frames import BlockType, FrameAddress, FrameGeometry
 from .geometry import Rect
 from .resources import ResourceVector
 
@@ -71,6 +73,27 @@ class Region:
         """Every frame a partial bitstream for this region must write."""
         geometry = FrameGeometry(self.device)
         return geometry.frames_for_columns(self.rect.col, self.rect.col_end)
+
+    @cached_property
+    def frame_columns(self) -> np.ndarray:
+        """CLB-grid x position of each of :attr:`frame_addresses`.
+
+        A CLB frame sits at its column; a BRAM frame at the x position its
+        BRAM column is threaded through.  A placement spanning columns
+        ``[c0, c1)`` contributes to exactly the frames whose position lies
+        in that span.
+        """
+        bram_columns = self.device.bram_columns
+        columns = np.array(
+            [
+                address.major if address.block is BlockType.CLB
+                else bram_columns[address.major].col
+                for address in self.frame_addresses
+            ],
+            dtype=np.int64,
+        )
+        columns.setflags(write=False)
+        return columns
 
     @property
     def frame_count(self) -> int:

@@ -73,10 +73,7 @@ def run(args: argparse.Namespace) -> int:
             batch_size=args.batch, target_half_width=args.target_ci,
             executor="reference",
         )
-        if (
-            report.trial_results() != reference.trial_results()
-            or report.to_dict() != reference.to_dict()
-        ):
+        if not report.same_trials(reference) or report.to_dict() != reference.to_dict():
             raise CheckError(
                 "batched executor diverged from the per-trial reference"
             )

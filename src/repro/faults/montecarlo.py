@@ -277,20 +277,26 @@ class TrialBatch:
         return int(self.outcome.size)
 
 
+#: Per-trial columns of a :class:`TrialBatch` and strike arrays of a
+#: :class:`~repro.faults.sampling.FaultLoad` (``None`` for kinds that do
+#: not sample them) -- what :meth:`McReport.same_trials` compares.
+_BATCH_COLUMNS: Tuple[str, ...] = (
+    "outcome", "recovered", "fallback", "attempts",
+    "scrubbed", "faults", "elapsed_ps", "region",
+)
+_LOAD_COLUMNS: Tuple[str, ...] = ("rows", "words", "bits", "stream_pos", "fail_counts")
+
+
 def _merge_batches(kind: str, parts: Sequence[TrialBatch]) -> TrialBatch:
     if len(parts) == 1:
         return parts[0]
     return TrialBatch(
         kind=kind,
         start=parts[0].start,
-        outcome=np.concatenate([p.outcome for p in parts]),
-        recovered=np.concatenate([p.recovered for p in parts]),
-        fallback=np.concatenate([p.fallback for p in parts]),
-        attempts=np.concatenate([p.attempts for p in parts]),
-        scrubbed=np.concatenate([p.scrubbed for p in parts]),
-        faults=np.concatenate([p.faults for p in parts]),
-        elapsed_ps=np.concatenate([p.elapsed_ps for p in parts]),
-        region=np.concatenate([p.region for p in parts]),
+        **{
+            column: np.concatenate([getattr(p, column) for p in parts])
+            for column in _BATCH_COLUMNS
+        },
     )
 
 
@@ -578,8 +584,51 @@ class McReport:
     def total_trials(self) -> int:
         return sum(batch.trials for batch in self.batches.values())
 
+    def same_trials(self, other: "McReport") -> bool:
+        """Whether ``other`` decided every trial of every kind identically.
+
+        Compares the report seed and kinds, then per kind the batch
+        ``start``, trial count and every :class:`TrialBatch` column, and
+        the shared :class:`FaultLoad`'s seed and strike arrays.  That covers
+        every field of :meth:`trial_results` without building it: ``kind``,
+        ``trial`` and ``seed`` follow from those columns, and ``detail`` is
+        :func:`_strike_detail` of the load, the region column and the
+        space's payload positions, which are compared too.
+        """
+        if self.seed != other.seed or self.kinds != other.kinds:
+            return False
+        if not np.array_equal(self.space.payload_indices, other.space.payload_indices):
+            return False
+        for kind in self.kinds:
+            mine, theirs = self.batches[kind], other.batches[kind]
+            if (mine.kind, mine.start, mine.trials) != (
+                theirs.kind, theirs.start, theirs.trials
+            ):
+                return False
+            if not all(
+                np.array_equal(getattr(mine, column), getattr(theirs, column))
+                for column in _BATCH_COLUMNS
+            ):
+                return False
+            load, other_load = self.loads[kind], other.loads[kind]
+            if (load.kind, load.seed, load.trials) != (
+                other_load.kind, other_load.seed, other_load.trials
+            ):
+                return False
+            if not all(
+                np.array_equal(getattr(load, column), getattr(other_load, column))
+                for column in _LOAD_COLUMNS
+            ):
+                return False
+        return True
+
     def trial_results(self, kind: Optional[str] = None) -> List[TrialResult]:
-        """The campaign's flat ``TrialResult`` stream (equivalence key)."""
+        """The campaign's flat ``TrialResult`` stream.
+
+        Materializes one object per trial; the executor equivalence gates
+        compare columns with :meth:`same_trials` instead, and the tier-1
+        tests compare these streams to pin the ``detail`` strings.
+        """
         selected = (kind,) if kind is not None else self.kinds
         results: List[TrialResult] = []
         for name in selected:

@@ -44,7 +44,7 @@ Kinds sampled here
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,8 +84,9 @@ def popcount_rows(words: np.ndarray) -> np.ndarray:
 class FaultSpace:
     """Everything the samplers and executors need to know about a rig.
 
-    Immutable by convention: built once per calibrated rig, then shared
-    by every batch of every kind.
+    Immutable: built once per calibrated rig, then shared by every batch
+    of every kind.  Construction makes every array read-only and counts
+    the essential bits per frame once, so the count cannot go stale.
     """
 
     total_frames: int
@@ -106,14 +107,23 @@ class FaultSpace:
     frame_blocks: np.ndarray = None
     frame_cols: np.ndarray = None
     frame_minors: np.ndarray = None
+    _essential_counts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        counts = popcount_rows(self.essential)
+        counts.setflags(write=False)
+        object.__setattr__(self, "_essential_counts", counts)
 
     @property
     def total_bits(self) -> int:
         return self.total_frames * self.words_per_frame * 32
 
     def essential_counts(self) -> np.ndarray:
-        """Essential-bit population per frame, ``(total_frames,)``."""
-        return popcount_rows(self.essential)
+        """Essential-bit population per frame, ``(total_frames,)``, read-only."""
+        return self._essential_counts
 
     def frame_vulnerability(self) -> np.ndarray:
         """Analytic per-frame vulnerability: essential bits / frame bits.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bitstream.bitlinker import BitLinker, Placement
 from repro.bitstream.bitstream import BitstreamKind
@@ -11,9 +13,10 @@ from repro.bitstream.generator import (
     verify_preserves_static,
 )
 from repro.dock.interface import dock_ports, kernel_ports
+from repro.engine import fastpath
 from repro.errors import LinkError, PortMismatchError, ResourceError
 from repro.fabric.config_memory import ConfigMemory
-from repro.fabric.device import XC2VP7
+from repro.fabric.device import XC2VP7, XC2VP30
 from repro.fabric.region import find_region
 from repro.fabric.resources import ResourceVector
 
@@ -229,3 +232,87 @@ def test_clear_bitstream_restores_boot_state(linker, region, booted):
         current.write_frame(address, data)
     for address in clear.addresses():
         assert current.frames_equal(address, booted)
+
+
+# -- fast path == reference ----------------------------------------------------
+
+#: The dynamic regions of the paper's two systems (figures 3 and 4).
+PAPER_REGIONS = {
+    "system32": find_region(XC2VP7, 28, 11, bram_blocks=6),
+    "system64": find_region(XC2VP30, 32, 24, bram_blocks=22),
+}
+
+
+@pytest.fixture(scope="module")
+def paper_linkers():
+    linkers = {}
+    for name, paper_region in PAPER_REGIONS.items():
+        memory = ConfigMemory(paper_region.device)
+        initialize_static_configuration(memory, paper_region, seed=f"test-{name}")
+        linkers[name] = (BitLinker(paper_region, memory), memory)
+    return linkers
+
+
+def portless(name, width, height, bram_blocks=0):
+    return ComponentConfig(
+        name=name,
+        width=width,
+        height=height,
+        resources=ResourceVector(slices=1, bram_blocks=bram_blocks),
+    )
+
+
+@st.composite
+def assemblies(draw):
+    """One to three portless components left to right, abutting or gapped."""
+    system = draw(st.sampled_from(sorted(PAPER_REGIONS)))
+    rect = PAPER_REGIONS[system].rect
+    placements = []
+    col = draw(st.integers(0, rect.width - 1))
+    for index in range(draw(st.integers(1, 3))):
+        if col >= rect.width:
+            break
+        width = draw(st.integers(1, min(8, rect.width - col)))
+        height = draw(st.integers(1, rect.height))
+        row = draw(st.integers(0, rect.height - height))
+        bram_blocks = draw(st.integers(0, 1))
+        placements.append(
+            Placement(portless(f"c{index}", width, height, bram_blocks), col, row)
+        )
+        col += width + draw(st.integers(0, 3))
+    return system, placements
+
+
+def frames_of(stream):
+    return [(address, data.tobytes()) for address, data in stream.frames]
+
+
+@given(assembly=assemblies())
+@example(assembly=(
+    # Abutting pair over the BRAM column at x=8: with, then without BRAMs.
+    "system32",
+    [Placement(portless("a", 4, 11, bram_blocks=1), 5, 0),
+     Placement(portless("b", 3, 5), 9, 2)],
+))
+@example(assembly=(
+    # Three gapped components, raised rows, BRAM columns at x=6 and x=12.
+    "system64",
+    [Placement(portless("a", 6, 20, bram_blocks=1), 3, 4),
+     Placement(portless("b", 2, 9), 10, 1),
+     Placement(portless("c", 5, 24, bram_blocks=1), 14, 0)],
+))
+@settings(max_examples=25, deadline=None)
+def test_fast_assembly_matches_reference(paper_linkers, assembly):
+    system, placements = assembly
+    linker, booted_memory = paper_linkers[system]
+    results = []
+    for mode in (fastpath.forced_on, fastpath.disabled):
+        with mode():
+            results.append((
+                frames_of(linker.link(placements)),
+                frames_of(linker.link_differential(placements, booted_memory)),
+                frames_of(linker.clear_bitstream()),
+            ))
+    fast, reference = results
+    assert fast == reference
+    assert fast[0] != fast[2]  # the placements did land content

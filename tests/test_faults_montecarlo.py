@@ -9,7 +9,8 @@ Three layers:
   closed-form charging assumption, tested rather than trusted).
 * **Equivalence** — on the real rig the batched executor must reproduce
   the per-trial reference's ``TrialResult`` stream byte-for-byte,
-  including under early stopping.
+  including under early stopping, and the column compare the gates use
+  (``McReport.same_trials``) must reject every single-trial divergence.
 """
 
 import dataclasses
@@ -44,6 +45,7 @@ from repro.faults.sampling import (
     REGION_UNUSED,
     FaultLoad,
     FaultSpace,
+    sample_fault_load,
 )
 from repro.scenarios.rigs import build_rig64
 
@@ -88,13 +90,16 @@ def tiny_model():
     )
 
 
+COLUMNS = (
+    "outcome", "recovered", "fallback", "attempts",
+    "scrubbed", "faults", "elapsed_ps", "region",
+)
+
+
 def both(space, model, load):
     batch = classify_batch(space, model, load, 0, load.trials)
     reference = classify_reference(space, model, load, 0, load.trials)
-    for column in (
-        "outcome", "recovered", "fallback", "attempts",
-        "scrubbed", "faults", "elapsed_ps", "region",
-    ):
+    for column in COLUMNS:
         assert np.array_equal(getattr(batch, column), getattr(reference, column)), column
     return batch
 
@@ -258,7 +263,83 @@ def test_executors_agree_on_the_real_rig(rig):
         batch_size=256, executor="reference",
     )
     assert batch.trial_results() == reference.trial_results()
+    assert batch.same_trials(reference) and reference.same_trials(batch)
     assert batch.to_dict() == reference.to_dict()
+
+
+def _with_batch(report, kind, **columns):
+    batches = dict(report.batches)
+    batches[kind] = dataclasses.replace(report.batches[kind], **columns)
+    return dataclasses.replace(report, batches=batches)
+
+
+def _with_load(report, kind, load):
+    loads = dict(report.loads)
+    loads[kind] = load
+    return dataclasses.replace(report, loads=loads)
+
+
+def _changed_at(array, index, value):
+    changed = array.copy()
+    changed[index] = value
+    return changed
+
+
+def _flip_outcome(report):
+    outcome = report.batches["upset"].outcome
+    return _with_batch(
+        report, "upset", outcome=_changed_at(outcome, 3, (outcome[3] + 1) % len(OUTCOMES))
+    )
+
+
+def _bump_elapsed(report):
+    elapsed = report.batches["commit"].elapsed_ps
+    return _with_batch(report, "commit", elapsed_ps=_changed_at(elapsed, 5, elapsed[5] + 1))
+
+
+def _change_region(report):
+    region = report.batches["post-commit"].region
+    new = REGION_STATIC if region[7] != REGION_STATIC else REGION_DYNAMIC
+    return _with_batch(report, "post-commit", region=_changed_at(region, 7, new))
+
+
+def _drop_trial(report):
+    batch = report.batches["seu"]
+    return _with_batch(
+        report, "seu", **{column: getattr(batch, column)[:-1] for column in COLUMNS}
+    )
+
+
+def _reseed_load(report):
+    load = report.loads["upset"]
+    return _with_load(
+        report, "upset",
+        sample_fault_load(report.space, "upset", load.trials, report.seed + 1),
+    )
+
+
+def _move_strike_bit(report):
+    load = report.loads["seu"]
+    bits = _changed_at(load.bits, 2, (load.bits[2] + 1) % 32)
+    return _with_load(report, "seu", dataclasses.replace(load, bits=bits))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_flip_outcome, _bump_elapsed, _change_region, _drop_trial, _reseed_load,
+     _move_strike_bit],
+)
+def test_same_trials_rejects_every_divergence(rig, mutate):
+    kwargs = dict(rig=rig, kinds=DEFAULT_MC_KINDS, trials=300, seed=2006, batch_size=128)
+    batch = run_mc_campaign(**kwargs)
+    reference = run_mc_campaign(executor="reference", **kwargs)
+    assert batch.same_trials(reference)
+    mutated = mutate(reference)
+    # Each mutation also changes the materialized stream the column
+    # compare stands in for.
+    assert mutated.trial_results() != batch.trial_results()
+    assert not batch.same_trials(mutated)
+    assert not mutated.same_trials(batch)
 
 
 def test_executors_stop_early_identically(rig):

@@ -183,6 +183,25 @@ def test_space_shapes_and_layout(space):
         assert layout.shape == (space.total_frames,)
 
 
+def test_space_arrays_are_read_only_so_cached_counts_hold(space):
+    # The per-frame essential-bit counts are computed once at construction;
+    # they stay sound only because no array they derive from can change.
+    counts = space.essential_counts()
+    assert np.array_equal(counts, popcount_rows(space.essential))
+    assert space.essential_counts() is counts
+    for name in (
+        "written_rows", "region_class", "essential", "load_rows",
+        "payload_indices", "frame_blocks", "frame_cols", "frame_minors",
+    ):
+        array = getattr(space, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    with pytest.raises(ValueError, match="read-only"):
+        space.essential[0, 0] ^= np.uint32(1)
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0] = 0
+
+
 def test_analytic_vulnerability_decomposes_over_regions(space):
     counts = {
         region: int(np.count_nonzero(space.region_class == region))

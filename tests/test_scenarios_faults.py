@@ -1,5 +1,10 @@
 """Tests for the fault-campaign scenarios (repro.scenarios.faults)."""
 
+import numpy as np
+import pytest
+
+from repro.errors import CheckError
+from repro.faults import montecarlo
 from repro.faults.campaign import DEFAULT_KINDS, run_campaign
 from repro.scenarios.registry import get_scenario, run_scenario
 from repro.scenarios.rigs import build_rig64
@@ -72,6 +77,37 @@ def test_mc_campaign_smoke_headline_and_gate():
     for kind in ("upset", "post-commit", "seu", "commit"):
         assert 0.0 <= headline[f"{kind}_recovery_rate"] <= 1.0
     assert headline["upset_recovery_rate"] == 1.0
+
+
+def test_mc_campaign_gate_catches_one_diverging_trial(monkeypatch):
+    # Swap the outcomes of a critical and a latent upset in the same
+    # region: every count, rate and interval of the report is unchanged,
+    # so only the per-trial column compare can see the divergence.
+    real = montecarlo.classify_reference
+    corrupted = []
+
+    def classify_reference(space, model, load, start, count):
+        batch = real(space, model, load, start, count)
+        if load.kind == "upset" and not corrupted:
+            for region in np.unique(batch.region):
+                in_region = batch.region == region
+                critical = np.flatnonzero(
+                    in_region & (batch.outcome == montecarlo.OUTCOME_CRITICAL)
+                )
+                latent = np.flatnonzero(
+                    in_region & (batch.outcome == montecarlo.OUTCOME_LATENT)
+                )
+                if critical.size and latent.size:
+                    i, j = critical[0], latent[0]
+                    batch.outcome[[i, j]] = batch.outcome[[j, i]]
+                    corrupted.append((start + i, start + j))
+                    break
+        return batch
+
+    monkeypatch.setattr(montecarlo, "classify_reference", classify_reference)
+    with pytest.raises(CheckError, match="per-trial reference trials"):
+        run_scenario("mc_campaign", smoke=True)
+    assert corrupted
 
 
 def test_mc_campaign_is_deterministic():
