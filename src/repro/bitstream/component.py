@@ -73,20 +73,7 @@ class ComponentConfig:
             )
         return deterministic_bits(self._seed(rel_col, minor), self.height * bits_per_row)
 
-    def bram_content_bits(self, rel_block: int, minor: int, bit_count: int) -> int:
-        """Initial content bits for the component's ``rel_block``-th BRAM."""
-        if not 0 <= rel_block < self.resources.bram_blocks:
-            raise LinkError(
-                f"component {self.name!r} uses {self.resources.bram_blocks} BRAMs, "
-                f"got block index {rel_block}"
-            )
-        return deterministic_bits(f"{self._seed(0, minor)}/bram{rel_block}", bit_count)
-
     # -- queries -----------------------------------------------------------
-    @property
-    def clb_area(self) -> int:
-        return self.width * self.height
-
     @property
     def total_resources(self) -> ResourceVector:
         """Logic demand plus the component-side cost of its port macros."""

@@ -51,31 +51,14 @@ class RigMemoTelemetry:
         self.reset()
 
     def reset(self) -> None:
-        self.memory_hits = 0
-        self.disk_hits = 0
+        self.hits = 0
         self.misses = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-        }
 
 
 _RIG_TELEMETRY = RigMemoTelemetry()
 
 #: In-process memo: key -> (frame data, written mask, write count).
 _STATIC_MEMO: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
-
-#: Optional disk-backed second level (installed by the sweep layer via
-#: :func:`set_rig_cache`; ``None`` keeps the memo purely in-process).
-#: The indirection avoids a core -> sweep import inversion.
-_RIG_CACHE: Optional[object] = None
 
 
 def rig_memo_telemetry() -> RigMemoTelemetry:
@@ -88,15 +71,6 @@ def reset_rig_memo() -> None:
     _RIG_TELEMETRY.reset()
 
 
-def set_rig_cache(cache: Optional[object]) -> None:
-    """Install a disk-backed rig cache (``load(key)``/``store(key, ...)``).
-
-    Pass ``None`` to detach.  See :class:`repro.sweep.rigcache.RigCache`.
-    """
-    global _RIG_CACHE
-    _RIG_CACHE = cache
-
-
 def static_configuration_key(
     memory: ConfigMemory, region: Optional[Region], seed: str
 ) -> str:
@@ -104,9 +78,8 @@ def static_configuration_key(
 
     The generated image is fully determined by the device geometry, the
     region rectangle (whose rows are blanked) and the seed string.  The
-    in-process memo cannot outlive a source edit, so the key carries no
-    code fence; the disk-backed rig cache adds the package digest to its
-    own file names (:class:`repro.sweep.rigcache.RigCache`).
+    memo lives in one process and cannot outlive a source edit, so the key
+    carries no code fence.
     """
     device = memory.device
     region_part = "none" if region is None else repr(region.rect)
@@ -143,14 +116,8 @@ def initialize_static_configuration(
     key = static_configuration_key(memory, region, seed) if use_memo else None
     if use_memo:
         hit = _STATIC_MEMO.get(key)
-        if hit is None and _RIG_CACHE is not None:
-            hit = _RIG_CACHE.load(key)
-            if hit is not None:
-                _STATIC_MEMO[key] = hit
-                _RIG_TELEMETRY.disk_hits += 1
-        elif hit is not None:
-            _RIG_TELEMETRY.memory_hits += 1
         if hit is not None:
+            _RIG_TELEMETRY.hits += 1
             data, written, n_writes = hit
             memory._data[...] = data
             memory._written[...] = written
@@ -171,14 +138,11 @@ def initialize_static_configuration(
         memory.write_frame(address, data)
 
     if use_memo and not memory.has_extra_frames():
-        entry = (
+        _STATIC_MEMO[key] = (
             memory._data.copy(),
             memory._written.copy(),
             memory.writes - writes_before,
         )
-        _STATIC_MEMO[key] = entry
-        if _RIG_CACHE is not None:
-            _RIG_CACHE.store(key, *entry)
 
 
 def placement_frame_content(

@@ -98,12 +98,12 @@ def _type2_header(opcode: int, word_count: int) -> int:
 class PacketWriter:
     """Serialises packets into a word stream, tracking a running CRC.
 
-    Two emission paths produce bit-identical streams: the per-word
-    reference path (scalar appends, per-word CRC blobs) and — when
-    :mod:`repro.engine.fastpath` is enabled and a payload arrives as a
-    ``uint32``-compatible array — a vectorized path that queues the array
-    as one chunk and feeds a single little-endian byte view to
-    ``zlib.crc32``.  ``finish`` concatenates the chunks once.
+    Two emission paths produce bit-identical streams: the per-word path of
+    :meth:`write_register` (scalar appends, per-word CRC blobs) and — when
+    :mod:`repro.engine.fastpath` is enabled — the array path of
+    :meth:`write_frames`, which queues a whole FAR/FDRI run as one chunk
+    and feeds a single little-endian byte view to ``zlib.crc32``.
+    ``finish`` concatenates the chunks once.
     """
 
     def __init__(self) -> None:
@@ -130,28 +130,6 @@ class PacketWriter:
 
     def write_register(self, register: Register, values: Sequence[int]) -> None:
         """Emit a Type-1 write (with a Type-2 extension for long bursts)."""
-        if (
-            fastpath.enabled()
-            and isinstance(values, np.ndarray)
-            and values.dtype.kind in "ui"
-        ):
-            # Vectorized path: integer dtype casts truncate mod 2**32,
-            # matching the reference path's per-word ``& 0xFFFFFFFF``.
-            payload = np.ascontiguousarray(values).astype(np.uint32, copy=False)
-            count = int(payload.size)
-            if register != Register.CRC:
-                self._crc = zlib.crc32(
-                    payload.astype("<u4", copy=False).tobytes(),
-                    zlib.crc32(int(register).to_bytes(2, "little"), self._crc),
-                )
-            if count <= TYPE1_MAX_WORDS:
-                self._emit(_type1_header(_OP_WRITE, int(register), count))
-            else:
-                # Zero-length Type-1 names the register, Type-2 carries the data.
-                self._emit(_type1_header(_OP_WRITE, int(register), 0))
-                self._emit(_type2_header(_OP_WRITE, count))
-            self._emit_array(payload)
-            return
         values = [int(v) & 0xFFFFFFFF for v in values]
         if register != Register.CRC:
             self._crc_update(int(register), values)
@@ -160,6 +138,7 @@ class PacketWriter:
             for value in values:
                 self._emit(value)
         else:
+            # Zero-length Type-1 names the register, Type-2 carries the data.
             self._emit(_type1_header(_OP_WRITE, int(register), 0))
             self._emit(_type2_header(_OP_WRITE, len(values)))
             for value in values:

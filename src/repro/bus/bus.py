@@ -355,9 +355,5 @@ class Bus:
         value: Any = values if values else None
         return Completion(done_ps=cursor, value=value, released_ps=released)
 
-    # -- bookkeeping -----------------------------------------------------------
-    def reset_stats(self) -> None:
-        self.stats.reset()
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name} ({self.width_bits}-bit @ {self.clock.freq_mhz:g} MHz)"

@@ -48,10 +48,6 @@ class Transaction:
     def total_bytes(self) -> int:
         return self.size_bytes * self.beats
 
-    @property
-    def end_address(self) -> int:
-        return self.address + self.total_bytes
-
 
 @dataclass(frozen=True)
 class Completion:

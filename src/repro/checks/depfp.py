@@ -1,11 +1,11 @@
-"""The package digest: the source-tree component of both cache keys.
+"""The package digest: the source-tree component of the result-cache key.
 
 One SHA-256 over the sorted ``(relative path, file sha256)`` pairs of every
 ``*.py`` under the imported ``repro`` package, computed once per process.
-``repro.sweep.cache`` and ``repro.sweep.rigcache`` key on it, so any source
-edit — a helper, a scenario body, the orchestration layer — invalidates
-every entry.  That is coarser than tracking what each scenario reaches,
-and sound by construction: no dependency can be missed.
+``repro.sweep.cache`` keys on it, so any source edit — a helper, a scenario
+body, the orchestration layer — invalidates every entry.  That is coarser
+than tracking what each scenario reaches, and sound by construction: no
+dependency can be missed.
 """
 
 from __future__ import annotations
@@ -48,5 +48,7 @@ def scenario_fingerprint(scenario) -> str:
 
 
 def rig_fingerprint() -> str:
-    """The source fence of the disk-backed rig cache: the package digest."""
+    """The package digest.  No cache keys on it any more; like
+    :func:`package_graph`, the name is kept because ``perfbench`` times it
+    (as the ``checks.fingerprint`` span)."""
     return package_graph()

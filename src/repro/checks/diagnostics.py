@@ -178,9 +178,6 @@ class CheckReport:
     def has_errors(self) -> bool:
         return any(d.severity is Severity.ERROR for d in self.diagnostics)
 
-    def by_rule(self, rule_id: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule == rule_id]
-
     def summary(self) -> Dict[str, int]:
         counts = {"error": 0, "warning": 0, "info": 0}
         for diag in self.diagnostics:

@@ -4,20 +4,21 @@ A relocated partial bitstream is only safe when a stack of *static* rules
 holds: components stay inside the dynamic region's columns (so static
 logic above/below is untouched), bus macros sit at the exact edge
 positions the dock's connection interface expects, and the produced
-bitstream writes all — and only — the region's frames.  BitLinker raises
-on some of these at link time; these pure functions report **all**
-violations at once, without building anything, so bad configurations are
-caught before a multi-second simulation or reconfiguration runs.
+bitstream writes all — and only — the region's frames.  These pure
+functions report **all** violations at once, without building anything, so
+bad configurations are caught before a multi-second simulation or
+reconfiguration runs.  The placement rules (BITS001–BITS005) are walked by
+:func:`repro.bitstream.bitlinker.walk_placements`, which BitLinker also
+runs at link time, raising on the first violation.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..bitstream.bitlinker import Placement
+from ..bitstream.bitlinker import Placement, walk_placements
 from ..bitstream.bitstream import Bitstream, BitstreamKind
-from ..bitstream.busmacro import Port, Side
-from ..fabric.geometry import Rect
+from ..bitstream.busmacro import Port
 from ..fabric.region import Region
 from .diagnostics import CheckReport, Severity, register_rule
 
@@ -80,132 +81,13 @@ def check_placements(
     dock_ports: Sequence[Port] = (),
     report: Optional[CheckReport] = None,
 ) -> CheckReport:
-    """DRC over a proposed component assembly for ``region``.
-
-    Mirrors (and extends) BitLinker's link-time validation, but reports
-    every violation instead of raising on the first.
-    """
+    """DRC over a proposed component assembly for ``region``: every
+    violation BitLinker's link-time walk finds, instead of the first."""
     report = report if report is not None else CheckReport()
-    region_rect = Rect(0, 0, region.rect.width, region.rect.height)
-    placed = []
-    for placement in placements:
-        rect = placement.footprint()
-        name = placement.component.name
-        if not region_rect.contains_rect(rect):
-            report.add(
-                "BITS002",
-                f"component {name!r} at ({placement.col_offset},{placement.row_offset}) "
-                f"extends past the {region.rect.width}x{region.rect.height} region",
-                obj=f"{region.name}.{name}",
-                hint="shrink the component or move it inside the region rectangle",
-            )
-        for other, other_rect in placed:
-            if rect.overlaps(other_rect):
-                report.add(
-                    "BITS001",
-                    f"components {name!r} and {other.component.name!r} overlap "
-                    f"({rect} vs {other_rect})",
-                    obj=f"{region.name}.{name}",
-                    hint="separate the placements; BitLinker merges bits last-write-wins",
-                )
-        placed.append((placement, rect))
-
-    if placements:
-        demand = placements[0].component.total_resources
-        for placement in placements[1:]:
-            demand = demand + placement.component.total_resources
-        capacity = region.resources
-        if not demand.fits_within(capacity):
-            report.add(
-                "BITS005",
-                f"assembly needs {demand} but region {region.name!r} provides {capacity} "
-                f"(short by {demand.shortfall(capacity)})",
-                obj=region.name,
-                hint="use a smaller kernel variant or a larger region",
-            )
-
-    _check_connections(region, placements, dock_ports, report)
+    violations, _ = walk_placements(region, placements, dock_ports)
+    for violation in violations:
+        report.add(violation.rule, violation.message, obj=violation.obj, hint=violation.hint)
     return report
-
-
-def _check_connections(
-    region: Region,
-    placements: Sequence[Placement],
-    dock_ports: Sequence[Port],
-    report: CheckReport,
-) -> None:
-    ordered = sorted(placements, key=lambda p: p.col_offset)
-    if not ordered:
-        return
-    leftmost = ordered[0]
-    left_ports = [p for p in leftmost.component.ports if p.side is Side.LEFT]
-    if left_ports and leftmost.col_offset != 0:
-        report.add(
-            "BITS004",
-            f"component {leftmost.component.name!r} has {len(left_ports)} left-edge "
-            f"port(s) but sits at column {leftmost.col_offset}, away from the dock edge",
-            obj=f"{region.name}.{leftmost.component.name}",
-            hint="place the dock-facing component at column offset 0",
-        )
-    if left_ports and not dock_ports:
-        report.add(
-            "BITS003",
-            f"component {leftmost.component.name!r} expects {len(left_ports)} dock "
-            "connection(s) but the region edge exposes none",
-            obj=f"{region.name}.{leftmost.component.name}",
-            hint="link against a dock, or drop the component's left-edge ports",
-        )
-    elif left_ports:
-        for port in left_ports:
-            if not any(dock.mates_with(port) for dock in dock_ports):
-                report.add(
-                    "BITS003",
-                    f"no dock port mates component {leftmost.component.name!r} port "
-                    f"{port.macro.name} (shape {port.macro.shape_key()}, "
-                    f"{port.direction.value}@{port.side.value})",
-                    obj=f"{region.name}.{leftmost.component.name}.{port.macro.name}",
-                    hint="regenerate the component against the dock's connection "
-                    "interface (repro.dock.interface.kernel_ports)",
-                )
-
-    for left, right in zip(ordered, ordered[1:]):
-        abutting = left.col_offset + left.component.width == right.col_offset
-        right_ports = sorted(
-            (p for p in left.component.ports if p.side is Side.RIGHT),
-            key=lambda p: p.macro.row_offset,
-        )
-        expect_ports = sorted(
-            (p for p in right.component.ports if p.side is Side.LEFT),
-            key=lambda p: p.macro.row_offset,
-        )
-        if not abutting:
-            if expect_ports:
-                report.add(
-                    "BITS004",
-                    f"component {right.component.name!r} has left-edge ports but does "
-                    f"not abut {left.component.name!r}",
-                    obj=f"{region.name}.{right.component.name}",
-                    hint="close the gap so the bus macros line up by abutment",
-                )
-            continue
-        if len(right_ports) != len(expect_ports):
-            report.add(
-                "BITS003",
-                f"{left.component.name!r} exposes {len(right_ports)} right-edge port(s) "
-                f"but {right.component.name!r} expects {len(expect_ports)}",
-                obj=f"{region.name}.{right.component.name}",
-            )
-            continue
-        for a, b in zip(right_ports, expect_ports):
-            if not a.mates_with(b):
-                report.add(
-                    "BITS003",
-                    f"ports {left.component.name}.{a.macro.name} and "
-                    f"{right.component.name}.{b.macro.name} do not mate "
-                    f"({a.macro.shape_key()} {a.direction.value} vs "
-                    f"{b.macro.shape_key()} {b.direction.value})",
-                    obj=f"{region.name}.{right.component.name}.{b.macro.name}",
-                )
 
 
 def check_bitstream(

@@ -14,12 +14,6 @@ from ..bitstream.busmacro import BusMacro
 from .system import System
 
 
-def _box(lines: List[str], width: int) -> List[str]:
-    top = "+" + "-" * (width - 2) + "+"
-    body = ["|" + line.center(width - 2) + "|" for line in lines]
-    return [top] + body + [top]
-
-
 def render_generic_architecture() -> str:
     """Figure 1: the generic system organisation of section 2.1."""
     rows = [

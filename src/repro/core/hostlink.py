@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from ..engine import fastpath
 from ..errors import TransferError
 from .system import System
 
@@ -152,16 +149,6 @@ class HostLink:
         """
         cpu = self.system.cpu
         start = cpu.now_ps
-        fast_ok = fastpath.enabled()
-        if fast_ok and data:
-            # One frombuffer call replaces the per-word slice/pad/from_bytes
-            # round-trips; each word still goes through write_word so the
-            # framed-protocol timing is charged identically.
-            padded = bytes(data) + b"\0" * (-len(data) % 4)
-            words = np.frombuffer(padded, dtype="<u4")
-            for index, value in enumerate(words):
-                self.write_word(address + 4 * index, int(value))
-            return cpu.now_ps - start
         for offset in range(0, len(data), 4):
             chunk = data[offset : offset + 4].ljust(4, b"\0")
             self.write_word(address + offset, int.from_bytes(chunk, "little"))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from ..sweep.cache import ResultCache
@@ -63,11 +62,8 @@ def run(args: argparse.Namespace) -> int:
     population = args.population if args.population is not None else (8 if args.smoke else 12)
 
     cache = None
-    rig_cache_dir = None
     if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
-        cache = ResultCache(cache_dir)
-        rig_cache_dir = str(Path(cache_dir) / "rigs")
+        cache = ResultCache(args.cache_dir or str(default_cache_dir()))
 
     def progress(outcome) -> None:
         if args.json:
@@ -84,7 +80,6 @@ def run(args: argparse.Namespace) -> int:
         cache=cache,
         refresh=args.refresh,
         smoke=args.smoke,
-        rig_cache_dir=rig_cache_dir,
         progress=progress,
     )
 

@@ -89,7 +89,6 @@ class Evaluator:
         cache=None,
         refresh: bool = False,
         smoke: bool = False,
-        rig_cache_dir: Optional[str] = None,
         progress: Optional[Callable[[object], None]] = None,
     ) -> None:
         self.space = space
@@ -97,7 +96,6 @@ class Evaluator:
         self.cache = cache
         self.refresh = refresh
         self.smoke = smoke
-        self.rig_cache_dir = rig_cache_dir
         self.progress = progress
         self.evaluations: List[Evaluation] = []
         self._by_point: Dict[Tuple[Tuple[str, int], ...], int] = {}
@@ -167,7 +165,6 @@ class Evaluator:
             refresh=self.refresh,
             smoke=self.smoke,
             progress=self.progress,
-            rig_cache_dir=self.rig_cache_dir,
             labels=labels,
         )
         self.host_seconds += outcome.host_seconds

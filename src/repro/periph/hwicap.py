@@ -84,15 +84,7 @@ class OpbHwIcap:
         offset = txn.address - self.base
         if txn.op is Op.WRITE:
             if offset == REG_DATA:
-                fast_ok = fastpath.enabled()
-                if fast_ok and isinstance(txn.data, np.ndarray):
-                    self.push_words(txn.data)
-                    self.stats.count("data_writes", int(txn.data.size))
-                    return self.WRITE_WAIT * txn.beats, None
                 if isinstance(txn.data, np.ndarray):
-                    # Reference path must accept the same burst payloads the
-                    # fast path does; ndarrays are fed word by word so the
-                    # scalar ingest is still exercised.
                     payload = txn.data.ravel().tolist()
                 elif isinstance(txn.data, (list, tuple)):
                     payload = txn.data

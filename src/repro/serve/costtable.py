@@ -71,14 +71,6 @@ class CostTable:
     def size_classes(self) -> int:
         return len(self.size_edges)
 
-    def kernel_id(self, name: str) -> int:
-        try:
-            return self.kernels.index(name)
-        except ValueError:
-            raise KernelError(
-                f"kernel {name!r} not in cost table {self.kernels}"
-            ) from None
-
     def break_even(self) -> np.ndarray:
         """Break-even run counts per (kernel, size) — ``inf`` marks
         software-always entries (see :func:`~repro.analysis.amortization

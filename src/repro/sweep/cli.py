@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from ..scenarios import all_scenarios, get_scenario
@@ -159,13 +158,9 @@ def run(args: argparse.Namespace) -> int:
 
     cache = None
     cache_dir = None
-    rig_cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir or str(default_cache_dir())
         cache = ResultCache(cache_dir)
-        # Rig-level memo rides in a sibling of the result cache: scenario
-        # misses still skip regenerating static configurations they share.
-        rig_cache_dir = str(Path(cache_dir) / "rigs")
 
     # --explain snapshots must be taken *before* the run stores fresh
     # entries (afterwards every key would trivially match its own entry).
@@ -198,7 +193,6 @@ def run(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         seed_base=args.seed_base,
         progress=progress,
-        rig_cache_dir=rig_cache_dir,
         overrides=overrides,
     )
 

@@ -57,16 +57,6 @@ def apply_seed_base(name: str, params: Dict[str, object], seed_base: Optional[in
     return derived
 
 
-def _install_rig_cache(rig_cache_dir: Optional[str]) -> None:
-    """Attach the disk-backed rig memo (worker initializer; no-op if None)."""
-    if rig_cache_dir is None:
-        return
-    from ..bitstream import generator
-    from .rigcache import RigCache
-
-    generator.set_rig_cache(RigCache(rig_cache_dir))
-
-
 def _execute_scenario(name: str, params: Mapping[str, object]) -> Dict[str, object]:
     """Worker entry point: run one scenario, returning a transport dict.
 
@@ -177,7 +167,6 @@ def run_batch(
     smoke: bool = False,
     seed_base: Optional[int] = None,
     progress: Optional[Callable[[ScenarioOutcome], None]] = None,
-    rig_cache_dir: Optional[str] = None,
     labels: Optional[Sequence[str]] = None,
 ) -> SweepOutcome:
     """Run explicit ``(scenario, params)`` pairs with up to ``jobs`` workers.
@@ -194,7 +183,6 @@ def run_batch(
     scenario name.
     """
     started = _now()
-    _install_rig_cache(rig_cache_dir)
     if labels is None:
         labels = [entry.name for entry, _ in items]
     if len(labels) != len(items):
@@ -278,12 +266,7 @@ def run_batch(
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = None
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=context,
-            initializer=_install_rig_cache,
-            initargs=(rig_cache_dir,),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
             futures = {
                 pool.submit(_execute_scenario, entry.name, params): (index, label, entry, params)
                 for index, label, entry, params in pending
@@ -328,7 +311,6 @@ def run_sweep(
     smoke: bool = False,
     seed_base: Optional[int] = None,
     progress: Optional[Callable[[ScenarioOutcome], None]] = None,
-    rig_cache_dir: Optional[str] = None,
     overrides: Optional[Mapping[str, Mapping[str, object]]] = None,
 ) -> SweepOutcome:
     """Run ``scenarios`` with up to ``jobs`` worker processes.
@@ -336,8 +318,6 @@ def run_sweep(
     ``cache=None`` disables caching entirely; ``refresh=True`` bypasses
     lookups but still stores fresh results.  ``progress`` (if given) is
     called once per finished scenario, in completion order.
-    ``rig_cache_dir`` (if given) shares memoized rig configurations across
-    worker processes and sweep invocations via :mod:`repro.sweep.rigcache`.
     ``overrides`` maps scenario name -> parameter overrides (the CLI's
     ``--set NAME:KEY=VALUE``); overridden parameters feed the cache key
     like any other, so overridden runs never collide with defaults.
@@ -351,5 +331,4 @@ def run_sweep(
         smoke=smoke,
         seed_base=seed_base,
         progress=progress,
-        rig_cache_dir=rig_cache_dir,
     )

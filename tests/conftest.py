@@ -85,3 +85,26 @@ def pack_bytes_to_words(values, word_bytes=4):
 @pytest.fixture
 def pack_words():
     return pack_bytes_to_words
+
+
+@pytest.fixture(scope="session")
+def shipped_lint():
+    """The self-lint report of the shipped ``repro`` package, built once:
+    linting the whole tree takes over a second, and the tree does not
+    change during a session."""
+    from repro.checks import lint_package
+
+    return lint_package()
+
+
+@pytest.fixture
+def cached_self_lint(shipped_lint, monkeypatch):
+    """Make the checks CLI reuse :func:`shipped_lint` instead of re-linting."""
+    def lint_package(report=None):
+        from repro.checks import CheckReport
+
+        report = report if report is not None else CheckReport()
+        report.diagnostics.extend(shipped_lint.diagnostics)
+        return report
+
+    monkeypatch.setattr("repro.checks.cli.lint_package", lint_package)

@@ -128,6 +128,12 @@ def test_link_rejects_port_mismatch(region, booted):
         no_dock.link([Placement(component(), 0, 0)])
 
 
+def test_link_rejects_dock_facing_component_off_the_region_edge(linker):
+    # BITS004: the dock's bus macros sit at column 0 of the region.
+    with pytest.raises(PortMismatchError, match="away from the dock edge"):
+        linker.link([Placement(component(), 1, 0)])
+
+
 def test_link_report(linker):
     linker.link([Placement(component(), 0, 0)])
     report = linker.last_report

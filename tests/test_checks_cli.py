@@ -42,7 +42,7 @@ def test_every_rule_has_title_and_rationale():
 
 # -- python -m repro.checks ---------------------------------------------------
 
-def test_checks_exit_zero_on_shipped_tree(capsys):
+def test_checks_exit_zero_on_shipped_tree(capsys, cached_self_lint):
     assert checks_main([]) == 0
     out = capsys.readouterr().out
     assert "self-lint(repro)" in out
@@ -97,7 +97,7 @@ def test_repro_check_subcommand(capsys):
     assert "no findings" in out
 
 
-def test_repro_check_lint_only(capsys):
+def test_repro_check_lint_only(capsys, cached_self_lint):
     assert repro_main(["check", "--lint-only"]) == 0
     assert "self-lint(repro)" in capsys.readouterr().out
 

@@ -31,6 +31,7 @@ from repro.core import memmap
 from repro.dock.dma import Descriptor
 from repro.dock.interface import dock_ports, kernel_ports
 from repro.dock.plb_dock import PlbDock
+from repro.errors import LinkError, PortMismatchError, ResourceError
 from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP7
 from repro.fabric.frames import FrameAddress
@@ -126,6 +127,39 @@ def test_bits005_region_resources_exceeded(region):
     ]
     report = check_placements(region, placements, dock_ports(32))
     assert "BITS005" in rule_ids(report)
+
+
+def bad_placements(region, rule):
+    """One assembly that breaks ``rule`` first, against a 32-bit dock."""
+    if rule == "BITS001":
+        return [Placement(component("a"), 0), Placement(component("b", ports=()), 3)]
+    if rule == "BITS002":
+        return [Placement(component(ports=()), region.rect.width - 2)]
+    if rule == "BITS003":
+        return [Placement(component("a"), 0), Placement(component("b"), 6)]
+    if rule == "BITS004":
+        return [Placement(component(), 2)]
+    dense = region.rect.width * region.rect.height * 4  # fills the area; macros overflow it
+    return [Placement(component(width=region.rect.width, slices=dense), 0)]
+
+
+@pytest.mark.parametrize(
+    "rule, error",
+    [
+        ("BITS001", LinkError),
+        ("BITS002", LinkError),
+        ("BITS003", PortMismatchError),
+        ("BITS004", PortMismatchError),
+        ("BITS005", ResourceError),
+    ],
+)
+def test_link_raises_the_error_mapped_to_each_placement_rule(region, linker, rule, error):
+    first = check_placements(region, bad_placements(region, rule), dock_ports(32)).diagnostics[0]
+    assert first.rule == rule
+    with pytest.raises(error) as raised:
+        linker.link(bad_placements(region, rule))
+    assert type(raised.value) is error
+    assert str(raised.value) == first.message
 
 
 # -- bitstream DRC (BITS006..BITS008) ---------------------------------------

@@ -7,7 +7,7 @@ self-lint gate: the shipped package must lint clean.
 
 import textwrap
 
-from repro.checks import lint_package, lint_source
+from repro.checks import lint_source
 from repro.checks.lint import package_root
 
 
@@ -501,9 +501,8 @@ def test_diagnostic_location_and_hint():
 
 # -- the self-lint gate ------------------------------------------------------
 
-def test_shipped_package_lints_clean():
-    report = lint_package()
-    assert report.diagnostics == [], report.format_text()
+def test_shipped_package_lints_clean(shipped_lint):
+    assert shipped_lint.diagnostics == [], shipped_lint.format_text()
 
 
 def test_package_root_points_at_repro():

@@ -50,13 +50,7 @@ def explore(tmp_path, *, jobs, seed=7):
     """One full factorial+evolve exploration against a private cache."""
     cache = ResultCache(tmp_path / "cache")
     space = small_space()
-    evaluator = Evaluator(
-        space,
-        jobs=jobs,
-        cache=cache,
-        smoke=True,
-        rig_cache_dir=str(tmp_path / "cache" / "rigs"),
-    )
+    evaluator = Evaluator(space, jobs=jobs, cache=cache, smoke=True)
     design = star_design(space)
     evaluator.evaluate(design.points)
     search = evolve(
@@ -194,10 +188,7 @@ def test_second_exploration_runs_entirely_from_warm_cache(tmp_path):
     design = full_factorial(space)
 
     def run():
-        evaluator = Evaluator(
-            space, cache=ResultCache(tmp_path / "cache"), smoke=True,
-            rig_cache_dir=str(tmp_path / "cache" / "rigs"),
-        )
+        evaluator = Evaluator(space, cache=ResultCache(tmp_path / "cache"), smoke=True)
         evaluator.evaluate(design.points)
         return evaluator
 

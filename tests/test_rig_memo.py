@@ -4,32 +4,25 @@
 instead of regenerating it, but the resulting :class:`ConfigMemory` must
 be indistinguishable — same data, same written mask, same ``writes``
 accounting — and the memo must actually hit when scenarios share a rig.
-The optional disk level (`repro.sweep.rigcache.RigCache`) must round-trip
-entries and treat corruption as a miss.
 """
 
 import numpy as np
 import pytest
 
-from repro.bitstream import generator
 from repro.bitstream.generator import (
     reset_rig_memo,
     rig_memo_telemetry,
-    set_rig_cache,
     static_configuration_key,
 )
 from repro.core import build_system32, build_system64
 from repro.engine import fastpath
-from repro.sweep.rigcache import RigCache
 
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
     reset_rig_memo()
-    set_rig_cache(None)
     yield
     reset_rig_memo()
-    set_rig_cache(None)
 
 
 def _memory_state(system):
@@ -51,7 +44,7 @@ def test_memo_hit_restores_identical_memory(builder):
         assert cold[2] == writes, f"{label} writes accounting diverged"
         assert cold[3] == reads, f"{label} reads accounting diverged"
     assert rig_memo_telemetry().misses == 1
-    assert rig_memo_telemetry().memory_hits == 1
+    assert rig_memo_telemetry().hits == 1
 
 
 def test_fastpath_off_bypasses_the_memo():
@@ -82,47 +75,9 @@ def test_hits_across_scenarios_sharing_a_rig():
 
     with fastpath.forced_on():
         first = sc.get_scenario("table04_hash32").run(smoke=True)
-        before = rig_memo_telemetry().as_dict()
+        before = (rig_memo_telemetry().hits, rig_memo_telemetry().misses)
         second = sc.get_scenario("table05_image32").run(smoke=True)
-        after = rig_memo_telemetry().as_dict()
+        after = (rig_memo_telemetry().hits, rig_memo_telemetry().misses)
     assert first.rows and second.rows
-    assert after["memory_hits"] > before["memory_hits"]
-    assert after["misses"] == before["misses"]
-
-
-def test_disk_cache_round_trip(tmp_path):
-    cache = RigCache(tmp_path / "rigs")
-    set_rig_cache(cache)
-    with fastpath.forced_on():
-        cold = _memory_state(build_system32())
-    assert cache.stores == 1
-    # New process simulated by dropping the in-memory level only.
-    generator._STATIC_MEMO.clear()
-    rig_memo_telemetry().reset()
-    with fastpath.forced_on():
-        warm = _memory_state(build_system32())
-    assert rig_memo_telemetry().disk_hits == 1
-    assert np.array_equal(cold[0], warm[0])
-    assert np.array_equal(cold[1], warm[1])
-    assert cold[2] == warm[2]
-
-
-def test_disk_cache_corruption_is_a_miss(tmp_path):
-    cache = RigCache(tmp_path / "rigs")
-    set_rig_cache(cache)
-    with fastpath.forced_on():
-        cold = _memory_state(build_system32())
-    entries = list((tmp_path / "rigs").glob("*.npz"))
-    assert len(entries) == 1
-    entries[0].write_bytes(b"not an npz file")
-    generator._STATIC_MEMO.clear()
-    rig_memo_telemetry().reset()
-    with fastpath.forced_on():
-        regenerated = _memory_state(build_system32())
-    assert cache.invalidations == 1
-    assert rig_memo_telemetry().disk_hits == 0
-    assert rig_memo_telemetry().misses == 1
-    assert np.array_equal(cold[0], regenerated[0])
-    assert cold[2] == regenerated[2]
-    # The corrupt entry was replaced by a fresh store.
-    assert cache.stores == 2
+    assert after[0] > before[0]
+    assert after[1] == before[1]

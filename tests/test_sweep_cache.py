@@ -179,23 +179,6 @@ def test_renaming_a_file_changes_the_digest(tmp_path):
     assert depfp.source_digest(tree) != before
 
 
-def test_rig_cache_file_key_follows_the_digest(tmp_path, monkeypatch):
-    import numpy as np
-
-    from repro.sweep.rigcache import RigCache
-
-    data, written = np.arange(4, dtype=np.uint32), np.ones(4, dtype=bool)
-    monkeypatch.setattr(depfp, "_DIGEST", "a" * 64)
-    before = RigCache(tmp_path)
-    before.store("k" * 64, data, written, 4)
-    assert before.load("k" * 64) is not None
-
-    monkeypatch.setattr(depfp, "_DIGEST", "b" * 64)
-    after = RigCache(tmp_path)
-    assert after._path("k" * 64) != before._path("k" * 64)
-    assert after.load("k" * 64) is None
-
-
 def test_load_and_store_derive_the_key_once(tmp_path, monkeypatch):
     calls = []
     original = depfp.scenario_fingerprint
