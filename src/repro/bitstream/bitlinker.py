@@ -27,7 +27,7 @@ import numpy as np
 from ..engine import fastpath
 from ..errors import LinkError, PortMismatchError, ResourceError
 from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
-from ..fabric.frames import FrameAddress, FrameGeometry
+from ..fabric.frames import FrameAddress
 from ..fabric.geometry import Rect
 from ..fabric.region import Region
 from .bitstream import Bitstream, BitstreamKind
@@ -236,13 +236,16 @@ class BitLinker:
     def __init__(
         self,
         region: Region,
-        baseline: ConfigMemory | ConfigSnapshot,
+        baseline: ConfigSnapshot,
         dock_ports: Sequence[Port] = (),
     ) -> None:
+        if baseline.geometry.device != region.device:
+            raise LinkError(
+                f"baseline configuration of {baseline.geometry.device.name} does not "
+                f"fit region {region.name!r} on {region.device.name}"
+            )
         self.region = region
-        self.geometry = FrameGeometry(region.device)
-        if isinstance(baseline, ConfigMemory):
-            baseline = baseline.snapshot()
+        self.geometry = baseline.geometry
         self._baseline = baseline
         #: Ports the static side (the dock) exposes at the region's left edge.
         self.dock_ports = tuple(dock_ports)
@@ -254,12 +257,12 @@ class BitLinker:
 
         Fast-path equivalent of calling :func:`region_clear_frame` per
         frame: one bulk gather from the snapshot, one vectorized mask.
-        Returns ``None`` when the fast path is off or the baseline is of
-        another device (callers then use the reference loop).
+        Returns ``None`` when the fast path is off (callers then use the
+        reference loop).
         """
-        if not (fastpath.enabled() and self._baseline.geometry.device is self.region.device):
+        if not fastpath.enabled():
             return None
-        mask = self.geometry.row_mask_cached(self.region.rect.row, self.region.rect.row_end)
+        mask = self.geometry.row_mask(self.region.rect.row, self.region.rect.row_end)
         return self._baseline.rows_for(self.region.frame_addresses) & ~mask
 
     def _assemble_frames(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,17 +61,8 @@ class Bitstream:
 
     def __post_init__(self) -> None:
         # Normalise frame payloads and validate sizes against the device.
-        device = get_device(self.device_name)
-        expected = device.words_per_frame
-        normalised: List[Tuple[FrameAddress, np.ndarray]] = []
-        for address, data in self.frames:
-            arr = np.asarray(data, dtype=np.uint32)
-            if arr.shape != (expected,):
-                raise BitstreamError(
-                    f"frame {address} has {arr.shape} words, expected ({expected},) "
-                    f"for {self.device_name}"
-                )
-            normalised.append((address, arr.copy()))
+        normalised = [(address, np.array(data, dtype=np.uint32)) for address, data in self.frames]
+        check_frame_sizes(self.device_name, normalised)
         self.frames = normalised
 
     # -- introspection ------------------------------------------------------
@@ -164,6 +155,18 @@ def _device_for_idcode(idcode: int | None) -> str:
         if code == idcode:
             return name
     raise BitstreamError(f"unknown IDCODE {idcode:#010x}")
+
+
+def check_frame_sizes(device_name: str, frames: Sequence[Tuple[FrameAddress, np.ndarray]]) -> None:
+    """Raise :class:`BitstreamError` unless every payload is one frame of
+    ``device_name`` long."""
+    expected = (get_device(device_name).words_per_frame,)
+    for address, data in frames:
+        if data.shape != expected:
+            raise BitstreamError(
+                f"frame {address} has {data.shape} words, expected {expected} "
+                f"for {device_name}"
+            )
 
 
 def decode_frames(words: np.ndarray) -> Tuple[str, List[Tuple[FrameAddress, np.ndarray]]]:

@@ -123,24 +123,6 @@ class Port:
             and self.direction is other.direction.opposite
         )
 
-    def require_mates(self, other: "Port") -> None:
-        """Raise :class:`PortMismatchError` when ports cannot connect."""
-        if self.mates_with(other):
-            return
-        problems = []
-        if self.macro.shape_key() != other.macro.shape_key():
-            problems.append(
-                f"macro shapes differ ({self.macro.name}:{self.macro.shape_key()} vs "
-                f"{other.macro.name}:{other.macro.shape_key()})"
-            )
-        if self.side is not other.side.opposite:
-            problems.append(f"sides do not abut ({self.side.value} vs {other.side.value})")
-        if self.direction is not other.direction.opposite:
-            problems.append(
-                f"directions clash ({self.direction.value} vs {other.direction.value})"
-            )
-        raise PortMismatchError("; ".join(problems))
-
 
 def standard_data_macros(bus_width: int) -> Tuple[BusMacro, BusMacro, BusMacro]:
     """The dock's standard connection interface for a given data width.

@@ -82,16 +82,5 @@ class ComponentConfig:
             total = total + port.macro.resource_cost()
         return total
 
-    def with_version(self, version: int) -> "ComponentConfig":
-        """A re-synthesised copy (same footprint/ports, new content)."""
-        return ComponentConfig(
-            name=self.name,
-            width=self.width,
-            height=self.height,
-            resources=self.resources,
-            ports=self.ports,
-            version=version,
-        )
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name} ({self.width}x{self.height} CLB, {self.resources})"

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import LinkError
-from ..fabric.config_memory import ConfigMemory
+from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
 from ..fabric.frames import BlockType, FrameAddress, FrameGeometry
 from ..fabric.region import Region
 from .bits import deterministic_bits, int_to_words, place_bits
@@ -57,8 +57,8 @@ class RigMemoTelemetry:
 
 _RIG_TELEMETRY = RigMemoTelemetry()
 
-#: In-process memo: key -> (frame data, written mask, write count).
-_STATIC_MEMO: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
+#: In-process memo: key -> (static image, write count).
+_STATIC_MEMO: Dict[str, Tuple[ConfigSnapshot, int]] = {}
 
 
 def rig_memo_telemetry() -> RigMemoTelemetry:
@@ -107,20 +107,19 @@ def initialize_static_configuration(
     The result is memoized per (device, region, seed): every rig
     built for the same scenario parameters produces the identical image, so
     the frame generation loop runs once per key and later builds restore
-    the arrays (same data, same ``writes`` accounting).  Disabled together
+    its snapshot (same data, same ``writes`` accounting).  Disabled together
     with the other fast paths by ``REPRO_NO_FAST_PATH``.
     """
     from ..engine import fastpath
 
-    use_memo = fastpath.enabled() and not memory.has_extra_frames()
+    use_memo = fastpath.enabled()
     key = static_configuration_key(memory, region, seed) if use_memo else None
     if use_memo:
         hit = _STATIC_MEMO.get(key)
         if hit is not None:
             _RIG_TELEMETRY.hits += 1
-            data, written, n_writes = hit
-            memory._data[...] = data
-            memory._written[...] = written
+            image, n_writes = hit
+            memory.restore(image)
             memory.writes += n_writes
             return
         _RIG_TELEMETRY.misses += 1
@@ -137,12 +136,8 @@ def initialize_static_configuration(
             data = data & ~region_mask
         memory.write_frame(address, data)
 
-    if use_memo and not memory.has_extra_frames():
-        _STATIC_MEMO[key] = (
-            memory._data.copy(),
-            memory._written.copy(),
-            memory.writes - writes_before,
-        )
+    if use_memo:
+        _STATIC_MEMO[key] = (memory.snapshot(), memory.writes - writes_before)
 
 
 def placement_frame_content(
@@ -218,11 +213,7 @@ def verify_preserves_static(memory_before: ConfigMemory, memory_after: ConfigMem
     geometry = memory_before.geometry
     if geometry.device is not memory_after.geometry.device:
         raise LinkError("cannot compare configuration memories of different devices")
-    if (
-        fastpath.enabled()
-        and not memory_before.has_extra_frames()
-        and not memory_after.has_extra_frames()
-    ):
+    if fastpath.enabled():
         # Whole-device comparison in a handful of array operations.  The
         # read counters advance by the size of the written-address union on
         # both memories, exactly as the reference loop below does when the
@@ -238,7 +229,7 @@ def verify_preserves_static(memory_before: ConfigMemory, memory_after: ConfigMem
         selector = in_region[rows]
         if (before_rows[~selector] != after_rows[~selector]).any():
             return False
-        keep = ~geometry.row_mask_cached(region.rect.row, region.rect.row_end)
+        keep = ~geometry.row_mask(region.rect.row, region.rect.row_end)
         return not ((before_rows[selector] & keep) != (after_rows[selector] & keep)).any()
     region_addresses = set(region.frame_addresses)
     mask = geometry.row_mask(region.rect.row, region.rect.row_end)

@@ -16,7 +16,7 @@ watermark; this module adds the *who*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Protocol, Sequence, Tuple
 
 from ..errors import BusError

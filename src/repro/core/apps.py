@@ -16,7 +16,6 @@ from typing import List
 
 import numpy as np
 
-from ..cpu.isa import InstructionMix
 from ..engine.batch import run_steady
 from ..errors import KernelError, ReconfigurationError
 from ..kernels.image_ops import FLUSH_OFFSET

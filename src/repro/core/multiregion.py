@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bitstream.bitlinker import BitLinker
-from ..fabric.frames import FrameGeometry
 from ..fabric.region import Region, find_region
 from ..dock.plb_dock import PlbDock
 from ..errors import SystemConfigError
@@ -86,8 +85,7 @@ def build_system64_dual() -> tuple[System, RegionSlot]:
     # Clear the new region's rows in configuration memory and refresh the
     # baseline: both BitLinkers must merge against the dual-region boot
     # state.
-    geometry = FrameGeometry(device)
-    mask = geometry.row_mask(region_b.rect.row, region_b.rect.row_end)
+    mask = system.config_memory.geometry.row_mask(region_b.rect.row, region_b.rect.row_end)
     for address in region_b.frame_addresses:
         frame = system.config_memory.read_frame(address)
         system.config_memory.write_frame(address, frame & ~mask)

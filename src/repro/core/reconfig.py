@@ -40,7 +40,7 @@ from ..bitstream.bitstream import Bitstream, BitstreamKind
 from ..bitstream.generator import verify_preserves_static
 from ..dock.interface import StreamingKernel
 from ..engine.batch import declare_phases, run_steady
-from ..errors import FabricError, KernelError, ReconfigurationError, ResourceError
+from ..errors import BitstreamError, FabricError, KernelError, ReconfigurationError, ResourceError
 from ..fabric.config_memory import ConfigMemory
 from ..fabric.frames import FrameAddress
 from ..kernels.base import BaseKernel
@@ -395,7 +395,8 @@ class ReconfigManager:
         golden snapshot captured by the last successful ``load_robust`` /
         :meth:`mark_golden`) through the ICAP, and rewrites only the
         frames whose readback mismatches — the periodic scrubbing pass a
-        radiation-tolerant deployment would schedule.
+        radiation-tolerant deployment would schedule.  A reference that
+        names a frame the device lacks raises before any time is charged.
         """
         ref = reference if reference is not None else self._golden
         if ref is None:
@@ -403,9 +404,14 @@ class ReconfigManager:
                 "no golden snapshot to scrub against; call load_robust()/"
                 "mark_golden() first or pass an explicit reference"
             )
+        addresses = list(ref)
+        try:
+            self.system.config_memory.geometry.frame_rows(addresses)
+        except BitstreamError as err:
+            raise ReconfigurationError(f"scrub reference: {err}") from err
         cpu = self.system.cpu
         start = cpu.now_ps
-        checked = [(address, ref[address]) for address in ref]
+        checked = [(address, ref[address]) for address in addresses]
         repair = [checked[position] for position in self._mismatched(checked)]
         if repair:
             self._feed_frames(repair, f"scrub repair of {len(repair)} frame(s)")

@@ -13,7 +13,7 @@ Concrete subclasses/builders live in :mod:`repro.core.system32` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..bitstream.bitlinker import BitLinker
 from ..bitstream.generator import initialize_static_configuration
@@ -112,13 +112,6 @@ class System:
         for entry in self._modules:
             total = total + entry.resources
         return total
-
-    def resource_table(self) -> List[Tuple[str, ResourceVector, str]]:
-        """Rows for the resource-usage table, plus summary rows."""
-        rows: List[Tuple[str, ResourceVector, str]] = [
-            (entry.name, entry.resources, entry.bus) for entry in self._modules
-        ]
-        return rows
 
     def validate(self) -> None:
         """Sanity: static demand + dynamic region must fit the device."""

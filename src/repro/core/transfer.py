@@ -16,7 +16,7 @@ stream pauses while the full FIFO drains to memory).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dock.dma import Descriptor
 from ..dock.plb_dock import REG_STATUS, STATUS_DMA_BUSY, PlbDock

@@ -27,17 +27,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from .isa import (
-    CPI_ALU,
-    CPI_BRANCH_NOT_TAKEN,
-    CPI_BRANCH_TAKEN,
-    CPI_LOAD_HIT,
-    CPI_MUL,
-    CPI_STORE_HIT,
-)
+from .isa import CPI_ALU, CPI_BRANCH_NOT_TAKEN, CPI_BRANCH_TAKEN, CPI_MUL
 from .ppc405 import Ppc405
 
 _MASK = 0xFFFFFFFF

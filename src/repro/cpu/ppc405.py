@@ -20,7 +20,7 @@ paper's conclusions):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bus.arbiter import CPU_DATA
 from ..bus.bus import Bus

@@ -25,7 +25,7 @@ Register map (byte offsets inside the dock window):
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Optional, Tuple
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from ..analysis.pareto import (
     render_front,
 )
 from ..sweep.results_io import write_json
-from .evaluate import OBJECTIVES, Evaluation, Evaluator
+from .evaluate import OBJECTIVES, Evaluator
 from .evolve import SearchResult
 from .factorial import format_point
 from .space import PlatformSpace

@@ -16,7 +16,7 @@ milliseconds), so verdicts are memoized per distinct rig-axis projection
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InvariantError, ReproError

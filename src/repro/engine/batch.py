@@ -54,7 +54,7 @@ reference path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import fastpath
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,3 @@ class TraceRecorder:
                 + [event.fields.get(name, "") for name in field_names]
             )
         return buffer.getvalue()
-
-
-def merge_traces(traces: Iterable[TraceRecorder]) -> List[TraceEvent]:
-    """Time-ordered merge of several recorders' events."""
-    merged: List[TraceEvent] = []
-    for trace in traces:
-        merged.extend(trace.events)
-    merged.sort(key=lambda event: event.time_ps)
-    return merged

@@ -7,21 +7,20 @@ and how tests verify that reconfiguring the dynamic area leaves static
 frames untouched.
 
 Storage is one contiguous ``(total_frames, words_per_frame)`` uint32 array
-plus a written-mask, with :class:`~repro.fabric.frames.FrameGeometry`
-providing the FAR-order address-to-row mapping.  ``snapshot``/``restore``
-are single array copies and ``diff`` is a vectorized row comparison, which
-is what makes repeated reconfiguration cycles cheap at XC2VP30 scale.  The
-historical dict-facing API is preserved: :meth:`snapshot` returns a
-:class:`ConfigSnapshot`, a read-only mapping of ``FrameAddress -> frame``
-that only exposes written frames, exactly like the dict it replaces.
-Addresses outside the device's frame catalogue (e.g. synthetic test
-addresses) fall back to a small dict side-store.
+plus a written-mask, both indexed by the device's frame catalogue:
+:class:`~repro.fabric.frames.FrameGeometry` maps a FAR-order address to
+its row, and an address the device does not have is a
+:class:`~repro.errors.BitstreamError`.  ``snapshot``/``restore`` are
+single array copies and ``diff`` is a vectorized row comparison, which is
+what makes repeated reconfiguration cycles cheap at XC2VP30 scale.  A
+:class:`ConfigSnapshot` is a read-only mapping of ``FrameAddress -> frame``
+whose members are the written frames.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -31,33 +30,24 @@ from .frames import FrameAddress, FrameGeometry
 
 
 class ConfigSnapshot(MappingABC):
-    """Immutable-ish array-backed copy of a :class:`ConfigMemory`.
+    """Read-only array-backed copy of a :class:`ConfigMemory`.
 
-    Behaves like the ``{address: frame}`` dict older code expects (only
-    *written* frames are members), while bulk consumers (BitLinker, diff,
-    restore) use the underlying arrays directly.
+    As a mapping its members are the *written* frames; bulk consumers
+    (BitLinker, diff, restore) use the underlying arrays directly.
     """
 
-    __slots__ = ("geometry", "_data", "_written", "_extra")
+    __slots__ = ("geometry", "_data", "_written")
 
-    def __init__(
-        self,
-        geometry: FrameGeometry,
-        data: np.ndarray,
-        written: np.ndarray,
-        extra: Dict[FrameAddress, np.ndarray],
-    ) -> None:
+    def __init__(self, geometry: FrameGeometry, data: np.ndarray, written: np.ndarray) -> None:
         self.geometry = geometry
         self._data = data
         self._written = written
-        self._extra = extra
 
     def __getitem__(self, address: FrameAddress) -> np.ndarray:
-        row = self.geometry.frame_index(address)
-        if row is None:
-            if address in self._extra:
-                return self._extra[address].copy()
-            raise KeyError(address)
+        try:
+            row = self.geometry.frame_index(address)
+        except BitstreamError:
+            raise KeyError(address) from None
         if not self._written[row]:
             raise KeyError(address)
         return self._data[row].copy()
@@ -66,10 +56,9 @@ class ConfigSnapshot(MappingABC):
         order = self.geometry.frame_order()
         for row in np.flatnonzero(self._written):
             yield order[row]
-        yield from self._extra
 
     def __len__(self) -> int:
-        return int(self._written.sum()) + len(self._extra)
+        return int(self._written.sum())
 
     # -- bulk access (fast paths) ----------------------------------------
     def rows_for(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
@@ -91,8 +80,6 @@ class ConfigMemory:
         shape = (device.total_frames, self.geometry.words_per_frame)
         self._data = np.zeros(shape, dtype=np.uint32)
         self._written = np.zeros(device.total_frames, dtype=bool)
-        #: Frames addressed outside the device catalogue (rare; tests).
-        self._extra: Dict[FrameAddress, np.ndarray] = {}
         #: number of frame-write operations performed (ICAP statistics)
         self.writes = 0
         self.reads = 0
@@ -103,13 +90,8 @@ class ConfigMemory:
 
         A *copy* is returned; mutating it does not change the memory.
         """
-        self.reads += 1
         row = self.geometry.frame_index(address)
-        if row is None:
-            frame = self._extra.get(address)
-            if frame is None:
-                return self.geometry.empty_frame()
-            return frame.copy()
+        self.reads += 1
         return self._data[row].copy()
 
     def write_frame(self, address: FrameAddress, data: np.ndarray) -> None:
@@ -120,13 +102,10 @@ class ConfigMemory:
                 f"frame data for {address} has {data.shape} words; "
                 f"expected ({self.geometry.words_per_frame},)"
             )
-        self.writes += 1
         row = self.geometry.frame_index(address)
-        if row is None:
-            self._extra[address] = data.copy()
-        else:
-            self._data[row] = data
-            self._written[row] = True
+        self.writes += 1
+        self._data[row] = data
+        self._written[row] = True
 
     def write_frames(self, frames: Sequence[Tuple[FrameAddress, np.ndarray]]) -> None:
         """Bulk frame write: one fancy-indexed assignment for the lot.
@@ -134,7 +113,7 @@ class ConfigMemory:
         Equivalent to calling :meth:`write_frame` per entry (last write to
         a repeated address wins, counters advance by ``len(frames)``), but
         O(frames) numpy work instead of O(frames) Python round-trips.
-        Falls back to the scalar path when any address is uncatalogued.
+        Every size and address is checked before any frame lands.
         """
         if not frames:
             return
@@ -145,55 +124,31 @@ class ConfigMemory:
                     f"frame data for {address} has ({len(data)},) words; "
                     f"expected ({expected},)"
                 )
-        try:
-            rows = self.geometry.frame_rows([address for address, _ in frames])
-        except BitstreamError:
-            for address, data in frames:
-                self.write_frame(address, data)
-            return
+        rows = self.geometry.frame_rows([address for address, _ in frames])
         block = np.stack([np.asarray(data, dtype=np.uint32) for _, data in frames])
         self._data[rows] = block
         self._written[rows] = True
         self.writes += len(frames)
 
-    def merge_frame(self, address: FrameAddress, data: np.ndarray, mask: np.ndarray) -> None:
-        """Write only the bits selected by ``mask``, keeping the rest.
-
-        This is the read-modify-write a height-limited dynamic region
-        requires: ``mask`` selects the region's rows within the frame.
-        """
-        data = np.asarray(data, dtype=np.uint32)
-        mask = np.asarray(mask, dtype=np.uint32)
-        current = self.read_frame(address)
-        merged = (current & ~mask) | (data & mask)
-        self.write_frame(address, merged)
-
     # -- bulk helpers ----------------------------------------------------
     def rows_for(self, addresses: Sequence[FrameAddress], count: bool = True) -> np.ndarray:
         """Stacked copy of ``addresses``' frames (zeros when unwritten).
 
-        Counts one read per frame, mirroring a :meth:`read_frame` loop (which
-        out-of-catalogue addresses go through), unless ``count`` is False.
+        Counts one read per frame, mirroring a :meth:`read_frame` loop,
+        unless ``count`` is False.
         """
-        reads = self.reads
-        try:
-            block = self._data[self.geometry.frame_rows(addresses)]
-        except BitstreamError:
-            block = np.stack([self.read_frame(address) for address in addresses])
-        self.reads = reads + (len(addresses) if count else 0)
+        block = self._data[self.geometry.frame_rows(addresses)]
+        if count:
+            self.reads += len(addresses)
         return block
 
-    def has_extra_frames(self) -> bool:
-        """True when any frame outside the device catalogue was written."""
-        return bool(self._extra)
-
     def written_mask(self) -> np.ndarray:
-        """Boolean per-row written flags (read-only view; catalogued rows)."""
+        """Boolean per-row written flags (read-only view)."""
         return self._written
 
     def data_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Stacked copy of the given catalogued rows, *without* touching the
-        read counters — bulk consumers that mirror a reference loop's
+        """Stacked copy of the given rows, *without* touching the read
+        counters — bulk consumers that mirror a reference loop's
         accounting (e.g. the static-preservation check) add the counts
         explicitly."""
         return self._data[rows]
@@ -231,7 +186,7 @@ class ConfigMemory:
         Models a radiation upset, not a bus access: the read/write
         counters do *not* advance and no timing is charged.  ``addresses``
         restricts the strike to specific frames (e.g. the frames a commit
-        just wrote); by default any written catalogued frame is fair game.
+        just wrote); by default any written frame is fair game.
         ``include_unwritten=True`` widens the target set to the *whole*
         frame catalogue — the Monte-Carlo campaigns sample the full
         configuration space, where strikes on never-written frames are
@@ -241,20 +196,11 @@ class ConfigMemory:
         """
         order = self.geometry.frame_order()
         if addresses is None:
-            if include_unwritten:
-                rows = np.arange(self._written.size, dtype=np.int64)
-            else:
-                rows = np.flatnonzero(self._written)
+            rows = np.arange(self._written.size, dtype=np.int64)
         else:
-            rows = np.array(
-                [
-                    row
-                    for row in (self.geometry.frame_index(a) for a in addresses)
-                    if row is not None
-                    and (include_unwritten or self._written[row])
-                ],
-                dtype=np.int64,
-            )
+            rows = self.geometry.frame_rows(addresses)
+        if not include_unwritten:
+            rows = rows[self._written[rows]]
         if rows.size == 0:
             return []
         flipped: List[Tuple[FrameAddress, int, int]] = []
@@ -266,83 +212,40 @@ class ConfigMemory:
             flipped.append((order[row], word, bit))
         return flipped
 
-    def frames_equal(self, address: FrameAddress, other: "ConfigMemory") -> bool:
-        """True when both memories hold identical data for ``address``."""
-        return bool(np.array_equal(self.read_frame(address), other.read_frame(address)))
-
     def snapshot(self) -> ConfigSnapshot:
-        """Immutable-ish copy of all written frames (single array copy)."""
-        return ConfigSnapshot(
-            self.geometry,
-            self._data.copy(),
-            self._written.copy(),
-            {addr: frame.copy() for addr, frame in self._extra.items()},
-        )
+        """Read-only copy of the memory (single array copy)."""
+        return ConfigSnapshot(self.geometry, self._data.copy(), self._written.copy())
 
-    def restore(self, snapshot: Mapping[FrameAddress, np.ndarray]) -> None:
-        """Reset the memory to a previous :meth:`snapshot`."""
-        if isinstance(snapshot, ConfigSnapshot) and snapshot.geometry.device is self.device:
-            self._data = snapshot._data.copy()
-            self._written = snapshot._written.copy()
-            self._extra = {addr: frame.copy() for addr, frame in snapshot._extra.items()}
-            return
-        self._data = np.zeros_like(self._data)
-        self._written = np.zeros_like(self._written)
-        self._extra = {}
-        for address, data in snapshot.items():
-            data = np.asarray(data, dtype=np.uint32)
-            row = self.geometry.frame_index(address)
-            if row is None:
-                self._extra[address] = data.copy()
-            else:
-                self._data[row] = data
-                self._written[row] = True
+    def _check_same_device(self, snapshot: ConfigSnapshot) -> None:
+        if snapshot.geometry.device != self.device:
+            raise BitstreamError(
+                f"snapshot of {snapshot.geometry.device.name} does not fit "
+                f"the {self.device.name} configuration memory"
+            )
 
-    def diff(
-        self, baseline: Mapping[FrameAddress, np.ndarray]
-    ) -> Iterator[Tuple[FrameAddress, np.ndarray]]:
-        """Yield (address, data) for frames that differ from ``baseline``.
+    def restore(self, snapshot: ConfigSnapshot) -> None:
+        """Reset the memory to a previous :meth:`snapshot` of this device
+        (copied into the memory's own arrays)."""
+        self._check_same_device(snapshot)
+        self._data[...] = snapshot._data
+        self._written[...] = snapshot._written
+
+    def diff(self, baseline: ConfigSnapshot) -> Iterator[Tuple[FrameAddress, np.ndarray]]:
+        """Yield (address, data) for frames that differ from ``baseline``,
+        in FAR order.
 
         This is the content of a *differential* partial bitstream relative
         to the baseline configuration.
         """
-        if (
-            isinstance(baseline, ConfigSnapshot)
-            and baseline.geometry.device is self.device
-            and not self._extra
-            and not baseline._extra
-        ):
-            # Catalogued rows sit in FAR order, which is sorted order, so a
-            # row-wise comparison yields addresses exactly as the dict-based
-            # reference loop did.
-            order = self.geometry.frame_order()
-            changed = np.flatnonzero((self._data != baseline._data).any(axis=1))
-            for row in changed:
-                yield order[row], self._data[row].copy()
-            return
-        empty = self.geometry.empty_frame()
-        mine_map = dict(self.items_view())
-        addresses = set(mine_map) | set(baseline)
-        for address in sorted(addresses):
-            mine = mine_map.get(address, empty)
-            theirs = baseline.get(address, empty)
-            if not np.array_equal(mine, theirs):
-                yield address, mine.copy()
-
-    def items_view(self) -> Iterator[Tuple[FrameAddress, np.ndarray]]:
-        """(address, live frame view) pairs for all written frames."""
+        self._check_same_device(baseline)
         order = self.geometry.frame_order()
-        for row in np.flatnonzero(self._written):
-            yield order[row], self._data[row]
-        yield from self._extra.items()
+        changed = np.flatnonzero((self._data != baseline._data).any(axis=1))
+        return ((order[row], self._data[row].copy()) for row in changed)
 
     def written_addresses(self) -> Iterable[FrameAddress]:
-        """Addresses of frames that have been written at least once."""
+        """Addresses of frames that have been written at least once, in FAR order."""
         order = self.geometry.frame_order()
-        catalogued: List[FrameAddress] = [order[row] for row in np.flatnonzero(self._written)]
-        if not self._extra:
-            return catalogued
-        return sorted(catalogued + list(self._extra))
+        return [order[row] for row in np.flatnonzero(self._written)]
 
     def __len__(self) -> int:
-        return int(self._written.sum()) + len(self._extra)
+        return int(self._written.sum())

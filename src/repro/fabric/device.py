@@ -17,7 +17,7 @@ region holds 6 BRAMs, the 64-bit system's holds 22).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Tuple
 

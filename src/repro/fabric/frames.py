@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -165,16 +165,22 @@ class FrameGeometry:
         """
         return self._order_and_index()[0]
 
-    def frame_index(self, address: FrameAddress) -> Optional[int]:
-        """Dense row index of ``address``, or ``None`` if it is outside the
-        device's frame catalogue (e.g. a garbage FAR value)."""
-        return self._order_and_index()[1].get(address)
+    def frame_index(self, address: FrameAddress) -> int:
+        """Dense row index of ``address``.
+
+        Raises :class:`BitstreamError` when the device has no such frame
+        (e.g. a garbage FAR value).
+        """
+        row = self._order_and_index()[1].get(address)
+        if row is None:
+            raise BitstreamError(f"frame address {address} outside {self.device.name}")
+        return row
 
     def frame_rows(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
-        """Row indices for a sequence of catalogued addresses.
+        """Row indices for a sequence of addresses.
 
-        Raises :class:`BitstreamError` when any address is unknown — bulk
-        paths fall back to the scalar API for out-of-catalogue frames.
+        Raises :class:`BitstreamError` when the device has no frame at any
+        of them.
         """
         index = self._order_and_index()[1]
         try:
@@ -187,13 +193,6 @@ class FrameGeometry:
             ) from None
 
     # -- intra-frame row mapping ----------------------------------------------
-    def row_bit_span(self, row: int) -> tuple[int, int]:
-        """Bit range [lo, hi) of one CLB row inside a frame."""
-        if not 0 <= row < self.device.clb_rows:
-            raise BitstreamError(f"row {row} outside {self.device.name}")
-        bits = self.device.bits_per_frame_row
-        return row * bits, (row + 1) * bits
-
     def row_mask(self, row0: int, row1: int) -> np.ndarray:
         """A per-word uint32 mask selecting the bits of rows [row0, row1).
 
@@ -202,33 +201,24 @@ class FrameGeometry:
         entries; a set bit means "this configuration bit belongs to the row
         range".  BitLinker uses this to merge dynamic-region content into
         frames without disturbing the static rows.
-        """
-        if not (0 <= row0 <= row1 <= self.device.clb_rows):
-            raise BitstreamError(f"row range [{row0},{row1}) outside {self.device.name}")
-        return self.row_mask_cached(row0, row1).copy()
 
-    def row_mask_cached(self, row0: int, row1: int) -> np.ndarray:
-        """Memoised :meth:`row_mask` buffer — treat the result as read-only.
-
-        BitLinker and the static-preservation check ask for the same region
-        mask once per frame; computing it is O(words_per_frame * 32), so the
-        cache is what keeps the per-frame reference loops honest.
+        Masks are memoised per row range — BitLinker and the
+        static-preservation check ask for the same region mask once per
+        frame — so the result is a shared, read-only array.
         """
         mask = self._row_mask_cache.get((row0, row1))
         if mask is None:
+            if not (0 <= row0 <= row1 <= self.device.clb_rows):
+                raise BitstreamError(f"row range [{row0},{row1}) outside {self.device.name}")
             bits = self.device.bits_per_frame_row
-            lo = row0 * bits
-            hi = row1 * bits
-            if lo >= hi:
-                mask = np.zeros(self.words_per_frame, dtype=np.uint32)
-            else:
-                bit_index = np.arange(self.words_per_frame * 32, dtype=np.int64)
-                selected = (bit_index >= lo) & (bit_index < hi)
-                weights = (np.uint64(1) << (bit_index % 32).astype(np.uint64)) * selected.astype(
-                    np.uint64
-                )
-                mask = weights.reshape(self.words_per_frame, 32).sum(axis=1, dtype=np.uint64)
-                mask = mask.astype(np.uint32)
+            bit_index = np.arange(self.words_per_frame * 32, dtype=np.int64)
+            selected = (bit_index >= row0 * bits) & (bit_index < row1 * bits)
+            weights = (np.uint64(1) << (bit_index % 32).astype(np.uint64)) * selected.astype(
+                np.uint64
+            )
+            mask = weights.reshape(self.words_per_frame, 32).sum(axis=1, dtype=np.uint64)
+            mask = mask.astype(np.uint32)
+            mask.flags.writeable = False
             self._row_mask_cache[(row0, row1)] = mask
         return mask
 

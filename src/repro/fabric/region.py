@@ -99,14 +99,6 @@ class Region:
     def frame_count(self) -> int:
         return len(self.frame_addresses)
 
-    def isolates_sides(self) -> bool:
-        """Would reconfiguring this region split the device in two?
-
-        A full-height region prevents static routes from crossing it, which
-        the paper notes is usually unacceptable.
-        """
-        return self.full_height and self.rect.width < self.device.clb_cols
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{self.name}: {self.rect.width}x{self.rect.height} CLBs at "

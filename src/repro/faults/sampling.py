@@ -164,7 +164,7 @@ def essential_bit_map(
     essential = np.where(written[:, None], data, np.uint32(0)).astype(np.uint32)
 
     region_rows = geometry.frame_rows(region.frame_addresses)
-    row_mask = geometry.row_mask_cached(region.rect.row, region.rect.row_end)
+    row_mask = geometry.row_mask(region.rect.row, region.rect.row_end)
     written_region_rows = region_rows[written[region_rows]]
     essential[written_region_rows] |= row_mask[np.newaxis, :]
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..bitstream.busmacro import BusMacro, Direction, MacroKind, Port, Side
-from ..bitstream.component import ComponentConfig
 from ..errors import KernelError
 from .base import BaseKernel
 
@@ -105,46 +103,3 @@ class CompositeKernel(BaseKernel):
     # -- physical side --------------------------------------------------------
     def slice_demand(self, bus_width: int) -> int:
         return sum(stage.slice_demand(bus_width) for stage in self.stages)
-
-    def make_components(self, bus_width: int, region_height: int) -> List[ComponentConfig]:
-        """One relocatable component per stage, chained via a shared macro.
-
-        The first stage carries the dock-facing interface; every adjacent
-        pair shares a ``stage-link`` bus macro (RIGHT/OUT feeding LEFT/IN),
-        ready for :func:`repro.bitstream.placer.pack_chain`.
-        """
-        from ..dock.interface import kernel_ports
-
-        link = BusMacro("stage-link", MacroKind.LUT, width=bus_width, row_offset=0)
-        components: List[ComponentConfig] = []
-        for index, stage in enumerate(self.stages):
-            ports: List[Port] = []
-            if index == 0:
-                ports.extend(kernel_ports(bus_width))
-            else:
-                ports.append(Port(link, Side.LEFT, Direction.IN))
-            if index < len(self.stages) - 1:
-                ports.append(Port(link, Side.RIGHT, Direction.OUT))
-            base = stage.make_component(bus_width, region_height)
-            import math
-
-            from ..fabric.resources import SLICES_PER_CLB
-
-            macro_slices = sum(port.macro.resource_cost().slices for port in ports)
-            width = max(
-                2,
-                math.ceil(
-                    (stage.slice_demand(bus_width) + macro_slices)
-                    / (SLICES_PER_CLB * region_height)
-                ),
-            )
-            components.append(
-                ComponentConfig(
-                    name=f"{self.name}.{index}.{stage.name}",
-                    width=width,
-                    height=region_height,
-                    resources=stage.resources(bus_width),
-                    ports=tuple(ports),
-                )
-            )
-        return components

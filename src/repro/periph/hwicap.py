@@ -25,12 +25,11 @@ from typing import Any, Sequence, Tuple
 
 import numpy as np
 
-from ..bitstream.bitstream import Bitstream, decode_frames, device_idcode
+from ..bitstream.bitstream import check_frame_sizes, decode_frames, device_idcode
 from ..engine import fastpath
 from ..engine.stats import StatsGroup
 from ..errors import BitstreamError, ReconfigurationError
 from ..fabric.config_memory import ConfigMemory
-from ..fabric.device import get_device
 from ..fabric.frames import FrameAddress
 from ..fabric.resources import ResourceVector
 from ..bus.transaction import Op, Transaction
@@ -120,7 +119,10 @@ class OpbHwIcap:
     def _start_readback(self) -> None:
         """Latch the frame addressed by FAR into the readback FIFO."""
         address = FrameAddress.unpacked(self._far)
-        self._rb = self.config_memory.read_frame(address)
+        try:
+            self._rb = self.config_memory.read_frame(address)
+        except BitstreamError as err:
+            raise ReconfigurationError(f"{self.name}: readback: {err}") from err
         self._rb_pos = 0
         self.frames_read_back += 1
 
@@ -199,56 +201,45 @@ class OpbHwIcap:
         if plan is not None and plan.take_commit_fault(self.name):
             # Forced CRC/commit failure: same observable side effects as a
             # genuinely corrupt stream (counter, status, flushed FIFO).
-            self.crc_failures += 1
-            self._status |= STATUS_ERROR
-            self._pending = 0
-            raise ReconfigurationError(
-                f"{self.name}: bad bitstream: injected CRC/commit fault"
-            )
-        words = self._buf[: self._pending]
-        fast_ok = fastpath.enabled()
+            raise self._bad_stream("injected CRC/commit fault")
         try:
-            if fast_ok:
-                # Bulk decode straight to (address, payload-view) pairs; the
-                # frame-size validation Bitstream.__post_init__ would do is
-                # replicated so malformed streams fail identically.
-                device_name, frames = decode_frames(words)
-                expected_words = get_device(device_name).words_per_frame
-                for address, data in frames:
-                    if data.shape != (expected_words,):
-                        raise BitstreamError(
-                            f"frame {address} has {data.shape} words, expected "
-                            f"({expected_words},) for {device_name}"
-                        )
-            else:
-                stream = Bitstream.from_words(np.array(words, dtype=np.uint32))
-                device_name, frames = stream.device_name, stream.frames
+            device_name, frames = decode_frames(self._buf[: self._pending])
+            check_frame_sizes(device_name, frames)
         except Exception as err:
-            self.crc_failures += 1
-            self._status |= STATUS_ERROR
-            self._pending = 0
-            raise ReconfigurationError(f"{self.name}: bad bitstream: {err}") from err
-        expected = device_idcode(self.config_memory.device.name)
-        if device_idcode(device_name) != expected:
+            raise self._bad_stream(err) from err
+        memory = self.config_memory
+        if device_idcode(device_name) != device_idcode(memory.device.name):
             self._status |= STATUS_ERROR
             self._pending = 0
             raise ReconfigurationError(
                 f"{self.name}: bitstream targets {device_name}, "
-                f"device is {self.config_memory.device.name}"
+                f"device is {memory.device.name}"
             )
-        if fast_ok:
-            self.config_memory.write_frames(frames)
-            self.frames_written += len(frames)
-        else:
-            for address, data in frames:
-                self.config_memory.write_frame(address, data)
-                self.frames_written += 1
+        try:
+            if fastpath.enabled():
+                memory.write_frames(frames)
+                self.frames_written += len(frames)
+            else:
+                # A FAR the device lacks fails the stream before any frame lands.
+                memory.geometry.frame_rows([address for address, _ in frames])
+                for address, data in frames:
+                    memory.write_frame(address, data)
+                    self.frames_written += 1
+        except BitstreamError as err:
+            raise self._bad_stream(err) from err
         if plan is not None:
-            plan.take_post_commit_upset(
-                self.config_memory, [address for address, _ in frames]
-            )
+            plan.take_post_commit_upset(memory, [address for address, _ in frames])
         self._pending = 0
         self._status = STATUS_DONE
+
+    def _bad_stream(self, reason: object) -> ReconfigurationError:
+        """Fail the pending stream as a bad bitstream — nothing lands, the
+        CRC-failure counter and the error status record it — and return
+        the error to raise."""
+        self.crc_failures += 1
+        self._status |= STATUS_ERROR
+        self._pending = 0
+        return ReconfigurationError(f"{self.name}: bad bitstream: {reason}")
 
     # -- convenience used by the reconfiguration manager -----------------------
     def load_words(self, words) -> None:

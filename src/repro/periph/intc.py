@@ -10,7 +10,7 @@ engine-level processes (the DMA completion) can wake a waiting CPU event.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..engine.stats import StatsGroup
 from ..errors import BusError

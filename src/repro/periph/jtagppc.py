@@ -3,7 +3,7 @@
 The dedicated block that connects the FPGA's JTAG port to the PowerPC core
 for program download and debugging.  It is not a bus slave; it offers
 zero-simulated-time testbench services (loading program images, reading
-back memory) plus a debug transfer-time estimator for completeness.
+back memory).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ class JtagPpc:
 
     #: The block is hard silicon; it costs no fabric.
     RESOURCES = ResourceVector(slices=0)
-    #: Typical JTAG TCK frequency used for estimates.
-    TCK_HZ = 10_000_000
 
     def __init__(self, name: str = "jtagppc") -> None:
         self.name = name
@@ -35,13 +33,3 @@ class JtagPpc:
         """Read memory through the debug channel (zero simulated time)."""
         self.stats.count("readbacks")
         return bytes(memory.dump(offset, length))
-
-    def estimate_transfer_ps(self, nbytes: int) -> int:
-        """Wire-time estimate for moving ``nbytes`` over JTAG.
-
-        JTAG shifts bits serially with ~2x protocol overhead; this is why
-        the paper's systems only use it for control/debug, never for bulk
-        data.
-        """
-        bits = nbytes * 8 * 2
-        return round(bits * 1e12 / self.TCK_HZ)

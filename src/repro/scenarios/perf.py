@@ -11,7 +11,7 @@ equivalence suites.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

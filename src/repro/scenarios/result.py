@@ -13,7 +13,7 @@ the property the parallel-vs-serial equality tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..engine.stats import StatsGroup
 from ..errors import CheckError

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from ..scenarios import all_scenarios, get_scenario
 from .cache import ResultCache
-from .report import render_report, write_report
+from .report import write_report
 from .results_io import (
     REPORT_FILENAME,
     default_cache_dir,

@@ -76,17 +76,6 @@ def test_ports_shape_mismatch_do_not_mate():
     assert not a.mates_with(b)
 
 
-def test_require_mates_error_details():
-    a = Port(BusMacro("m", MacroKind.LUT, width=8), Side.RIGHT, Direction.OUT)
-    b = Port(BusMacro("m", MacroKind.TRISTATE, width=8), Side.RIGHT, Direction.OUT)
-    with pytest.raises(PortMismatchError) as err:
-        a.require_mates(b)
-    message = str(err.value)
-    assert "shapes differ" in message
-    assert "sides do not abut" in message
-    assert "directions clash" in message
-
-
 def test_standard_data_macros_no_overlap():
     write, read, ctrl = standard_data_macros(32)
     assert write.row_offset + write.rows_spanned <= read.row_offset

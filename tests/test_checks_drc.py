@@ -48,7 +48,7 @@ def region():
 def linker(region):
     memory = ConfigMemory(XC2VP7)
     initialize_static_configuration(memory, region, seed="drc-test-static")
-    return BitLinker(region, memory, dock_ports=dock_ports(32))
+    return BitLinker(region, memory.snapshot(), dock_ports=dock_ports(32))
 
 
 def component(name="comp", width=6, height=11, slices=150, ports=None):

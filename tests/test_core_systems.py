@@ -82,12 +82,6 @@ def test_plb_dock_larger_than_opb_dock():
     assert PlbDock.RESOURCES.slices > OpbDock.RESOURCES.slices
 
 
-def test_resource_table_rows(system32):
-    rows = system32.resource_table()
-    assert len(rows) == len(system32.modules)
-    assert all(len(row) == 3 for row in rows)
-
-
 def test_cpu_reads_and_writes_external_memory(system32):
     cpu = system32.cpu
     cpu.io_write(memmap.STAGE_INPUT, 0x1234)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core import memmap
-from repro.engine.trace import TraceEvent, TraceRecorder, merge_traces
+from repro.engine.trace import TraceEvent, TraceRecorder
 
 
 def test_record_and_len():
@@ -71,16 +71,6 @@ def test_csv_export_headers_union():
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "time_ps,source,kind,x,y"
     assert lines[2].endswith(",2")
-
-
-def test_merge_traces_time_ordered():
-    a = TraceRecorder()
-    b = TraceRecorder()
-    a.record(10, "a", "k")
-    b.record(5, "b", "k")
-    a.record(20, "a", "k")
-    merged = merge_traces([a, b])
-    assert [e.time_ps for e in merged] == [5, 10, 20]
 
 
 def test_clear_resets():

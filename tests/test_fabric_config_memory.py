@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import BitstreamError
 from repro.fabric.config_memory import ConfigMemory
-from repro.fabric.device import XC2VP4
+from repro.fabric.device import XC2VP4, XC2VP7, XC2VP30
 from repro.fabric.frames import BlockType, FrameAddress
 
 
@@ -44,19 +44,6 @@ def test_write_wrong_size_rejected(mem):
         mem.write_frame(addr(), np.zeros(3, dtype=np.uint32))
 
 
-def test_merge_frame_respects_mask(mem):
-    mem.write_frame(addr(), frame_of(mem, 0xFFFFFFFF))
-    mask = frame_of(mem, 0x0000FFFF)
-    mem.merge_frame(addr(), frame_of(mem, 0), mask)
-    assert (mem.read_frame(addr()) == 0xFFFF0000).all()
-
-
-def test_merge_on_empty_frame(mem):
-    mask = frame_of(mem, 0xFF)
-    mem.merge_frame(addr(), frame_of(mem, 0xAB), mask)
-    assert (mem.read_frame(addr()) == 0xAB).all()
-
-
 def test_snapshot_restore_roundtrip(mem):
     mem.write_frame(addr(0), frame_of(mem, 1))
     snap = mem.snapshot()
@@ -89,16 +76,6 @@ def test_diff_detects_frame_cleared_vs_baseline(mem):
     assert addr(2) in changed
 
 
-def test_frames_equal_across_memories():
-    a = ConfigMemory(XC2VP4)
-    b = ConfigMemory(XC2VP4)
-    data = np.full(a.geometry.words_per_frame, 3, dtype=np.uint32)
-    a.write_frame(addr(), data)
-    assert not a.frames_equal(addr(), b)
-    b.write_frame(addr(), data)
-    assert a.frames_equal(addr(), b)
-
-
 def test_write_counters(mem):
     mem.write_frame(addr(), frame_of(mem, 1))
     mem.read_frame(addr())
@@ -107,10 +84,9 @@ def test_write_counters(mem):
 
 
 def test_rows_for_matches_a_read_frame_loop(mem):
-    stray = addr(999)  # outside the device catalogue: the scalar side-store
     mem.write_frame(addr(1), frame_of(mem, 1))
-    mem.write_frame(stray, frame_of(mem, 2))
-    addresses = [addr(1), stray, addr(2)]
+    mem.write_frame(addr(3), frame_of(mem, 2))
+    addresses = [addr(1), addr(3), addr(2)]
     before = mem.reads
     rows = mem.rows_for(addresses)
     assert mem.reads - before == len(addresses)
@@ -118,6 +94,31 @@ def test_rows_for_matches_a_read_frame_loop(mem):
     peek = mem.rows_for(addresses, count=False)
     assert mem.reads - before == len(addresses)
     assert np.array_equal(peek, rows)
+
+
+def test_frames_the_device_lacks_are_rejected(mem):
+    stray = addr(999)
+    with pytest.raises(BitstreamError, match="outside"):
+        mem.write_frame(stray, frame_of(mem, 1))
+    with pytest.raises(BitstreamError, match="outside"):
+        mem.write_frames([(addr(0), frame_of(mem, 1)), (stray, frame_of(mem, 2))])
+    with pytest.raises(BitstreamError, match="outside"):
+        mem.read_frame(stray)
+    with pytest.raises(BitstreamError, match="outside"):
+        mem.rows_for([addr(0), stray])
+    assert (mem.writes, mem.reads, len(mem)) == (0, 0, 0)
+    snapshot = mem.snapshot()
+    assert stray not in snapshot
+    assert snapshot.get(stray) is None
+
+
+def test_restore_and_diff_reject_a_snapshot_of_another_device():
+    small = ConfigMemory(XC2VP7)
+    foreign = ConfigMemory(XC2VP30).snapshot()
+    with pytest.raises(BitstreamError, match="XC2VP30"):
+        small.restore(foreign)
+    with pytest.raises(BitstreamError, match="XC2VP30"):
+        small.diff(foreign)
 
 
 def test_written_addresses_sorted(mem):

@@ -79,18 +79,6 @@ def test_all_frames_unique(geo):
     assert len(frames) == len(set(frames))
 
 
-def test_row_bit_span(geo):
-    lo, hi = geo.row_bit_span(0)
-    assert (lo, hi) == (0, 80)
-    lo, hi = geo.row_bit_span(3)
-    assert (lo, hi) == (240, 320)
-
-
-def test_row_bit_span_out_of_range(geo):
-    with pytest.raises(BitstreamError):
-        geo.row_bit_span(XC2VP7.clb_rows)
-
-
 def test_row_mask_selects_exact_bits(geo):
     mask = geo.row_mask(1, 2)
     bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
@@ -98,6 +86,20 @@ def test_row_mask_selects_exact_bits(geo):
     assert set_bits.min() == 80
     assert set_bits.max() == 159
     assert len(set_bits) == 80
+
+
+def test_row_mask_is_a_shared_read_only_array(geo):
+    mask = geo.row_mask(1, 2)
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0] = 0
+    assert geo.row_mask(1, 2) is mask
+
+
+def test_frame_index_rejects_a_frame_the_device_lacks(geo):
+    assert geo.frame_index(FrameAddress(BlockType.CLB, 0, 0)) == 0
+    with pytest.raises(BitstreamError, match="outside"):
+        geo.frame_index(FrameAddress(BlockType.CLB, 999, 0))
 
 
 def test_row_mask_empty_range(geo):

@@ -41,13 +41,11 @@ def test_region_rejects_out_of_grid():
 def test_full_height_detection():
     region = Region(XC2VP7, Rect(10, 0, 2, XC2VP7.clb_rows))
     assert region.full_height
-    assert region.isolates_sides()
 
 
 def test_partial_height_does_not_isolate():
     region = find_region(XC2VP7, 28, 11, bram_blocks=6)
     assert not region.full_height
-    assert not region.isolates_sides()
 
 
 def test_frame_addresses_cover_all_columns():

@@ -88,7 +88,7 @@ def test_unwritten_frames_contribute_no_essential_bits():
 
     # The written region frame owns its full row span; the static frame
     # exposes exactly its set bits.
-    row_mask = geometry.row_mask_cached(region.rect.row, region.rect.row_end)
+    row_mask = geometry.row_mask(region.rect.row, region.rect.row_end)
     region_row = geometry.frame_index(region_addr)
     static_row = geometry.frame_index(static_addr)
     assert region_class[region_row] == REGION_DYNAMIC
@@ -117,7 +117,7 @@ def test_dynamic_frames_carry_the_full_row_span(rig):
     )
     dynamic = np.flatnonzero(region_class == REGION_DYNAMIC)
     assert dynamic.size > 0
-    row_mask = geometry.row_mask_cached(
+    row_mask = geometry.row_mask(
         manager.region.rect.row, manager.region.rect.row_end
     )
     # Every bit in the region's row span is essential while a kernel is

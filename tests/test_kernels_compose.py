@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bitstream.placer import pack_chain
 from repro.errors import KernelError
 from repro.kernels import BrightnessKernel
 from repro.kernels.compose import STAGE_WINDOW, CompositeKernel, InvertKernel
@@ -80,18 +79,6 @@ def test_composite_reset_resets_stages():
     feed(composite, np.zeros(8, dtype=np.uint8))
     composite.reset()
     assert composite.stages[0].read_register(0x0) == 0
-
-
-def test_composite_components_chain_and_link(system32):
-    """The per-stage components pack and BitLink into the real region."""
-    composite = CompositeKernel([BrightnessKernel(12), InvertKernel()])
-    components = composite.make_components(32, system32.region.rect.height)
-    assert len(components) == 2
-    placements = pack_chain(system32.region, components)
-    stream = system32.bitlinker.link(placements)
-    assert stream.frame_count == system32.region.frame_count
-    links = [c for c in system32.bitlinker.last_report.connections if "stage-link" in c[0]]
-    assert links
 
 
 def test_composite_end_to_end_through_dock(system32):

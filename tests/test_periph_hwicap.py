@@ -10,10 +10,13 @@ from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP4, XC2VP7
 from repro.fabric.frames import BlockType, FrameAddress
 from repro.periph.hwicap import (
+    CTRL_READBACK,
     REG_CONTROL,
     REG_DATA,
+    REG_FAR,
     REG_STATUS,
     STATUS_DONE,
+    STATUS_ERROR,
     OpbHwIcap,
 )
 
@@ -74,6 +77,44 @@ def test_corrupt_stream_sets_error(icap):
     with pytest.raises(ReconfigurationError):
         controller.load_words(words)
     assert controller.crc_failures == 1
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+def test_commit_of_a_frame_the_device_lacks_fails_the_whole_stream(fast):
+    from repro.core import build_system32
+    from repro.engine import fastpath
+
+    with fastpath.forced_on() if fast else fastpath.disabled():
+        system = build_system32()
+        controller, memory = system.hwicap, system.config_memory
+        words = memory.geometry.words_per_frame
+        frames = [
+            (FrameAddress(BlockType.CLB, 0, 0), np.full(words, 0xA5, dtype=np.uint32)),
+            (FrameAddress(BlockType.CLB, 999, 0), np.full(words, 0x5A, dtype=np.uint32)),
+        ]
+        stream = Bitstream(system.device.name, BitstreamKind.PARTIAL_COMPLETE, frames=frames)
+        before = memory.snapshot()
+        written = memory.written_mask().copy()
+        writes, failures = memory.writes, controller.crc_failures
+        with pytest.raises(ReconfigurationError, match=r"bad bitstream.*CLB\[999\]\.0"):
+            controller.load_words(stream.to_words())
+    assert controller.crc_failures == failures + 1
+    assert controller.words_pending() == 0
+    _, status = controller.access(Transaction(Op.READ, controller.base + REG_STATUS), 0)
+    assert status & STATUS_ERROR
+    assert list(memory.diff(before)) == []
+    assert np.array_equal(memory.written_mask(), written)
+    assert memory.writes == writes
+
+
+def test_readback_of_a_frame_the_device_lacks_raises(icap):
+    controller, _ = icap
+    far = FrameAddress(BlockType.CLB, 999, 0).packed()
+    controller.access(Transaction(Op.WRITE, 0x9000_0000 + REG_FAR, data=far), 0)
+    with pytest.raises(ReconfigurationError, match="outside"):
+        controller.access(Transaction(Op.WRITE, 0x9000_0000 + REG_CONTROL, data=CTRL_READBACK), 0)
+    assert controller.frames_read_back == 0
+    assert controller.readback_pending() == 0
 
 
 def test_unknown_register_write(icap):

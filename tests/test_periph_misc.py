@@ -140,13 +140,6 @@ def test_jtag_download_readback():
     assert jtag.readback(memory, 0x10, 7) == b"program"
 
 
-def test_jtag_transfer_estimate_slow():
-    jtag = JtagPpc()
-    # JTAG should be orders of magnitude slower than the buses.
-    one_kb = jtag.estimate_transfer_ps(1024)
-    assert one_kb > 1_000_000_000  # > 1 ms
-
-
 # -- reset block ------------------------------------------------------------------
 
 def test_reset_block_fires_callbacks():

@@ -110,7 +110,7 @@ def test_packed_chain_links_end_to_end(region):
     stage2 = comp("stage2", 5, ports=(Port(chain_macro, Side.LEFT, Direction.IN),))
     memory = ConfigMemory(XC2VP7)
     initialize_static_configuration(memory, region, seed="placer-test")
-    linker = BitLinker(region, memory, dock_ports=dock_ports(32))
+    linker = BitLinker(region, memory.snapshot(), dock_ports=dock_ports(32))
     placements = pack_chain(region, [stage1, stage2])
     stream = linker.link(placements)
     assert stream.frame_count == region.frame_count

@@ -372,10 +372,9 @@ def test_verified_load_readback_identical(name, samples, sites, word):
     assert fast == slow
 
 
-def test_scrub_over_an_out_of_catalogue_frame_identical():
-    """A stray reference frame outside the device catalogue, in the
-    extrapolated range, is read back through ``read_frame`` and repaired
-    exactly as the per-frame loop does."""
+def test_scrub_rejects_a_reference_to_a_missing_frame():
+    """A reference frame outside the device catalogue fails the scrub
+    before any frame is read back or any time is charged, on both paths."""
 
     def scenario(system, manager):
         manager.mark_golden()
@@ -383,12 +382,16 @@ def test_scrub_over_an_out_of_catalogue_frame_identical():
         items = [(address, golden[address]) for address in list(golden)[:6]]
         stray = np.full(system.device.words_per_frame, 0xA5A5A5A5, dtype=np.uint32)
         items.insert(4, (FrameAddress(BlockType.CLB, 999, 0), stray))
-        report = manager.scrub(reference=dict(items))
-        return report.frames_repaired, [str(address) for address in report.repaired]
+        start = system.cpu.now_ps
+        outcome = _raised(lambda: manager.scrub(reference=dict(items)))
+        return outcome, system.cpu.now_ps - start
 
     fast, slow = _readback_observables("system32", scenario)
     assert fast == slow
-    assert fast["outcome"] == (1, [str(FrameAddress(BlockType.CLB, 999, 0))])
+    (kind, message), charged = fast["outcome"]
+    assert kind == "error" and str(FrameAddress(BlockType.CLB, 999, 0)) in message
+    assert charged == 0
+    assert fast["frames_read_back"] == 0
 
 
 def _per_frame_verify(manager):

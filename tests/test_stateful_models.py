@@ -132,16 +132,6 @@ class ConfigMemoryMachine(RuleBasedStateMachine):
         self.memory.write_frame(address, data)
         self.model[address] = data
 
-    @rule(major=st.integers(0, 3), minor=st.integers(0, 3),
-          fill=st.integers(0, 2**32 - 1), mask=st.integers(0, 2**32 - 1))
-    def merge(self, major, minor, fill, mask):
-        address = self._addr(major, minor)
-        data = np.full(self.words, fill, dtype=np.uint32)
-        mask_arr = np.full(self.words, mask, dtype=np.uint32)
-        self.memory.merge_frame(address, data, mask_arr)
-        current = self.model.get(address, np.zeros(self.words, dtype=np.uint32))
-        self.model[address] = (current & ~mask_arr) | (data & mask_arr)
-
     @rule(major=st.integers(0, 3), minor=st.integers(0, 3))
     def read(self, major, minor):
         address = self._addr(major, minor)
