@@ -19,6 +19,7 @@ partial bitstream:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -27,7 +28,8 @@ import numpy as np
 from ..engine import fastpath
 from ..errors import LinkError, PortMismatchError, ResourceError
 from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
-from ..fabric.frames import FrameAddress
+from ..fabric.device import DeviceSpec
+from ..fabric.frames import FrameGeometry
 from ..fabric.geometry import Rect
 from ..fabric.region import Region
 from .bitstream import Bitstream, BitstreamKind
@@ -230,6 +232,58 @@ _LINK_ERRORS = {
 }
 
 
+class PlacementBlock(NamedTuple):
+    """What one placement writes into its region's frame block."""
+
+    #: Region-frame indices (into :attr:`Region.frame_addresses`) it covers.
+    covered: np.ndarray
+    #: Word window ``[w0, w1)`` of a frame holding the placement's bit span.
+    w0: int
+    w1: int
+    #: Per-word mask of the window's bits outside the span.
+    keep: np.ndarray
+    #: ``(len(covered), w1 - w0)`` content of the window's span bits.
+    content: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def placement_block(
+    component: ComponentConfig, device: DeviceSpec, rect: Rect, col_offset: int, row_offset: int
+) -> PlacementBlock:
+    """The frame content of ``component`` placed at ``(col_offset,
+    row_offset)`` in the region ``rect`` of ``device``.
+
+    Runs :func:`placement_frame_content` once per covered frame on a zero
+    frame, so the bits match the per-frame assembly by construction.  The
+    content is a pure function of the arguments, so it is memoised by
+    value: every rig that rebuilds an equal component shares one entry.
+    """
+    region = Region(device, rect)
+    geometry = FrameGeometry(device)
+    bits_per_row = device.bits_per_frame_row
+    row0 = rect.row + row_offset
+    col0 = rect.col + col_offset
+    columns = region.frame_columns
+    covered = np.flatnonzero((columns >= col0) & (columns < col0 + component.width))
+    w0 = row0 * bits_per_row // 32
+    w1 = -(-(row0 + component.height) * bits_per_row // 32)
+    keep = ~geometry.row_mask(row0, row0 + component.height)[w0:w1]
+    zero = geometry.empty_frame()
+    addresses = region.frame_addresses
+    content = np.array(
+        [
+            placement_frame_content(
+                geometry, region, component, col_offset, row_offset, addresses[index], zero
+            )[w0:w1]
+            for index in covered
+        ],
+        dtype=np.uint32,
+    ).reshape(len(covered), w1 - w0)
+    for array in (covered, keep, content):
+        array.setflags(write=False)
+    return PlacementBlock(covered, w0, w1, keep, content)
+
+
 class BitLinker:
     """Assembles complete partial bitstreams for one dynamic region."""
 
@@ -263,35 +317,28 @@ class BitLinker:
         if not fastpath.enabled():
             return None
         mask = self.geometry.row_mask(self.region.rect.row, self.region.rect.row_end)
-        return self._baseline.rows_for(self.region.frame_addresses) & ~mask
+        return self._baseline.data_rows(self.region.frame_rows) & ~mask
 
-    def _assemble_frames(
-        self, placements: Sequence[Placement]
-    ) -> List[Tuple[FrameAddress, np.ndarray]]:
+    def _assemble_frames(self, placements: Sequence[Placement]) -> np.ndarray:
+        """The ``(frames, words)`` block to write, one row per region frame."""
         cleared = self._cleared_baseline_rows()
         if cleared is not None:
-            # Only frames inside a placement's x-span take its content, so
-            # write those rows in placement order (the reference loop's
-            # per-frame order) and leave the rest cleared.
-            addresses = self.region.frame_addresses
-            columns = self.region.frame_columns
+            # Each placement writes its block in placement order (the
+            # reference loop's per-frame order); frames outside every
+            # placement's x-span stay cleared.
+            region = self.region
             for placement in placements:
-                col0 = self.region.rect.col + placement.col_offset
-                covered = np.flatnonzero(
-                    (columns >= col0) & (columns < col0 + placement.component.width)
+                block = placement_block(
+                    placement.component,
+                    region.device,
+                    region.rect,
+                    placement.col_offset,
+                    placement.row_offset,
                 )
-                for index in covered:
-                    cleared[index] = placement_frame_content(
-                        self.geometry,
-                        self.region,
-                        placement.component,
-                        placement.col_offset,
-                        placement.row_offset,
-                        addresses[index],
-                        cleared[index],
-                    )
-            return list(zip(addresses, cleared))
-        frames: List[Tuple[FrameAddress, np.ndarray]] = []
+                window = cleared[block.covered, block.w0 : block.w1]
+                cleared[block.covered, block.w0 : block.w1] = (window & block.keep) | block.content
+            return cleared
+        frames: List[np.ndarray] = []
         empty = self.geometry.empty_frame()
         for address in self.region.frame_addresses:
             baseline = self._baseline.get(address, empty)
@@ -306,8 +353,8 @@ class BitLinker:
                     address,
                     frame,
                 )
-            frames.append((address, frame))
-        return frames
+            frames.append(frame)
+        return np.array(frames, dtype=np.uint32)
 
     def link(self, placements: Sequence[Placement], description: str = "") -> Bitstream:
         """Produce a complete partial bitstream for the given assembly.
@@ -320,12 +367,12 @@ class BitLinker:
         violations, report = walk_placements(self.region, placements, self.dock_ports)
         if violations:
             raise _LINK_ERRORS[violations[0].rule](violations[0].message)
-        frames = self._assemble_frames(placements)
-        bitstream = Bitstream(
-            device_name=self.region.device.name,
-            kind=BitstreamKind.PARTIAL_COMPLETE,
-            frames=frames,
-            description=description or ("bitlinker: " + "+".join(report.components)),
+        bitstream = Bitstream.from_block(
+            self.region.device.name,
+            BitstreamKind.PARTIAL_COMPLETE,
+            self.region.frame_fars,
+            self._assemble_frames(placements),
+            description or ("bitlinker: " + "+".join(report.components)),
         )
         report.frame_count = bitstream.frame_count
         report.payload_words = bitstream.payload_words
@@ -345,25 +392,25 @@ class BitLinker:
         bitstream is applied — the hazard the paper describes.
         """
         complete = self.link(placements, description)
-        frames: List[Tuple[FrameAddress, np.ndarray]] = []
-        fast_ok = fastpath.enabled() and complete.frames
-        if fast_ok:
-            # One bulk gather + one row comparison; rows_for mirrors the
-            # per-frame read counter the reference loop advances.
-            current_rows = current.rows_for([address for address, _ in complete.frames])
-            linked_rows = np.stack([data for _, data in complete.frames])
-            for index in np.flatnonzero((current_rows != linked_rows).any(axis=1)):
-                frames.append(complete.frames[index])
+        description = description or complete.description + " (differential)"
+        kind = BitstreamKind.PARTIAL_DIFFERENTIAL
+        if fastpath.enabled():
+            # One bulk gather + one row comparison; the read counter
+            # advances as the reference loop's per-frame reads do.
+            rows = self.region.frame_rows
+            current.reads += len(rows)
+            changed = np.flatnonzero((current.data_rows(rows) != complete.block).any(axis=1))
+            bitstream = Bitstream.from_block(
+                self.region.device.name, kind, complete.fars[changed], complete.block[changed],
+                description,
+            )
         else:
-            for address, data in complete.frames:
-                if not np.array_equal(current.read_frame(address), data):
-                    frames.append((address, data))
-        bitstream = Bitstream(
-            device_name=self.region.device.name,
-            kind=BitstreamKind.PARTIAL_DIFFERENTIAL,
-            frames=frames,
-            description=description or complete.description + " (differential)",
-        )
+            frames = [
+                (address, data)
+                for address, data in complete.frames
+                if not np.array_equal(current.read_frame(address), data)
+            ]
+            bitstream = Bitstream(self.region.device.name, kind, frames, description)
         if self.last_report is not None:
             self.last_report.frame_count = bitstream.frame_count
             self.last_report.payload_words = bitstream.payload_words
@@ -374,18 +421,22 @@ class BitLinker:
 
         Restores the post-boot state (static rows intact, region rows zero).
         """
-        frames: List[Tuple[FrameAddress, np.ndarray]] = []
         cleared = self._cleared_baseline_rows()
-        if cleared is not None:
-            frames = list(zip(self.region.frame_addresses, cleared))
-        else:
+        if cleared is None:
             empty = self.geometry.empty_frame()
-            for address in self.region.frame_addresses:
-                baseline = self._baseline.get(address, empty)
-                frames.append((address, region_clear_frame(self.geometry, self.region, address, baseline)))
-        return Bitstream(
-            device_name=self.region.device.name,
-            kind=BitstreamKind.PARTIAL_COMPLETE,
-            frames=frames,
-            description=description,
+            cleared = np.array(
+                [
+                    region_clear_frame(
+                        self.geometry, self.region, address, self._baseline.get(address, empty)
+                    )
+                    for address in self.region.frame_addresses
+                ],
+                dtype=np.uint32,
+            )
+        return Bitstream.from_block(
+            self.region.device.name,
+            BitstreamKind.PARTIAL_COMPLETE,
+            self.region.frame_fars,
+            cleared,
+            description,
         )

@@ -4,7 +4,9 @@ Frame data is stored as ``uint32`` word arrays; configuration bit ``i`` of a
 frame lives at bit ``i % 32`` of word ``i // 32``.  For sub-word operations
 (placing a component's rows at an arbitrary bit offset) frames are converted
 to arbitrary-precision integers, manipulated, and converted back.  Frames
-are on the order of 100-250 words, so this is fast enough and keeps the
+are on the order of 100-250 words, and BitLinker runs this once per
+distinct placement (its :func:`~repro.bitstream.bitlinker.placement_block`
+memo), not once per link, so it stays off the hot path while keeping the
 placement logic exact and readable.
 """
 

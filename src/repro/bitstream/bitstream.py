@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BitstreamError
 from ..fabric.device import DeviceSpec, get_device
-from ..fabric.frames import FrameAddress
+from ..fabric.frames import FAR_FIELDS_MASK, FrameAddress
 
 #: IDCODEs of the catalogued devices (model values).
 _IDCODES: Dict[str, int] = {
@@ -49,21 +48,61 @@ class BitstreamKind(enum.Enum):
     PARTIAL_DIFFERENTIAL = "partial-differential"
 
 
-@dataclass
 class Bitstream:
-    """An ordered sequence of frame writes targeting one device."""
+    """An ordered sequence of frame writes targeting one device.
 
-    device_name: str
-    kind: BitstreamKind
-    frames: List[Tuple[FrameAddress, np.ndarray]] = field(default_factory=list)
-    #: free-form origin note ("bitlinker: matcher+macros", "diff vs baseline")
-    description: str = ""
+    Storage is one read-only ``(frames, words_per_frame)`` uint32 block and
+    the frames' packed FAR words, in write order.  A caller's ``frames``
+    list of ``(address, data)`` pairs is stacked once;
+    :meth:`from_block` takes a block over without a copy.
+    """
 
-    def __post_init__(self) -> None:
-        # Normalise frame payloads and validate sizes against the device.
-        normalised = [(address, np.array(data, dtype=np.uint32)) for address, data in self.frames]
-        check_frame_sizes(self.device_name, normalised)
-        self.frames = normalised
+    def __init__(
+        self,
+        device_name: str,
+        kind: BitstreamKind,
+        frames: Sequence[Tuple[FrameAddress, np.ndarray]] = (),
+        description: str = "",
+    ) -> None:
+        frames = list(frames)
+        check_frame_sizes(device_name, frames)
+        fars = np.array([address.packed() for address, _ in frames], dtype=np.uint32)
+        block = np.array([data for _, data in frames], dtype=np.uint32)
+        words_per_frame = get_device(device_name).words_per_frame
+        self._own(device_name, kind, fars, block.reshape(len(frames), words_per_frame), description)
+
+    @classmethod
+    def from_block(
+        cls,
+        device_name: str,
+        kind: BitstreamKind,
+        fars: np.ndarray,
+        block: np.ndarray,
+        description: str = "",
+    ) -> "Bitstream":
+        """A bitstream writing ``block[i]`` to FAR ``fars[i]``.
+
+        Takes ownership of both arrays without a copy and makes them
+        read-only; the caller must not keep writing to them.
+        """
+        expected = (len(fars), get_device(device_name).words_per_frame)
+        if block.shape != expected:
+            raise BitstreamError(
+                f"frame block has shape {block.shape}, expected {expected} for {device_name}"
+            )
+        bitstream = cls.__new__(cls)
+        bitstream._own(device_name, kind, fars, block, description)
+        return bitstream
+
+    def _own(self, device_name, kind, fars, block, description) -> None:
+        fars.setflags(write=False)
+        block.setflags(write=False)
+        self.device_name = device_name
+        self.kind = kind
+        #: free-form origin note ("bitlinker: matcher+macros", "diff vs baseline")
+        self.description = description
+        self._fars = fars
+        self._block = block
 
     # -- introspection ------------------------------------------------------
     @property
@@ -72,7 +111,7 @@ class Bitstream:
 
     @property
     def frame_count(self) -> int:
-        return len(self.frames)
+        return len(self._fars)
 
     @property
     def is_partial(self) -> bool:
@@ -82,21 +121,37 @@ class Bitstream:
     def is_differential(self) -> bool:
         return self.kind is BitstreamKind.PARTIAL_DIFFERENTIAL
 
+    @property
+    def fars(self) -> np.ndarray:
+        """Read-only packed FAR word of each frame write, in write order."""
+        return self._fars
+
+    @property
+    def block(self) -> np.ndarray:
+        """Read-only ``(frame_count, words_per_frame)`` payload block."""
+        return self._block
+
+    @property
+    def frames(self) -> List[Tuple[FrameAddress, np.ndarray]]:
+        """``(address, payload)`` per frame write; payloads are read-only
+        row views of :attr:`block`."""
+        return list(zip(self.addresses(), self._block))
+
     def addresses(self) -> List[FrameAddress]:
-        return [address for address, _ in self.frames]
+        return [FrameAddress.unpacked(far) for far in self._fars.tolist()]
 
     def frame_data(self, address: FrameAddress) -> np.ndarray:
         """Payload for one frame address (first occurrence)."""
-        for addr, data in self.frames:
-            if addr == address:
-                return data.copy()
-        raise BitstreamError(f"bitstream does not write frame {address}")
+        hits = np.flatnonzero(self._fars == address.packed())
+        if not hits.size:
+            raise BitstreamError(f"bitstream does not write frame {address}")
+        return self._block[hits[0]].copy()
 
     # -- sizes ---------------------------------------------------------------
     @property
     def payload_words(self) -> int:
         """Frame-data words only (no packet overhead)."""
-        return sum(len(data) for _, data in self.frames)
+        return int(self._block.size)
 
     @property
     def word_count(self) -> int:
@@ -119,7 +174,7 @@ class Bitstream:
         # One bulk call for all FAR/FDRI pairs: the writer's vectorized path
         # emits them as a single chunk with one CRC pass; the reference path
         # iterates register writes word by word.  Identical streams.
-        writer.write_frames(self.frames)
+        writer.write_frames(self._fars, self._block)
         writer.write_command(Command.LFRM)
         writer.write_command(Command.START)
         return writer.finish()
@@ -133,12 +188,16 @@ class Bitstream:
         The CRC is verified during parsing.  ``kind`` defaults to
         PARTIAL_COMPLETE since the wire format does not distinguish kinds.
         """
-        device_name, frames = decode_frames(words)
-        return cls(
-            device_name=device_name,
-            kind=kind or BitstreamKind.PARTIAL_COMPLETE,
-            frames=frames,
-            description=description,
+        device_name, runs = decode_frames(words)
+        check_run_sizes(device_name, runs)
+        if not runs:
+            return cls(device_name, kind or BitstreamKind.PARTIAL_COMPLETE, (), description)
+        return cls.from_block(
+            device_name,
+            kind or BitstreamKind.PARTIAL_COMPLETE,
+            np.concatenate([fars for fars, _ in runs]) & FAR_FIELDS_MASK,
+            np.concatenate([block for _, block in runs]),
+            description,
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -162,45 +221,63 @@ def check_frame_sizes(device_name: str, frames: Sequence[Tuple[FrameAddress, np.
     ``device_name`` long."""
     expected = (get_device(device_name).words_per_frame,)
     for address, data in frames:
-        if data.shape != expected:
+        if np.shape(data) != expected:
             raise BitstreamError(
-                f"frame {address} has {data.shape} words, expected {expected} "
+                f"frame {address} has {np.shape(data)} words, expected {expected} "
                 f"for {device_name}"
             )
 
 
-def decode_frames(words: np.ndarray) -> Tuple[str, List[Tuple[FrameAddress, np.ndarray]]]:
-    """CRC-checked decode of a word stream into (device name, frame writes).
+#: A run of decoded frame writes: FAR words and their ``(n, width)`` payloads.
+FrameRun = Tuple[np.ndarray, np.ndarray]
+
+
+def check_run_sizes(device_name: str, runs: Sequence[FrameRun]) -> None:
+    """:func:`check_frame_sizes` over decoded runs (one width per run)."""
+    expected = get_device(device_name).words_per_frame
+    for fars, block in runs:
+        if block.shape[1] != expected:
+            check_frame_sizes(device_name, [(FrameAddress.unpacked(int(fars[0])), block[0])])
+
+
+def decode_frames(words: np.ndarray) -> Tuple[str, List[FrameRun]]:
+    """CRC-checked decode of a word stream into (device name, frame runs).
 
     The functional core of :meth:`Bitstream.from_words`, also used by the
     ICAP's bulk commit, which does not need a :class:`Bitstream` wrapper.
     With the fast path enabled the stream is scanned by index arithmetic
-    and frame payloads are sliced as array views; the reference path walks
-    :meth:`PacketReader.packets` word by word.  Both verify the CRC and
-    raise identical errors.
+    and each bulk FAR/FDRI run comes back as one FAR vector and one payload
+    view; the reference path walks :meth:`PacketReader.packets` word by
+    word and returns a run per frame.  Both verify the CRC and raise
+    identical errors.
     """
     from ..engine import fastpath
     from .packets import PacketReader, Register
 
     reader = PacketReader(words)
     if fastpath.enabled():
-        decoded = reader.scan(far_decode=FrameAddress.unpacked)
-        return _device_for_idcode(decoded.idcode), decoded.frames
+        decoded = reader.scan()
+        return _device_for_idcode(decoded.idcode), decoded.runs
     idcode: int | None = None
-    current_far: FrameAddress | None = None
-    frames = []
+    current_far: int | None = None
+    runs: List[FrameRun] = []
     for packet in reader.packets():
         if not packet.is_write:
             continue
         if packet.register == Register.IDCODE and packet.payload:
             idcode = packet.payload[0]
         elif packet.register == Register.FAR and packet.payload:
-            current_far = FrameAddress.unpacked(packet.payload[0])
+            current_far = FrameAddress.unpacked(packet.payload[0]).packed()
         elif packet.register == Register.FDRI:
             if current_far is None:
                 raise BitstreamError("FDRI write before any FAR write")
-            frames.append((current_far, np.array(packet.payload, dtype=np.uint32)))
-    return _device_for_idcode(idcode), frames
+            runs.append(
+                (
+                    np.array([current_far], dtype=np.uint32),
+                    np.array(packet.payload, dtype=np.uint32).reshape(1, -1),
+                )
+            )
+    return _device_for_idcode(idcode), runs
 
 
 def concatenate(streams: Sequence[Bitstream]) -> Bitstream:

@@ -225,7 +225,7 @@ def verify_preserves_static(memory_before: ConfigMemory, memory_after: ConfigMem
         before_rows = memory_before.data_rows(rows)
         after_rows = memory_after.data_rows(rows)
         in_region = np.zeros(geometry.frame_count(), dtype=bool)
-        in_region[geometry.frame_rows(region.frame_addresses)] = True
+        in_region[region.frame_rows] = True
         selector = in_region[rows]
         if (before_rows[~selector] != after_rows[~selector]).any():
             return False

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..engine import fastpath
 from ..errors import BitstreamError, CRCError
+from ..fabric.frames import check_far_words
 
 #: Stream synchronisation word (as on Virtex devices).
 SYNC_WORD = 0xAA995566
@@ -144,36 +145,25 @@ class PacketWriter:
             for value in values:
                 self._emit(value)
 
-    def write_frames(self, frames: Sequence[Tuple[object, np.ndarray]]) -> None:
-        """Emit the FAR/FDRI packet pairs for a sequence of frame writes.
+    def write_frames(self, fars: np.ndarray, block: np.ndarray) -> None:
+        """Emit the FAR/FDRI packet pairs for a block of frame writes.
 
-        Equivalent to ``write_register(FAR, [address.packed()])`` followed
-        by ``write_register(FDRI, data)`` per frame.  With the fast path on
-        and equal-length Type-1-sized payloads, the headers, payload block
-        and the running-CRC byte stream are each built in one array pass.
+        Equivalent to ``write_register(FAR, [fars[i]])`` followed by
+        ``write_register(FDRI, block[i])`` per frame.  With the fast path
+        on and Type-1-sized payloads, the headers, payload block and the
+        running-CRC byte stream are each built in one array pass.
         """
-        if not frames:
+        if not len(fars):
             return
-        fast_ok = fastpath.enabled()
-        if fast_ok:
-            lengths = {len(data) for _, data in frames}
-            if len(lengths) == 1:
-                words_per_frame = lengths.pop()
-                if 0 < words_per_frame <= TYPE1_MAX_WORDS:
-                    self._write_frames_fast(frames, words_per_frame)
-                    return
-        for address, data in frames:
-            self.write_register(Register.FAR, [address.packed()])
+        if fastpath.enabled() and 0 < block.shape[1] <= TYPE1_MAX_WORDS:
+            self._write_frames_fast(np.asarray(fars, dtype=np.uint32), np.ascontiguousarray(block))
+            return
+        for far, data in zip(fars, block):
+            self.write_register(Register.FAR, [int(far)])
             self.write_register(Register.FDRI, data)
 
-    def _write_frames_fast(self, frames, words_per_frame: int) -> None:
-        count = len(frames)
-        fars = np.fromiter(
-            (address.packed() for address, _ in frames), dtype=np.uint32, count=count
-        )
-        block = np.stack(
-            [np.asarray(data).astype(np.uint32, copy=False) for _, data in frames]
-        )
+    def _write_frames_fast(self, fars: np.ndarray, block: np.ndarray) -> None:
+        count, words_per_frame = block.shape
         # Stream layout per frame: FAR header, FAR word, FDRI header, payload.
         out = np.empty((count, 3 + words_per_frame), dtype=np.uint32)
         out[:, 0] = _type1_header(_OP_WRITE, int(Register.FAR), 1)
@@ -190,7 +180,7 @@ class PacketWriter:
         crc_bytes[:, 8:] = (
             block.astype("<u4", copy=False).view(np.uint8).reshape(count, 4 * words_per_frame)
         )
-        self._crc = zlib.crc32(crc_bytes.tobytes(), self._crc)
+        self._crc = zlib.crc32(crc_bytes, self._crc)
         self._emit_array(out.reshape(-1))
 
     def write_command(self, command: Command) -> None:
@@ -226,10 +216,11 @@ class DecodedStream:
 
     #: IDCODE carried by the stream (None when absent).
     idcode: Optional[int] = None
-    #: (decoded FAR, FDRI payload view) pairs, in stream order.  The FAR is
-    #: whatever ``far_decode`` returned (the raw word by default); payloads
-    #: are *views* into the scanned array.
-    frames: List[Tuple[object, np.ndarray]] = field(default_factory=list)
+    #: Frame writes in stream order, as runs of ``(FAR words, payload
+    #: block)``: a uint32 vector and a ``(len(FAR words), width)`` uint32
+    #: block.  A bulk FAR/FDRI run is one entry; any other frame write is a
+    #: run of one.
+    runs: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 class PacketReader:
@@ -281,7 +272,7 @@ class PacketReader:
             else:
                 raise BitstreamError(f"unknown packet type {ptype} in header {header:#010x}")
 
-    def scan(self, far_decode=None) -> DecodedStream:
+    def scan(self) -> DecodedStream:
         """Vectorized single-pass decode: headers by index arithmetic,
         payloads as array views, CRC over little-endian byte views.
 
@@ -292,9 +283,9 @@ class PacketReader:
         by :meth:`repro.bitstream.bitstream.Bitstream.from_words` — the
         IDCODE and the FAR/FDRI frame writes — is collected.
 
-        ``far_decode`` (e.g. ``FrameAddress.unpacked``) is applied to each
-        FAR payload word *as it is parsed*, so malformed frame addresses
-        surface at the same point in the stream as on the reference path.
+        FAR words are checked (:func:`~repro.fabric.frames.check_far_words`)
+        *as they are parsed*, so malformed frame addresses surface at the
+        same point in the stream as on the reference path.
         """
         words = np.ascontiguousarray(self._words, dtype="<u4")
         n = int(words.size)
@@ -309,11 +300,9 @@ class PacketReader:
         idx += 1
         crc = 0
         pending_register: Register | None = None
-        current_far: object = None
+        current_far: Optional[int] = None
         decoded = DecodedStream()
         rcrc = int(Command.RCRC)
-        if far_decode is None:
-            far_decode = int
         far1_header = _type1_header(_OP_WRITE, int(Register.FAR), 1)
         far_id = int(Register.FAR).to_bytes(2, "little")
         fdri_id = int(Register.FDRI).to_bytes(2, "little")
@@ -341,17 +330,16 @@ class PacketReader:
                     matches = (view[:, 0] == far1_header) & (view[:, 2] == fdri_header)
                     run = run_max if matches.all() else int(np.argmin(matches))
                     fars = view[:run, 1].astype("<u4")
-                    payloads = np.ascontiguousarray(view[:run, 3:])
+                    payloads = view[:run, 3:]
                     crc_bytes = np.empty((run, 8 + 4 * frame_words), dtype=np.uint8)
                     crc_bytes[:, 0:2] = np.frombuffer(far_id, np.uint8)
                     crc_bytes[:, 2:6] = fars.view(np.uint8).reshape(run, 4)
                     crc_bytes[:, 6:8] = np.frombuffer(fdri_id, np.uint8)
-                    crc_bytes[:, 8:] = payloads.view(np.uint8).reshape(run, 4 * frame_words)
-                    crc = zlib.crc32(crc_bytes.tobytes(), crc)
-                    frame_rows = payloads.view(np.uint32)
-                    for row in range(run):
-                        current_far = far_decode(int(fars[row]))
-                        decoded.frames.append((current_far, frame_rows[row]))
+                    crc_bytes[:, 8:] = payloads.view(np.uint8)
+                    crc = zlib.crc32(crc_bytes, crc)
+                    check_far_words(fars)
+                    current_far = int(fars[-1])
+                    decoded.runs.append((fars.view(np.uint32), payloads.view(np.uint32)))
                     pending_register = Register.FDRI
                     idx += stride * run
                     continue
@@ -397,11 +385,14 @@ class PacketReader:
             if register == Register.IDCODE and count:
                 decoded.idcode = int(payload[0])
             elif register == Register.FAR and count:
-                current_far = far_decode(int(payload[0]))
+                check_far_words(payload[:1])
+                current_far = int(payload[0])
             elif register == Register.FDRI:
                 if current_far is None:
                     raise BitstreamError("FDRI write before any FAR write")
-                decoded.frames.append((current_far, payload.view(np.uint32)))
+                decoded.runs.append(
+                    (np.array([current_far], dtype=np.uint32), payload.view(np.uint32)[None, :])
+                )
         return decoded
 
     def _deliver(self, opcode: int, register: Register, payload: tuple[int, ...]) -> Iterator[Packet]:

@@ -20,6 +20,7 @@ path, which is one of the three factors behind its 4-6x faster transfers
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from typing import Any, Deque, Tuple
 
@@ -47,6 +48,17 @@ class PlbOpbBridge:
         #: Completion times of posted writes still in flight on the OPB.
         self._inflight: Deque[int] = deque()
 
+    @property
+    def plb(self) -> Bus:
+        """The upstream bus this bridge is a slave on, held weakly: the PLB
+        decodes this bridge, so a strong reference would close a cycle and
+        keep a dead rig alive until the next cyclic collection."""
+        return self._plb()
+
+    @plb.setter
+    def plb(self, plb: Bus) -> None:
+        self._plb = weakref.ref(plb)
+
     def access(self, txn: Transaction, when_ps: int) -> Tuple[int, Any]:
         """Forward one PLB transaction to the OPB; returns PLB wait states.
 
@@ -54,7 +66,8 @@ class PlbOpbBridge:
         transfers gain nothing once they cross the bridge — the width
         bottleneck the paper's first system lives with.
         """
-        if txn.size_bytes * 8 > self.plb.width_bits:
+        plb = self._plb()
+        if txn.size_bytes * 8 > plb.width_bits:
             raise BusWidthError(f"bridge {self.name}: beat wider than PLB")
 
         beats32 = txn.beats * math.ceil(txn.size_bytes / 4)
@@ -75,26 +88,26 @@ class PlbOpbBridge:
             if len(self._inflight) >= self.WRITE_BUFFER_DEPTH:
                 stall_ps = self._inflight[0] - when_ps
                 self._inflight.popleft()
-            start = when_ps + stall_ps + self.plb.clock.cycles_to_ps(self.FORWARD_CYCLES)
+            start = when_ps + stall_ps + plb.clock.cycles_to_ps(self.FORWARD_CYCLES)
             completion = self.opb.request(start, downstream)
             self._inflight.append(completion.done_ps)
             # The buffer accepts the data during the PLB data beat, so the
             # conversion latency does not hold the PLB; only buffer-full
             # stalls do.
-            wait_cycles = math.ceil(self.plb.clock.ps_to_cycles(stall_ps))
+            wait_cycles = math.ceil(plb.clock.ps_to_cycles(stall_ps))
             self.stats.count("forwarded_writes")
             if stall_ps:
                 self.stats.count("write_buffer_stalls")
                 self.stats.record("stall_ps", stall_ps)
             return wait_cycles, None
 
-        start = when_ps + self.plb.clock.cycles_to_ps(self.FORWARD_CYCLES)
+        start = when_ps + plb.clock.cycles_to_ps(self.FORWARD_CYCLES)
         completion = self.opb.request(start, downstream)
         opb_time_ps = completion.done_ps - start
         wait_cycles = (
             self.FORWARD_CYCLES
             + self.RETURN_CYCLES
-            + math.ceil(self.plb.clock.ps_to_cycles(opb_time_ps))
+            + math.ceil(plb.clock.ps_to_cycles(opb_time_ps))
         )
         self.stats.count("forwarded_reads")
         self.stats.record("opb_time_ps", opb_time_ps)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ..bitstream.bitlinker import Placement, walk_placements
 from ..bitstream.bitstream import Bitstream, BitstreamKind
 from ..bitstream.busmacro import Port
@@ -106,8 +108,9 @@ def check_bitstream(
         )
         return report
 
-    allowed = set(region.frame_addresses)
-    outside = [address for address, _ in bitstream.frames if address not in allowed]
+    addresses = bitstream.addresses()
+    inside = np.isin(bitstream.fars, region.frame_fars)
+    outside = [addresses[index] for index in np.flatnonzero(~inside)]
     if bitstream.kind is not BitstreamKind.FULL:
         for address in outside[:8]:
             report.add(
@@ -124,8 +127,10 @@ def check_bitstream(
                 obj=obj,
             )
 
-    written = {address for address, _ in bitstream.frames}
-    missing = [address for address in region.frame_addresses if address not in written]
+    missing = [
+        region.frame_addresses[index]
+        for index in np.flatnonzero(~np.isin(region.frame_fars, bitstream.fars))
+    ]
     if bitstream.kind is BitstreamKind.PARTIAL_DIFFERENTIAL:
         report.add(
             "BITS007",

@@ -41,7 +41,7 @@ from ..bitstream.generator import verify_preserves_static
 from ..dock.interface import StreamingKernel
 from ..engine.batch import declare_phases, run_steady
 from ..errors import BitstreamError, FabricError, KernelError, ReconfigurationError, ResourceError
-from ..fabric.config_memory import ConfigMemory
+from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
 from ..fabric.frames import FrameAddress
 from ..kernels.base import BaseKernel
 from ..sw.costmodel import charge_word_reads
@@ -309,20 +309,19 @@ class ReconfigManager:
                 continue
 
             verify_start = cpu.now_ps
-            bad, checked = self._scan_frames(bitstream.frames, verify_samples)
+            bad, checked = self._scan_frames(bitstream, verify_samples)
             frames_verified += checked
             if bad:
                 try:
                     self._feed_frames(
-                        [bitstream.frames[index] for index in bad],
-                        f"scrub of {len(bad)} frame(s)",
+                        bitstream.fars[bad], bitstream.block[bad], f"scrub of {len(bad)} frame(s)"
                     )
                 except ReconfigurationError as err:
                     verify_ps_total += cpu.now_ps - verify_start
                     last_error = err
                     rolled_back |= self._rollback(before)
                     continue
-                still_bad, rechecked = self._scan_frames(bitstream.frames, None, only=bad)
+                still_bad, rechecked = self._scan_frames(bitstream, None, only=bad)
                 frames_verified += rechecked
                 scrubbed_total += len(bad)
                 if still_bad:
@@ -342,6 +341,9 @@ class ReconfigManager:
                 rolled_back |= self._rollback(before)
                 continue
 
+            # A kept error's traceback holds this frame: drop it so the
+            # manager does not outlive its last reference.
+            last_error = None
             self.dock.attach_kernel(kernel)
             self.active = name
             self._golden = self.system.config_memory.snapshot()
@@ -363,6 +365,7 @@ class ReconfigManager:
         # Every attempt failed: leave the region as it was before the load.
         rolled_back |= self._rollback(before)
         if allow_fallback and name in self._software:
+            last_error = None
             self.dock.detach_kernel()
             self.active = None
             result = ReconfigResult(
@@ -405,20 +408,27 @@ class ReconfigManager:
                 "mark_golden() first or pass an explicit reference"
             )
         addresses = list(ref)
+        geometry = self.system.config_memory.geometry
         try:
-            self.system.config_memory.geometry.frame_rows(addresses)
+            rows = geometry.frame_rows(addresses)
         except BitstreamError as err:
             raise ReconfigurationError(f"scrub reference: {err}") from err
+        if isinstance(ref, ConfigSnapshot):
+            expected = ref.rows_for(addresses)
+        else:
+            expected = np.array([ref[address] for address in addresses], dtype=np.uint32)
+        fars = geometry.frame_fars()[rows]
         cpu = self.system.cpu
         start = cpu.now_ps
-        checked = [(address, ref[address]) for address in addresses]
-        repair = [checked[position] for position in self._mismatched(checked)]
-        if repair:
-            self._feed_frames(repair, f"scrub repair of {len(repair)} frame(s)")
+        repair = self._mismatched(fars, expected)
+        if repair.size:
+            self._feed_frames(
+                fars[repair], expected[repair], f"scrub repair of {repair.size} frame(s)"
+            )
         return ScrubReport(
             frames_checked=len(ref),
-            frames_repaired=len(repair),
-            repaired=[address for address, _ in repair],
+            frames_repaired=int(repair.size),
+            repaired=[addresses[position] for position in repair],
             elapsed_ps=cpu.now_ps - start,
         )
 
@@ -457,8 +467,9 @@ class ReconfigManager:
         head = np.array([first, second], dtype=np.uint32)
         return np.concatenate([head, rest]) if extra else head
 
-    def _readback_frames(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
-        """Read ``addresses`` back through the ICAP: an ``(n, words_per_frame)`` array.
+    def _readback_frames(self, fars: np.ndarray) -> np.ndarray:
+        """Read the frames at FAR words ``fars`` back through the ICAP: an
+        ``(n, words_per_frame)`` array.
 
         Every frame costs the same bridged transactions whatever its
         address, so the frame loop is the declared :data:`PHASE_ICAP_READBACK`
@@ -466,23 +477,23 @@ class ReconfigManager:
         :meth:`_readback_frame`, the rest are read functionally.
         """
         icap = self.system.hwicap
-        out = np.empty((len(addresses), self.system.device.words_per_frame), dtype=np.uint32)
+        out = np.empty((len(fars), self.system.device.words_per_frame), dtype=np.uint32)
 
         def step(i: int) -> None:
-            out[i] = self._readback_frame(addresses[i])
+            out[i] = self._readback_frame(FrameAddress.unpacked(int(fars[i])))
 
         def bulk(start: int, n: int) -> None:
-            out[start:] = icap.bulk_readback(addresses[start : start + n])
+            out[start:] = icap.bulk_readback(fars[start : start + n])
 
-        run_steady(self.system, len(addresses), step, bulk, phase=PHASE_ICAP_READBACK)
+        run_steady(self.system, len(fars), step, bulk, phase=PHASE_ICAP_READBACK)
         return out
 
-    def _mismatched(self, frames: Sequence[Tuple[FrameAddress, np.ndarray]]) -> np.ndarray:
-        """Positions in ``(address, expected)`` ``frames`` whose readback differs."""
-        if not frames:
+    def _mismatched(self, fars: np.ndarray, expected: np.ndarray) -> np.ndarray:
+        """Positions in FAR words ``fars`` whose readback differs from the
+        ``(n, words_per_frame)`` ``expected`` block."""
+        if not len(fars):
             return np.zeros(0, dtype=np.intp)
-        data = self._readback_frames([address for address, _ in frames])
-        expected = np.array([frame for _, frame in frames], dtype=np.uint32)
+        data = self._readback_frames(fars)
         return np.flatnonzero((data != expected).any(axis=1))
 
     def _sample_indices(self, count: int, samples: Optional[int]) -> Sequence[int]:
@@ -504,50 +515,55 @@ class ReconfigManager:
         """
         cpu = self.system.cpu
         start = cpu.now_ps
-        frames = bitstream.frames
-        if not frames:
+        if not bitstream.frame_count:
             return 0, 0
-        sampled = [frames[index] for index in self._sample_indices(len(frames), samples)]
-        addresses = [address for address, _ in sampled]
-        expected = np.array([frame for _, frame in sampled], dtype=np.uint32)
-        peek = self.system.config_memory.rows_for(addresses, count=False)
+        sampled = self._sample_indices(bitstream.frame_count, samples)
+        fars = bitstream.fars[sampled]
+        expected = bitstream.block[sampled]
+        memory = self.system.config_memory
+        peek = memory.data_rows(memory.geometry.rows_of_fars(fars))
         bad = np.flatnonzero((peek != expected).any(axis=1))
-        stop = int(bad[0]) + 1 if bad.size else len(addresses)
-        data = self._readback_frames(addresses[:stop])
+        stop = int(bad[0]) + 1 if bad.size else len(fars)
+        data = self._readback_frames(fars[:stop])
         if bad.size:
+            address = FrameAddress.unpacked(int(fars[stop - 1]))
             got, want = int(data[-1, 0]), int(expected[stop - 1, 0])
             if got != want:
                 raise ReconfigurationError(
-                    f"readback mismatch at {addresses[stop - 1]}: {got:#010x} != {want:#010x}"
+                    f"readback mismatch at {address}: {got:#010x} != {want:#010x}"
                 )
-            raise ReconfigurationError(f"readback mismatch within {addresses[stop - 1]}")
-        return cpu.now_ps - start, len(addresses)
+            raise ReconfigurationError(f"readback mismatch within {address}")
+        return cpu.now_ps - start, len(fars)
 
     def _scan_frames(
         self,
-        frames: Sequence[Tuple[FrameAddress, np.ndarray]],
+        bitstream: Bitstream,
         samples: Optional[int],
         only: Optional[Sequence[int]] = None,
     ) -> Tuple[List[int], int]:
-        """Non-raising readback scan; returns (mismatched indices, checked).
+        """Non-raising readback scan of ``bitstream``'s frames; returns
+        (mismatched indices, checked).
 
         ``only`` restricts the scan to specific frame indices (the
         post-scrub recheck); otherwise ``samples`` caps an evenly spaced
         sample (None = every frame).
         """
-        if not frames:
+        if not bitstream.frame_count:
             return [], 0
         if only is not None:
             indices: Sequence[int] = only
         else:
-            indices = self._sample_indices(len(frames), samples)
-        bad = self._mismatched([frames[index] for index in indices])
+            indices = self._sample_indices(bitstream.frame_count, samples)
+        bad = self._mismatched(bitstream.fars[indices], bitstream.block[indices])
         return [indices[position] for position in bad], len(indices)
 
-    def _feed_frames(self, frames: List[Tuple[FrameAddress, np.ndarray]], description: str) -> None:
-        """Rewrite only ``frames`` through the ICAP (a complete partial bitstream)."""
+    def _feed_frames(self, fars: np.ndarray, block: np.ndarray, description: str) -> None:
+        """Rewrite only the frames at ``fars`` through the ICAP (a complete
+        partial bitstream)."""
         kind = BitstreamKind.PARTIAL_COMPLETE
-        self._feed_through_icap(Bitstream(self.system.device.name, kind, frames, description))
+        self._feed_through_icap(
+            Bitstream.from_block(self.system.device.name, kind, fars, block, description)
+        )
 
     def _rollback(self, before: ConfigMemory) -> bool:
         """Restore the pre-load configuration, charging the repair feed.
@@ -562,7 +578,14 @@ class ReconfigManager:
         repair = [(address, before.read_frame(address)) for address, _ in memory.diff(baseline)]
         if repair:
             try:
-                self._feed_frames(repair, f"rollback of {len(repair)} frame(s)")
+                self._feed_through_icap(
+                    Bitstream(
+                        self.system.device.name,
+                        BitstreamKind.PARTIAL_COMPLETE,
+                        repair,
+                        f"rollback of {len(repair)} frame(s)",
+                    )
+                )
             except ReconfigurationError:
                 # Even a faulted rollback feed ends in the functional
                 # restore below; the attempt's bus time stays charged.

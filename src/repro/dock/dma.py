@@ -12,6 +12,7 @@ costs two bus tenures (amortised over up to 16-beat bursts).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,14 +51,24 @@ class SgDmaEngine:
     #: Engine cycles to fetch/decode one descriptor.
     DESCRIPTOR_FETCH_CYCLES = 4
 
-    def __init__(self, bus: Bus, dock: "object", dock_base: int, name: str = "sgdma") -> None:
+    def __init__(self, bus: Bus, dock_base: int, name: str = "sgdma") -> None:
         self.bus = bus
-        self.dock = dock
         self.dock_base = dock_base
         self.name = name
         self.stats = StatsGroup(name)
         #: Armed :class:`~repro.faults.plan.FaultPlan`, or None (no cost).
         self.fault_plan = None
+
+    @property
+    def bus(self) -> Bus:
+        """The bus this engine masters, held weakly: the bus decodes the dock
+        that owns this engine, so a strong reference would close a cycle
+        and keep a dead rig alive until the next cyclic collection."""
+        return self._bus()
+
+    @bus.setter
+    def bus(self, bus: Bus) -> None:
+        self._bus = weakref.ref(bus)
 
     def _check_descriptor_fault(self) -> None:
         plan = self.fault_plan

@@ -91,7 +91,7 @@ class PlbDock:
     # -- wiring ----------------------------------------------------------
     def connect_bus(self, plb: Bus) -> None:
         """Give the dock its master port (creates the DMA engine)."""
-        self.dma = SgDmaEngine(plb, self, self.base + REG_DATA, name=f"{self.name}.dma")
+        self.dma = SgDmaEngine(plb, self.base + REG_DATA, name=f"{self.name}.dma")
 
     def connect_interrupts(self, intc: InterruptController, source: int) -> None:
         self.intc = intc

@@ -70,6 +70,10 @@ class ConfigSnapshot(MappingABC):
         rows = self.geometry.frame_rows(addresses)
         return self._data[rows]
 
+    def data_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Stacked copy of the given dense rows (zeros when unwritten)."""
+        return self._data[rows]
+
 
 class ConfigMemory:
     """Frame-addressed configuration store for one device."""
@@ -125,10 +129,17 @@ class ConfigMemory:
                     f"expected ({expected},)"
                 )
         rows = self.geometry.frame_rows([address for address, _ in frames])
-        block = np.stack([np.asarray(data, dtype=np.uint32) for _, data in frames])
+        self.write_rows(rows, np.stack([np.asarray(data, dtype=np.uint32) for _, data in frames]))
+
+    def write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
+        """Write ``block[i]`` to dense row ``rows[i]`` in one assignment.
+
+        The row-indexed core of :meth:`write_frames`: the caller has
+        already mapped (and so validated) the addresses.
+        """
         self._data[rows] = block
         self._written[rows] = True
-        self.writes += len(frames)
+        self.writes += len(rows)
 
     # -- bulk helpers ----------------------------------------------------
     def rows_for(self, addresses: Sequence[FrameAddress], count: bool = True) -> np.ndarray:
@@ -144,7 +155,9 @@ class ConfigMemory:
 
     def written_mask(self) -> np.ndarray:
         """Boolean per-row written flags (read-only view)."""
-        return self._written
+        view = self._written.view()
+        view.flags.writeable = False
+        return view
 
     def data_rows(self, rows: np.ndarray) -> np.ndarray:
         """Stacked copy of the given rows, *without* touching the read

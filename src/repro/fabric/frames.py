@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BitstreamError
 from .device import DeviceSpec
 
-#: Per-device-name cache of (frame order, address -> row index).  Devices are
-#: catalogued constants, so the FAR enumeration is identical for every
-#: FrameGeometry instance built against the same device.
-_FRAME_ORDER_CACHE: Dict[str, Tuple[Tuple["FrameAddress", ...], Dict["FrameAddress", int]]] = {}
+#: The bits of a FAR word that its block/major/minor fields occupy.
+FAR_FIELDS_MASK = 0x03FFFFFF
 
 #: FAR word -> FrameAddress memo (instances are frozen, so sharing is safe).
 _UNPACK_CACHE: Dict[int, "FrameAddress"] = {}
@@ -72,6 +71,14 @@ class FrameAddress:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.block.name}[{self.major}].{self.minor}"
+
+
+def check_far_words(fars: np.ndarray) -> None:
+    """Raise as :meth:`FrameAddress.unpacked` does on the first FAR word
+    whose block field names no :class:`BlockType`."""
+    bad = np.flatnonzero(((np.asarray(fars) >> 24) & 0x3) > max(BlockType))
+    if bad.size:
+        FrameAddress.unpacked(int(fars[bad[0]]))
 
 
 class FrameGeometry:
@@ -149,13 +156,9 @@ class FrameGeometry:
         return self.device.total_frames
 
     # -- dense row indexing ---------------------------------------------------
-    def _order_and_index(self) -> Tuple[Tuple[FrameAddress, ...], Dict[FrameAddress, int]]:
-        cached = _FRAME_ORDER_CACHE.get(self.device.name)
-        if cached is None:
-            order = tuple(self.all_frames())
-            cached = (order, {address: row for row, address in enumerate(order)})
-            _FRAME_ORDER_CACHE[self.device.name] = cached
-        return cached
+    @cached_property
+    def _catalogue(self) -> "_Catalogue":
+        return _device_catalogue(self.device)
 
     def frame_order(self) -> Tuple[FrameAddress, ...]:
         """Every frame of the device as a tuple, in FAR (= sorted) order.
@@ -163,7 +166,11 @@ class FrameGeometry:
         The position of an address in this tuple is its *row index* in the
         array-backed :class:`~repro.fabric.config_memory.ConfigMemory`.
         """
-        return self._order_and_index()[0]
+        return self._catalogue.order
+
+    def frame_fars(self) -> np.ndarray:
+        """Read-only packed FAR word of every row, in :meth:`frame_order`."""
+        return self._catalogue.fars
 
     def frame_index(self, address: FrameAddress) -> int:
         """Dense row index of ``address``.
@@ -171,8 +178,12 @@ class FrameGeometry:
         Raises :class:`BitstreamError` when the device has no such frame
         (e.g. a garbage FAR value).
         """
-        row = self._order_and_index()[1].get(address)
-        if row is None:
+        table = self._catalogue.table
+        _, majors, minors = table.shape
+        row = -1
+        if address.major < majors and address.minor < minors:
+            row = int(table[address.block, address.major, address.minor])
+        if row < 0:
             raise BitstreamError(f"frame address {address} outside {self.device.name}")
         return row
 
@@ -182,15 +193,43 @@ class FrameGeometry:
         Raises :class:`BitstreamError` when the device has no frame at any
         of them.
         """
-        index = self._order_and_index()[1]
-        try:
-            return np.fromiter(
-                (index[a] for a in addresses), dtype=np.intp, count=len(addresses)
-            )
-        except KeyError as err:
+        count = len(addresses)
+        rows = self._lookup(
+            np.fromiter((a.block for a in addresses), dtype=np.int64, count=count),
+            np.fromiter((a.major for a in addresses), dtype=np.int64, count=count),
+            np.fromiter((a.minor for a in addresses), dtype=np.int64, count=count),
+        )
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
             raise BitstreamError(
-                f"frame address {err.args[0]} outside {self.device.name}"
-            ) from None
+                f"frame address {addresses[int(missing[0])]} outside {self.device.name}"
+            )
+        return rows
+
+    def rows_of_fars(self, fars: np.ndarray) -> np.ndarray:
+        """Row indices for packed FAR words (the vectorized :meth:`frame_rows`).
+
+        Raises :class:`BitstreamError`, naming the first FAR the device has
+        no frame at, before any row is returned.
+        """
+        fars = np.asarray(fars, dtype=np.int64)
+        rows = self._lookup((fars >> 24) & 0x3, (fars >> 8) & 0xFFFF, fars & 0xFF)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            address = FrameAddress.unpacked(int(fars[missing[0]]))
+            raise BitstreamError(f"frame address {address} outside {self.device.name}")
+        return rows
+
+    def _lookup(self, blocks: np.ndarray, majors: np.ndarray, minors: np.ndarray) -> np.ndarray:
+        """Table rows for the given fields; -1 where the device has no frame."""
+        table = self._catalogue.table
+        _, major_count, minor_count = table.shape
+        inside = (majors < major_count) & (minors < minor_count)
+        if inside.all():
+            return table[blocks, majors, minors]
+        rows = np.full(len(blocks), -1, dtype=np.intp)
+        rows[inside] = table[blocks[inside], majors[inside], minors[inside]]
+        return rows
 
     # -- intra-frame row mapping ----------------------------------------------
     def row_mask(self, row0: int, row1: int) -> np.ndarray:
@@ -225,3 +264,33 @@ class FrameGeometry:
     def empty_frame(self) -> np.ndarray:
         """A zeroed frame buffer."""
         return np.zeros(self.words_per_frame, dtype=np.uint32)
+
+
+class _Catalogue(NamedTuple):
+    """One device's frame catalogue: the FAR-order addresses, their packed
+    FAR words, and a dense ``(block, major, minor) -> row`` table (-1 where
+    the device has no frame).  Arrays are read-only and shared."""
+
+    order: Tuple[FrameAddress, ...]
+    fars: np.ndarray
+    table: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _device_catalogue(device: DeviceSpec) -> _Catalogue:
+    order = tuple(FrameGeometry(device).all_frames())
+    table = np.full(
+        (
+            4,
+            max(address.major for address in order) + 1,
+            max(address.minor for address in order) + 1,
+        ),
+        -1,
+        dtype=np.intp,
+    )
+    for row, address in enumerate(order):
+        table[address.block, address.major, address.minor] = row
+    fars = np.array([address.packed() for address in order], dtype=np.uint32)
+    table.setflags(write=False)
+    fars.setflags(write=False)
+    return _Catalogue(order, fars, table)

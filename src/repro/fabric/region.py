@@ -10,8 +10,8 @@ usually *not* achievable because of board-level layout constraints).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, List, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,12 +69,15 @@ class Region:
 
     # -- configuration --------------------------------------------------------
     @cached_property
-    def frame_addresses(self) -> List[FrameAddress]:
-        """Every frame a partial bitstream for this region must write."""
-        geometry = FrameGeometry(self.device)
-        return geometry.frames_for_columns(self.rect.col, self.rect.col_end)
+    def _frames(self) -> "_ColumnFrames":
+        return _column_frames(self.device, self.rect.col, self.rect.col_end)
 
-    @cached_property
+    @property
+    def frame_addresses(self) -> Tuple[FrameAddress, ...]:
+        """Every frame a partial bitstream for this region must write."""
+        return self._frames.addresses
+
+    @property
     def frame_columns(self) -> np.ndarray:
         """CLB-grid x position of each of :attr:`frame_addresses`.
 
@@ -83,17 +86,17 @@ class Region:
         ``[c0, c1)`` contributes to exactly the frames whose position lies
         in that span.
         """
-        bram_columns = self.device.bram_columns
-        columns = np.array(
-            [
-                address.major if address.block is BlockType.CLB
-                else bram_columns[address.major].col
-                for address in self.frame_addresses
-            ],
-            dtype=np.int64,
-        )
-        columns.setflags(write=False)
-        return columns
+        return self._frames.columns
+
+    @property
+    def frame_rows(self) -> np.ndarray:
+        """Configuration-memory row of each of :attr:`frame_addresses`."""
+        return self._frames.rows
+
+    @property
+    def frame_fars(self) -> np.ndarray:
+        """Packed FAR word of each of :attr:`frame_addresses`."""
+        return self._frames.fars
 
     @property
     def frame_count(self) -> int:
@@ -105,6 +108,36 @@ class Region:
             f"({self.rect.col},{self.rect.row}) on {self.device.name} "
             f"[{self.resources}]"
         )
+
+
+class _ColumnFrames(NamedTuple):
+    """The frames of one column span of a device, in write order: their
+    addresses, grid x positions, memory rows and FAR words.  The arrays
+    are read-only and shared by every region over the span."""
+
+    addresses: Tuple[FrameAddress, ...]
+    columns: np.ndarray
+    rows: np.ndarray
+    fars: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _column_frames(device: DeviceSpec, col0: int, col1: int) -> _ColumnFrames:
+    geometry = FrameGeometry(device)
+    addresses = tuple(geometry.frames_for_columns(col0, col1))
+    bram_columns = device.bram_columns
+    columns = np.array(
+        [
+            address.major if address.block is BlockType.CLB else bram_columns[address.major].col
+            for address in addresses
+        ],
+        dtype=np.int64,
+    )
+    rows = geometry.frame_rows(addresses)
+    fars = geometry.frame_fars()[rows]
+    for array in (columns, rows, fars):
+        array.setflags(write=False)
+    return _ColumnFrames(addresses, columns, rows, fars)
 
 
 def find_region(

@@ -163,7 +163,7 @@ def essential_bit_map(
     data = memory.data_rows(np.arange(total, dtype=np.int64))
     essential = np.where(written[:, None], data, np.uint32(0)).astype(np.uint32)
 
-    region_rows = geometry.frame_rows(region.frame_addresses)
+    region_rows = region.frame_rows
     row_mask = geometry.row_mask(region.rect.row, region.rect.row_end)
     written_region_rows = region_rows[written[region_rows]]
     essential[written_region_rows] |= row_mask[np.newaxis, :]
@@ -191,13 +191,13 @@ def build_fault_space(
     """
     geometry = memory.geometry
     essential, region_class = essential_bit_map(memory, region)
-    load_rows = geometry.frame_rows([address for address, _ in staged.frames])
+    load_rows = geometry.rows_of_fars(staged.fars)
     payload = payload_word_indices(staged.to_words())
-    expected = len(staged.frames) * geometry.words_per_frame
+    expected = staged.payload_words
     if payload.size != expected:
         raise InvariantError(
             f"staged stream carries {payload.size} FDRI payload words; "
-            f"expected {expected} for {len(staged.frames)} frames"
+            f"expected {expected} for {staged.frame_count} frames"
         )
     order = geometry.frame_order()
     return FaultSpace(

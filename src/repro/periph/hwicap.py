@@ -21,11 +21,11 @@ reference: same frames, same counters, same errors, same simulated time.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
-from ..bitstream.bitstream import check_frame_sizes, decode_frames, device_idcode
+from ..bitstream.bitstream import check_run_sizes, decode_frames, device_idcode
 from ..engine import fastpath
 from ..engine.stats import StatsGroup
 from ..errors import BitstreamError, ReconfigurationError
@@ -149,14 +149,18 @@ class OpbHwIcap:
         self._rb_pos = 0
         return remainder
 
-    def bulk_readback(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
-        """Functional side of reading ``addresses`` back frame by frame: their
-        ``(n, words_per_frame)`` contents, leaving the FAR, ``frames_read_back``
-        and the memory's read counter where the FAR/CONTROL/RDATA sequences
-        would.  No time, no statistics: a ``run_steady`` ``bulk`` callback."""
-        self._far = addresses[-1].packed()
-        self.frames_read_back += len(addresses)
-        return self.config_memory.rows_for(addresses)
+    def bulk_readback(self, fars: np.ndarray) -> np.ndarray:
+        """Functional side of reading the frames at FAR words ``fars`` back
+        frame by frame: their ``(n, words_per_frame)`` contents, leaving the
+        FAR, ``frames_read_back`` and the memory's read counter where the
+        FAR/CONTROL/RDATA sequences would.  No time, no statistics: a
+        ``run_steady`` ``bulk`` callback."""
+        memory = self.config_memory
+        rows = memory.geometry.rows_of_fars(fars)
+        self._far = int(fars[-1])
+        self.frames_read_back += len(fars)
+        memory.reads += len(fars)
+        return memory.data_rows(rows)
 
     def readback_frame(self, address: FrameAddress):
         """Zero-time functional readback (testbench convenience)."""
@@ -203,8 +207,8 @@ class OpbHwIcap:
             # genuinely corrupt stream (counter, status, flushed FIFO).
             raise self._bad_stream("injected CRC/commit fault")
         try:
-            device_name, frames = decode_frames(self._buf[: self._pending])
-            check_frame_sizes(device_name, frames)
+            device_name, runs = decode_frames(self._buf[: self._pending])
+            check_run_sizes(device_name, runs)
         except Exception as err:
             raise self._bad_stream(err) from err
         memory = self.config_memory
@@ -216,19 +220,23 @@ class OpbHwIcap:
                 f"device is {memory.device.name}"
             )
         try:
-            if fastpath.enabled():
-                memory.write_frames(frames)
-                self.frames_written += len(frames)
-            else:
-                # A FAR the device lacks fails the stream before any frame lands.
-                memory.geometry.frame_rows([address for address, _ in frames])
-                for address, data in frames:
-                    memory.write_frame(address, data)
-                    self.frames_written += 1
+            # A FAR the device lacks fails the stream before any frame lands.
+            rows = [memory.geometry.rows_of_fars(fars) for fars, _ in runs]
         except BitstreamError as err:
             raise self._bad_stream(err) from err
+        if fastpath.enabled():
+            for run_rows, (_, block) in zip(rows, runs):
+                memory.write_rows(run_rows, block)
+                self.frames_written += len(run_rows)
+        else:
+            for fars, block in runs:
+                for far, data in zip(fars, block):
+                    memory.write_frame(FrameAddress.unpacked(int(far)), data)
+                    self.frames_written += 1
         if plan is not None:
-            plan.take_post_commit_upset(memory, [address for address, _ in frames])
+            plan.take_post_commit_upset(
+                memory, [FrameAddress.unpacked(int(far)) for fars, _ in runs for far in fars]
+            )
         self._pending = 0
         self._status = STATUS_DONE
 

@@ -237,3 +237,12 @@ def test_inject_upset_actually_corrupts_and_is_seeded(mem):
     fresh = ConfigMemory(XC2VP4)
     fresh.write_frame(addr(), frame_of(mem, 0))
     assert fresh.inject_upset(_rng(21), flips=1) == [(address, word, bit)]
+
+
+def test_written_mask_is_a_read_only_view(mem):
+    mem.write_frame(addr(1), frame_of(mem, 1))
+    mask = mem.written_mask()
+    with pytest.raises(ValueError):
+        mask[0] = True
+    assert mask[mem.geometry.frame_index(addr(1))]
+    assert not mem.written_mask()[mem.geometry.frame_index(addr(0))]
