@@ -12,14 +12,12 @@ from .generator import (
     full_configuration_frames,
     initialize_static_configuration,
     placement_frame_content,
-    region_clear_frame,
     verify_preserves_static,
 )
 from .packets import (
     DUMMY_WORD,
     SYNC_WORD,
     Command,
-    Packet,
     PacketReader,
     PacketWriter,
     Register,
@@ -43,7 +41,6 @@ __all__ = [
     "Direction",
     "LinkReport",
     "MacroKind",
-    "Packet",
     "PacketReader",
     "PacketWriter",
     "Placement",
@@ -60,7 +57,6 @@ __all__ = [
     "int_to_words",
     "place_bits",
     "placement_frame_content",
-    "region_clear_frame",
     "standard_data_macros",
     "verify_preserves_static",
     "words_to_int",

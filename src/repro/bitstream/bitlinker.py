@@ -25,7 +25,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import fastpath
 from ..errors import LinkError, PortMismatchError, ResourceError
 from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
 from ..fabric.device import DeviceSpec
@@ -35,7 +34,7 @@ from ..fabric.region import Region
 from .bitstream import Bitstream, BitstreamKind
 from .busmacro import Port, Side
 from .component import ComponentConfig
-from .generator import placement_frame_content, region_clear_frame
+from .generator import placement_frame_content
 
 
 @dataclass(frozen=True)
@@ -306,55 +305,32 @@ class BitLinker:
         self.last_report: Optional[LinkReport] = None
 
     # -- assembly ----------------------------------------------------------
-    def _cleared_baseline_rows(self) -> Optional[np.ndarray]:
-        """Region baseline frames with the region's rows blanked, stacked.
-
-        Fast-path equivalent of calling :func:`region_clear_frame` per
-        frame: one bulk gather from the snapshot, one vectorized mask.
-        Returns ``None`` when the fast path is off (callers then use the
-        reference loop).
-        """
-        if not fastpath.enabled():
-            return None
+    def _cleared_baseline_rows(self) -> np.ndarray:
+        """Region baseline frames with the region's rows blanked, stacked:
+        one bulk gather from the snapshot, one mask."""
         mask = self.geometry.row_mask(self.region.rect.row, self.region.rect.row_end)
         return self._baseline.data_rows(self.region.frame_rows) & ~mask
 
     def _assemble_frames(self, placements: Sequence[Placement]) -> np.ndarray:
-        """The ``(frames, words)`` block to write, one row per region frame."""
+        """The ``(frames, words)`` block to write, one row per region frame.
+
+        Each placement writes its block in placement order, so a later
+        placement's bits win where two overlap; frames outside every
+        placement's x-span stay cleared.
+        """
         cleared = self._cleared_baseline_rows()
-        if cleared is not None:
-            # Each placement writes its block in placement order (the
-            # reference loop's per-frame order); frames outside every
-            # placement's x-span stay cleared.
-            region = self.region
-            for placement in placements:
-                block = placement_block(
-                    placement.component,
-                    region.device,
-                    region.rect,
-                    placement.col_offset,
-                    placement.row_offset,
-                )
-                window = cleared[block.covered, block.w0 : block.w1]
-                cleared[block.covered, block.w0 : block.w1] = (window & block.keep) | block.content
-            return cleared
-        frames: List[np.ndarray] = []
-        empty = self.geometry.empty_frame()
-        for address in self.region.frame_addresses:
-            baseline = self._baseline.get(address, empty)
-            frame = region_clear_frame(self.geometry, self.region, address, baseline)
-            for placement in placements:
-                frame = placement_frame_content(
-                    self.geometry,
-                    self.region,
-                    placement.component,
-                    placement.col_offset,
-                    placement.row_offset,
-                    address,
-                    frame,
-                )
-            frames.append(frame)
-        return np.array(frames, dtype=np.uint32)
+        region = self.region
+        for placement in placements:
+            block = placement_block(
+                placement.component,
+                region.device,
+                region.rect,
+                placement.col_offset,
+                placement.row_offset,
+            )
+            window = cleared[block.covered, block.w0 : block.w1]
+            cleared[block.covered, block.w0 : block.w1] = (window & block.keep) | block.content
+        return cleared
 
     def link(self, placements: Sequence[Placement], description: str = "") -> Bitstream:
         """Produce a complete partial bitstream for the given assembly.
@@ -393,24 +369,18 @@ class BitLinker:
         """
         complete = self.link(placements, description)
         description = description or complete.description + " (differential)"
-        kind = BitstreamKind.PARTIAL_DIFFERENTIAL
-        if fastpath.enabled():
-            # One bulk gather + one row comparison; the read counter
-            # advances as the reference loop's per-frame reads do.
-            rows = self.region.frame_rows
-            current.reads += len(rows)
-            changed = np.flatnonzero((current.data_rows(rows) != complete.block).any(axis=1))
-            bitstream = Bitstream.from_block(
-                self.region.device.name, kind, complete.fars[changed], complete.block[changed],
-                description,
-            )
-        else:
-            frames = [
-                (address, data)
-                for address, data in complete.frames
-                if not np.array_equal(current.read_frame(address), data)
-            ]
-            bitstream = Bitstream(self.region.device.name, kind, frames, description)
+        # One bulk gather and one row comparison; the read counter advances
+        # by one per region frame, as a frame-by-frame comparison would.
+        rows = self.region.frame_rows
+        current.reads += len(rows)
+        changed = np.flatnonzero((current.data_rows(rows) != complete.block).any(axis=1))
+        bitstream = Bitstream.from_block(
+            self.region.device.name,
+            BitstreamKind.PARTIAL_DIFFERENTIAL,
+            complete.fars[changed],
+            complete.block[changed],
+            description,
+        )
         if self.last_report is not None:
             self.last_report.frame_count = bitstream.frame_count
             self.last_report.payload_words = bitstream.payload_words
@@ -421,22 +391,10 @@ class BitLinker:
 
         Restores the post-boot state (static rows intact, region rows zero).
         """
-        cleared = self._cleared_baseline_rows()
-        if cleared is None:
-            empty = self.geometry.empty_frame()
-            cleared = np.array(
-                [
-                    region_clear_frame(
-                        self.geometry, self.region, address, self._baseline.get(address, empty)
-                    )
-                    for address in self.region.frame_addresses
-                ],
-                dtype=np.uint32,
-            )
         return Bitstream.from_block(
             self.region.device.name,
             BitstreamKind.PARTIAL_COMPLETE,
             self.region.frame_fars,
-            cleared,
+            self._cleared_baseline_rows(),
             description,
         )

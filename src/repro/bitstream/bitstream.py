@@ -171,9 +171,7 @@ class Bitstream:
         writer.write_command(Command.RCRC)
         writer.write_register(Register.IDCODE, [device_idcode(self.device_name)])
         writer.write_command(Command.WCFG)
-        # One bulk call for all FAR/FDRI pairs: the writer's vectorized path
-        # emits them as a single chunk with one CRC pass; the reference path
-        # iterates register writes word by word.  Identical streams.
+        # One bulk call for all FAR/FDRI pairs: a single chunk, one CRC pass.
         writer.write_frames(self._fars, self._block)
         writer.write_command(Command.LFRM)
         writer.write_command(Command.START)
@@ -245,39 +243,13 @@ def decode_frames(words: np.ndarray) -> Tuple[str, List[FrameRun]]:
 
     The functional core of :meth:`Bitstream.from_words`, also used by the
     ICAP's bulk commit, which does not need a :class:`Bitstream` wrapper.
-    With the fast path enabled the stream is scanned by index arithmetic
-    and each bulk FAR/FDRI run comes back as one FAR vector and one payload
-    view; the reference path walks :meth:`PacketReader.packets` word by
-    word and returns a run per frame.  Both verify the CRC and raise
-    identical errors.
+    Each bulk FAR/FDRI run comes back as one FAR vector and one payload
+    view (see :meth:`PacketReader.scan`).
     """
-    from ..engine import fastpath
-    from .packets import PacketReader, Register
+    from .packets import PacketReader
 
-    reader = PacketReader(words)
-    if fastpath.enabled():
-        decoded = reader.scan()
-        return _device_for_idcode(decoded.idcode), decoded.runs
-    idcode: int | None = None
-    current_far: int | None = None
-    runs: List[FrameRun] = []
-    for packet in reader.packets():
-        if not packet.is_write:
-            continue
-        if packet.register == Register.IDCODE and packet.payload:
-            idcode = packet.payload[0]
-        elif packet.register == Register.FAR and packet.payload:
-            current_far = FrameAddress.unpacked(packet.payload[0]).packed()
-        elif packet.register == Register.FDRI:
-            if current_far is None:
-                raise BitstreamError("FDRI write before any FAR write")
-            runs.append(
-                (
-                    np.array([current_far], dtype=np.uint32),
-                    np.array(packet.payload, dtype=np.uint32).reshape(1, -1),
-                )
-            )
-    return _device_for_idcode(idcode), runs
+    decoded = PacketReader(words).scan()
+    return _device_for_idcode(decoded.idcode), decoded.runs
 
 
 def concatenate(streams: Sequence[Bitstream]) -> Bitstream:

@@ -104,25 +104,20 @@ def initialize_static_configuration(
     bits in the rows *above and below* the region — the exact hazard the
     paper's partial configurations must not disturb.
 
-    The result is memoized per (device, region, seed): every rig
-    built for the same scenario parameters produces the identical image, so
-    the frame generation loop runs once per key and later builds restore
-    its snapshot (same data, same ``writes`` accounting).  Disabled together
-    with the other fast paths by ``REPRO_NO_FAST_PATH``.
+    The result is memoized per (device, region, seed): every rig built
+    for the same scenario parameters produces the identical image, so the
+    frame generation loop runs once per key and later builds restore its
+    snapshot (same data, same ``writes`` accounting).
     """
-    from ..engine import fastpath
-
-    use_memo = fastpath.enabled()
-    key = static_configuration_key(memory, region, seed) if use_memo else None
-    if use_memo:
-        hit = _STATIC_MEMO.get(key)
-        if hit is not None:
-            _RIG_TELEMETRY.hits += 1
-            image, n_writes = hit
-            memory.restore(image)
-            memory.writes += n_writes
-            return
-        _RIG_TELEMETRY.misses += 1
+    key = static_configuration_key(memory, region, seed)
+    hit = _STATIC_MEMO.get(key)
+    if hit is not None:
+        _RIG_TELEMETRY.hits += 1
+        image, n_writes = hit
+        memory.restore(image)
+        memory.writes += n_writes
+        return
+    _RIG_TELEMETRY.misses += 1
 
     writes_before = memory.writes
     frames = full_configuration_frames(memory, seed)
@@ -135,9 +130,7 @@ def initialize_static_configuration(
         if region_mask is not None and address in region_addresses:
             data = data & ~region_mask
         memory.write_frame(address, data)
-
-    if use_memo:
-        _STATIC_MEMO[key] = (memory.snapshot(), memory.writes - writes_before)
+    _STATIC_MEMO[key] = (memory.snapshot(), memory.writes - writes_before)
 
 
 def placement_frame_content(
@@ -188,59 +181,31 @@ def placement_frame_content(
     return place_bits(frame, abs_row0 * bits_per_row, content, component.height * bits_per_row)
 
 
-def region_clear_frame(
-    geometry: FrameGeometry, region: Region, address: FrameAddress, baseline: np.ndarray
-) -> np.ndarray:
-    """Baseline frame with the region's rows blanked.
-
-    Starting point for assembling a frame of a complete partial bitstream:
-    static rows keep their baseline content, region rows are cleared before
-    component content is placed.
-    """
-    mask = geometry.row_mask(region.rect.row, region.rect.row_end)
-    return baseline & ~mask
-
-
 def verify_preserves_static(memory_before: ConfigMemory, memory_after: ConfigMemory, region: Region) -> bool:
     """Check that only the region's rows changed between two memory states.
 
     Returns True when every frame outside the region's columns is
     bit-identical and, within region columns, all bits outside the region's
     row span are identical.
-    """
-    from ..engine import fastpath
 
+    Compares the union of both memories' written frames in a handful of
+    array operations.  Both memories' ``reads`` advance by the size of that
+    union whether the check passes or fails: a failure is not fatal
+    (:meth:`~repro.core.reconfig.ReconfigManager.load_robust` rolls back
+    and retries), so the accounting must not depend on where it failed.
+    """
     geometry = memory_before.geometry
     if geometry.device is not memory_after.geometry.device:
         raise LinkError("cannot compare configuration memories of different devices")
-    if fastpath.enabled():
-        # Whole-device comparison in a handful of array operations.  The
-        # read counters advance by the size of the written-address union on
-        # both memories, exactly as the reference loop below does when the
-        # check passes (on failure the reference stops mid-scan, but that
-        # path raises and aborts the run anyway).
-        rows = np.flatnonzero(memory_before.written_mask() | memory_after.written_mask())
-        memory_before.reads += len(rows)
-        memory_after.reads += len(rows)
-        before_rows = memory_before.data_rows(rows)
-        after_rows = memory_after.data_rows(rows)
-        in_region = np.zeros(geometry.frame_count(), dtype=bool)
-        in_region[region.frame_rows] = True
-        selector = in_region[rows]
-        if (before_rows[~selector] != after_rows[~selector]).any():
-            return False
-        keep = ~geometry.row_mask(region.rect.row, region.rect.row_end)
-        return not ((before_rows[selector] & keep) != (after_rows[selector] & keep)).any()
-    region_addresses = set(region.frame_addresses)
-    mask = geometry.row_mask(region.rect.row, region.rect.row_end)
-    addresses = set(memory_before.written_addresses()) | set(memory_after.written_addresses())
-    for address in addresses:
-        before = memory_before.read_frame(address)
-        after = memory_after.read_frame(address)
-        if address in region_addresses:
-            if not np.array_equal(before & ~mask, after & ~mask):
-                return False
-        else:
-            if not np.array_equal(before, after):
-                return False
-    return True
+    rows = np.flatnonzero(memory_before.written_mask() | memory_after.written_mask())
+    memory_before.reads += len(rows)
+    memory_after.reads += len(rows)
+    before_rows = memory_before.data_rows(rows)
+    after_rows = memory_after.data_rows(rows)
+    in_region = np.zeros(geometry.frame_count(), dtype=bool)
+    in_region[region.frame_rows] = True
+    selector = in_region[rows]
+    if (before_rows[~selector] != after_rows[~selector]).any():
+        return False
+    keep = ~geometry.row_mask(region.rect.row, region.rect.row_end)
+    return not ((before_rows[selector] & keep) != (after_rows[selector] & keep)).any()

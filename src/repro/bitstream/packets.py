@@ -20,11 +20,10 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import fastpath
 from ..errors import BitstreamError, CRCError
 from ..fabric.frames import check_far_words
 
@@ -71,19 +70,6 @@ class Command(enum.IntEnum):
     DESYNC = 0xD
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One decoded configuration packet."""
-
-    opcode: int
-    register: Register
-    payload: tuple[int, ...]
-
-    @property
-    def is_write(self) -> bool:
-        return self.opcode == _OP_WRITE
-
-
 def _type1_header(opcode: int, register: int, word_count: int) -> int:
     if word_count > TYPE1_MAX_WORDS:
         raise BitstreamError(f"Type-1 packet too long ({word_count} words)")
@@ -99,12 +85,9 @@ def _type2_header(opcode: int, word_count: int) -> int:
 class PacketWriter:
     """Serialises packets into a word stream, tracking a running CRC.
 
-    Two emission paths produce bit-identical streams: the per-word path of
-    :meth:`write_register` (scalar appends, per-word CRC blobs) and — when
-    :mod:`repro.engine.fastpath` is enabled — the array path of
-    :meth:`write_frames`, which queues a whole FAR/FDRI run as one chunk
-    and feeds a single little-endian byte view to ``zlib.crc32``.
-    ``finish`` concatenates the chunks once.
+    :meth:`write_register` appends scalar words; :meth:`write_frames`
+    queues a whole FAR/FDRI run as one array chunk and feeds its bytes to
+    ``zlib.crc32`` in one pass.  ``finish`` concatenates the chunks once.
     """
 
     def __init__(self) -> None:
@@ -148,22 +131,17 @@ class PacketWriter:
     def write_frames(self, fars: np.ndarray, block: np.ndarray) -> None:
         """Emit the FAR/FDRI packet pairs for a block of frame writes.
 
-        Equivalent to ``write_register(FAR, [fars[i]])`` followed by
-        ``write_register(FDRI, block[i])`` per frame.  With the fast path
-        on and Type-1-sized payloads, the headers, payload block and the
-        running-CRC byte stream are each built in one array pass.
+        The stream equals ``write_register(FAR, [fars[i]])`` followed by
+        ``write_register(FDRI, block[i])`` per frame; the headers, payload
+        block and running-CRC bytes are each built in one array pass.  A
+        frame wider than a Type-1 packet raises :class:`BitstreamError`.
         """
-        if not len(fars):
+        count = len(fars)
+        if not count:
             return
-        if fastpath.enabled() and 0 < block.shape[1] <= TYPE1_MAX_WORDS:
-            self._write_frames_fast(np.asarray(fars, dtype=np.uint32), np.ascontiguousarray(block))
-            return
-        for far, data in zip(fars, block):
-            self.write_register(Register.FAR, [int(far)])
-            self.write_register(Register.FDRI, data)
-
-    def _write_frames_fast(self, fars: np.ndarray, block: np.ndarray) -> None:
-        count, words_per_frame = block.shape
+        fars = np.asarray(fars, dtype=np.uint32)
+        block = np.ascontiguousarray(block)
+        words_per_frame = block.shape[1]
         # Stream layout per frame: FAR header, FAR word, FDRI header, payload.
         out = np.empty((count, 3 + words_per_frame), dtype=np.uint32)
         out[:, 0] = _type1_header(_OP_WRITE, int(Register.FAR), 1)
@@ -171,8 +149,8 @@ class PacketWriter:
         out[:, 2] = _type1_header(_OP_WRITE, int(Register.FDRI), words_per_frame)
         out[:, 3:] = block
         # Running CRC consumes, per frame: FAR register id (2 bytes LE), the
-        # FAR word, the FDRI register id, then the payload — the exact byte
-        # sequence the per-register reference path feeds zlib.crc32.
+        # FAR word, the FDRI register id, then the payload — the byte
+        # sequence write_register feeds zlib.crc32 for each register write.
         crc_bytes = np.empty((count, 8 + 4 * words_per_frame), dtype=np.uint8)
         crc_bytes[:, 0:2] = np.frombuffer(int(Register.FAR).to_bytes(2, "little"), np.uint8)
         crc_bytes[:, 2:6] = fars.astype("<u4", copy=False).view(np.uint8).reshape(count, 4)
@@ -221,71 +199,32 @@ class DecodedStream:
     #: block.  A bulk FAR/FDRI run is one entry; any other frame write is a
     #: run of one.
     runs: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    #: Per run, where its payload sits in the stream: ``(index of the first
+    #: payload word, words from one frame's payload to the next)``.
+    layout: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class PacketReader:
-    """Parses a word stream back into packets, verifying the CRC."""
+    """Parses a word stream, verifying the CRC: the one packet-header
+    parser of the toolchain."""
 
     def __init__(self, words: np.ndarray) -> None:
         self._words = np.asarray(words, dtype=np.uint32)
-        self._crc = 0
-
-    def packets(self) -> Iterator[Packet]:
-        """Decode all packets; raises :class:`CRCError` on a bad checksum."""
-        idx = 0
-        words = self._words
-        n = len(words)
-        # Skip dummies up to the sync word.
-        while idx < n and int(words[idx]) != SYNC_WORD:
-            if int(words[idx]) != DUMMY_WORD:
-                raise BitstreamError(f"unexpected word {int(words[idx]):#010x} before sync")
-            idx += 1
-        if idx == n:
-            raise BitstreamError("no sync word found")
-        idx += 1
-        pending_register: Register | None = None
-        while idx < n:
-            header = int(words[idx])
-            idx += 1
-            if header == DUMMY_WORD:
-                continue
-            ptype = header >> 29
-            opcode = (header >> 27) & 0x3
-            if ptype == _TYPE1:
-                register = Register((header >> 13) & 0x3FFF)
-                count = header & 0x7FF
-                payload = tuple(int(w) for w in words[idx : idx + count])
-                if len(payload) != count:
-                    raise BitstreamError("truncated Type-1 packet")
-                idx += count
-                pending_register = register
-                yield from self._deliver(opcode, register, payload)
-            elif ptype == _TYPE2:
-                if pending_register is None:
-                    raise BitstreamError("Type-2 packet without preceding Type-1")
-                count = header & ((1 << 27) - 1)
-                payload = tuple(int(w) for w in words[idx : idx + count])
-                if len(payload) != count:
-                    raise BitstreamError("truncated Type-2 packet")
-                idx += count
-                yield from self._deliver(opcode, pending_register, payload)
-            else:
-                raise BitstreamError(f"unknown packet type {ptype} in header {header:#010x}")
 
     def scan(self) -> DecodedStream:
-        """Vectorized single-pass decode: headers by index arithmetic,
-        payloads as array views, CRC over little-endian byte views.
+        """Single-pass decode: headers by index arithmetic, payloads as
+        array views, CRC over little-endian byte views.
 
-        Produces exactly the same accept/reject behaviour as iterating
-        :meth:`packets` (same error types and messages, including
-        :class:`CRCError` on a corrupted stream) while doing O(packets)
-        Python work instead of O(words).  Only the stream content consumed
-        by :meth:`repro.bitstream.bitstream.Bitstream.from_words` — the
-        IDCODE and the FAR/FDRI frame writes — is collected.
+        Raises :class:`BitstreamError` on a malformed stream and
+        :class:`CRCError` on a checksum mismatch, doing O(packets) Python
+        work.  Only the stream content consumed by
+        :meth:`repro.bitstream.bitstream.Bitstream.from_words` — the
+        IDCODE and the FAR/FDRI frame writes — is collected, with each
+        run's position in the stream.
 
         FAR words are checked (:func:`~repro.fabric.frames.check_far_words`)
-        *as they are parsed*, so malformed frame addresses surface at the
-        same point in the stream as on the reference path.
+        *as they are parsed*, so a malformed frame address fails the
+        stream at the packet that carries it.
         """
         words = np.ascontiguousarray(self._words, dtype="<u4")
         n = int(words.size)
@@ -312,8 +251,8 @@ class PacketReader:
             # is the repeating unit frame writers emit.  Consume the whole
             # run of identically-shaped frames with a few array ops and one
             # CRC pass; any deviation (corrupt header, dummy word, end of
-            # run) falls back to the generic per-packet decode below, so
-            # malformed streams fail exactly as on the reference path.
+            # run) falls back to the generic per-packet decode below, which
+            # reports the malformed packet.
             if header == far1_header and idx + 3 < n:
                 fdri_header = int(words[idx + 2])
                 frame_words = fdri_header & 0x7FF
@@ -340,6 +279,7 @@ class PacketReader:
                     check_far_words(fars)
                     current_far = int(fars[-1])
                     decoded.runs.append((fars.view(np.uint32), payloads.view(np.uint32)))
+                    decoded.layout.append((idx + 3, stride))
                     pending_register = Register.FDRI
                     idx += stride * run
                     continue
@@ -361,7 +301,8 @@ class PacketReader:
                 kind = "Type-2"
             else:
                 raise BitstreamError(f"unknown packet type {ptype} in header {header:#010x}")
-            payload = words[idx : idx + count]
+            start = idx
+            payload = words[start : start + count]
             if payload.size != count:
                 raise BitstreamError(f"truncated {kind} packet")
             idx += count
@@ -393,24 +334,5 @@ class PacketReader:
                 decoded.runs.append(
                     (np.array([current_far], dtype=np.uint32), payload.view(np.uint32)[None, :])
                 )
+                decoded.layout.append((start, count))
         return decoded
-
-    def _deliver(self, opcode: int, register: Register, payload: tuple[int, ...]) -> Iterator[Packet]:
-        if opcode == _OP_WRITE and register == Register.CRC:
-            if payload and payload[0] != self._crc:
-                raise CRCError(
-                    f"CRC mismatch: stream says {payload[0]:#010x}, computed {self._crc:#010x}"
-                )
-            yield Packet(opcode, register, payload)
-            return
-        if opcode == _OP_WRITE:
-            if register == Register.CMD and payload and payload[0] == Command.RCRC:
-                self._crc = 0
-            elif payload:
-                # Zero-length Type-1 headers (register announcements ahead of
-                # a Type-2 burst) carry no data and are not CRC'd.
-                blob = int(register).to_bytes(2, "little") + b"".join(
-                    int(w).to_bytes(4, "little") for w in payload
-                )
-                self._crc = zlib.crc32(blob, self._crc)
-        yield Packet(opcode, register, payload)

@@ -14,10 +14,11 @@ module.  The rules encode the modelling contract documented in
 * **LINT004** — no float arithmetic flowing into picosecond values.
   Timestamps are integer ps; an unrounded division assigned to a
   ``*_ps`` name (or passed as a ``*_ps`` argument) drifts simulated time.
-* **LINT005** — fast-path discipline.  Code invoking the vectorized burst
-  primitives must be guarded through :mod:`repro.engine.fastpath` (or a
-  local predicate over it), and nothing outside that module may read the
-  ``REPRO_NO_FAST_PATH`` environment variable directly.
+* **LINT005** — fast-path discipline.  Code invoking the vectorized bus
+  burst primitives (``request_burst``/``access_burst``) must be guarded
+  through :mod:`repro.engine.fastpath` (or a local predicate over it),
+  and nothing outside that module may read the ``REPRO_NO_FAST_PATH``
+  environment variable directly.
 * **LINT006** — scenario purity.  Functions registered with the
   ``@scenario(...)`` decorator are cached content-addressed by (source,
   params, version); wall-clock reads, ``global`` state, or mutation of
@@ -142,7 +143,7 @@ _WALL_CLOCK = {
 _FASTPATH_GUARDS = {"fastpath", "fast_path_active", "_fast_ok", "fast_ok"}
 
 #: Caller-side vectorized primitives that require a guard in scope.
-_FASTPATH_PRIMITIVES = {"request_burst", "access_burst", "push_words"}
+_FASTPATH_PRIMITIVES = {"request_burst", "access_burst"}
 
 #: Wrappers that coerce a float expression back to an integer.
 _INT_COERCIONS = {"int", "round", "floor", "ceil", "len", "max", "min", "divmod"}

@@ -575,15 +575,16 @@ class ReconfigManager:
         """
         memory = self.system.config_memory
         baseline = before.snapshot()
-        repair = [(address, before.read_frame(address)) for address, _ in memory.diff(baseline)]
-        if repair:
+        rows = memory.diff(baseline)
+        if rows.size:
             try:
                 self._feed_through_icap(
-                    Bitstream(
+                    Bitstream.from_block(
                         self.system.device.name,
                         BitstreamKind.PARTIAL_COMPLETE,
-                        repair,
-                        f"rollback of {len(repair)} frame(s)",
+                        memory.geometry.frame_fars()[rows],
+                        baseline.data_rows(rows),
+                        f"rollback of {rows.size} frame(s)",
                     )
                 )
             except ReconfigurationError:
@@ -591,7 +592,7 @@ class ReconfigManager:
                 # restore below; the attempt's bus time stays charged.
                 pass
         memory.restore(baseline)
-        return bool(repair)
+        return bool(rows.size)
 
     def clear(self) -> ReconfigResult:
         """Blank the dynamic region (complete partial bitstream of zeros)."""

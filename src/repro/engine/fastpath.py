@@ -1,10 +1,13 @@
 """Global switch for the vectorized burst fast path.
 
-The transfer stack keeps two implementations of every hot loop: the
+The bus transfer stack keeps two implementations of its hot loops: the
 per-beat reference path (ground truth, traceable) and a closed-form
 vectorized path that produces *identical* simulated timestamps, data and
 aggregate statistics while doing O(1) Python work per burst instead of
-O(beats).  This module is the single gate both consult:
+O(beats).  The switch reaches bus bursts, the DMA engine, ``run_steady``
+compilation and the serve simulator; the configuration-data path
+(BitLinker, packet codec, HWICAP) has one implementation and no switch.
+This module is the single gate the forked sites consult:
 
 * the ``REPRO_NO_FAST_PATH`` environment variable (any value other than
   ``""``/``"0"``/``"false"``) forces the reference path — used by the

@@ -11,7 +11,7 @@ plus a written-mask, both indexed by the device's frame catalogue:
 :class:`~repro.fabric.frames.FrameGeometry` maps a FAR-order address to
 its row, and an address the device does not have is a
 :class:`~repro.errors.BitstreamError`.  ``snapshot``/``restore`` are
-single array copies and ``diff`` is a vectorized row comparison, which is
+single array copies and ``diff`` is one row comparison, which is
 what makes repeated reconfiguration cycles cheap at XC2VP30 scale.  A
 :class:`ConfigSnapshot` is a read-only mapping of ``FrameAddress -> frame``
 whose members are the written frames.
@@ -20,7 +20,7 @@ whose members are the written frames.
 from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -243,22 +243,14 @@ class ConfigMemory:
         self._data[...] = snapshot._data
         self._written[...] = snapshot._written
 
-    def diff(self, baseline: ConfigSnapshot) -> Iterator[Tuple[FrameAddress, np.ndarray]]:
-        """Yield (address, data) for frames that differ from ``baseline``,
-        in FAR order.
+    def diff(self, baseline: ConfigSnapshot) -> np.ndarray:
+        """Rows whose frames differ from ``baseline``, in FAR order.
 
-        This is the content of a *differential* partial bitstream relative
-        to the baseline configuration.
+        Those frames are the content of a *differential* partial bitstream
+        relative to the baseline configuration.
         """
         self._check_same_device(baseline)
-        order = self.geometry.frame_order()
-        changed = np.flatnonzero((self._data != baseline._data).any(axis=1))
-        return ((order[row], self._data[row].copy()) for row in changed)
-
-    def written_addresses(self) -> Iterable[FrameAddress]:
-        """Addresses of frames that have been written at least once, in FAR order."""
-        order = self.geometry.frame_order()
-        return [order[row] for row in np.flatnonzero(self._written)]
+        return np.flatnonzero((self._data != baseline._data).any(axis=1))
 
     def __len__(self) -> int:
         return int(self._written.sum())

@@ -39,11 +39,8 @@ from typing import FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
-_TYPE1 = 0x1
-_TYPE2 = 0x2
-_FDRI_REGISTER = 0x2
-_SYNC_WORD = 0xAA995566
-_DUMMY_WORD = 0xFFFFFFFF
+from ..bitstream.packets import PacketReader
+from ..errors import BitstreamError
 
 
 def derive_rng_seed(seed: int, label: str) -> int:
@@ -63,36 +60,22 @@ def payload_word_indices(words: np.ndarray) -> np.ndarray:
     An SEU anywhere in the stream is *possible*, but a flip in a dummy or
     padding word is absorbed without consequence; campaigns that want a
     guaranteed-consequential upset aim at the CRC-covered frame payload.
-    Walks the Type-1/Type-2 headers the same way the packet reader does;
-    malformed streams simply yield fewer candidates (never an error —
-    this runs on data that is *about* to be corrupted anyway).
+    The positions come from :meth:`PacketReader.scan`'s run layout; a
+    stream the reader rejects yields no candidates (never an error — this
+    runs on data that is *about* to be corrupted anyway).  The reader
+    rejects a header naming no :class:`Register` with ``ValueError``.
     """
-    out: List[np.ndarray] = []
-    n = int(words.size)
-    idx = 0
-    while idx < n and int(words[idx]) != _SYNC_WORD:
-        idx += 1
-    idx += 1
-    register = None
-    while idx < n:
-        header = int(words[idx])
-        idx += 1
-        if header == _DUMMY_WORD:
-            continue
-        ptype = header >> 29
-        if ptype == _TYPE1:
-            register = (header >> 13) & 0x3FFF
-            count = header & 0x7FF
-        elif ptype == _TYPE2:
-            count = header & ((1 << 27) - 1)
-        else:
-            break
-        if register == _FDRI_REGISTER and count:
-            out.append(np.arange(idx, min(idx + count, n)))
-        idx += count
-    if not out:
+    try:
+        decoded = PacketReader(words).scan()
+    except (BitstreamError, ValueError):
         return np.zeros(0, dtype=np.int64)
-    return np.concatenate(out)
+    parts = [
+        (start + stride * np.arange(len(fars))[:, None] + np.arange(block.shape[1])).ravel()
+        for (fars, block), (start, stride) in zip(decoded.runs, decoded.layout)
+    ]
+    if not parts:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)

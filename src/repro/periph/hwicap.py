@@ -11,12 +11,10 @@ partial bitstreams BitLinker emits take measurably longer to load than
 differential ones (the trade-off the paper points out).
 
 Host-time note: the ingest FIFO is an amortised-growth uint32 array, so a
-whole staged bitstream can be pushed in one :meth:`OpbHwIcap.push_words`
-call and committed with one bulk decode + one bulk frame write when the
-fast path is enabled.  The readback FIFO is an array with a cursor, so
-draining it is O(words) total instead of the O(words²) a ``list.pop(0)``
-loop costs.  Both fast paths are functionally identical to the scalar
-reference: same frames, same counters, same errors, same simulated time.
+whole staged bitstream is pushed by :meth:`OpbHwIcap.load_words` in one
+copy and committed with one decode and one block write per frame run.  The
+readback FIFO is an array with a cursor, so draining it is O(words) total
+instead of the O(words²) a ``list.pop(0)`` loop costs.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from typing import Any, Tuple
 import numpy as np
 
 from ..bitstream.bitstream import check_run_sizes, decode_frames, device_idcode
-from ..engine import fastpath
 from ..engine.stats import StatsGroup
 from ..errors import BitstreamError, ReconfigurationError
 from ..fabric.config_memory import ConfigMemory
@@ -180,22 +177,6 @@ class OpbHwIcap:
         self._pending += 1
         self._status &= ~STATUS_DONE
 
-    def push_words(self, words: np.ndarray) -> None:
-        """Bulk FIFO push: append a whole uint32 block in one copy.
-
-        Equivalent to calling :meth:`_push_word` per element.  Callers gate
-        on :func:`repro.engine.fastpath.enabled`; with the fast path off the
-        scalar loop is used so reference runs exercise the word-by-word
-        ingest.
-        """
-        block = np.asarray(words, dtype=np.uint32).ravel()
-        if not block.size:
-            return
-        self._reserve(block.size)
-        self._buf[self._pending : self._pending + block.size] = block
-        self._pending += int(block.size)
-        self._status &= ~STATUS_DONE
-
     def _commit(self) -> None:
         """Parse everything received so far and update configuration memory."""
         if not self._pending:
@@ -224,15 +205,9 @@ class OpbHwIcap:
             rows = [memory.geometry.rows_of_fars(fars) for fars, _ in runs]
         except BitstreamError as err:
             raise self._bad_stream(err) from err
-        if fastpath.enabled():
-            for run_rows, (_, block) in zip(rows, runs):
-                memory.write_rows(run_rows, block)
-                self.frames_written += len(run_rows)
-        else:
-            for fars, block in runs:
-                for far, data in zip(fars, block):
-                    memory.write_frame(FrameAddress.unpacked(int(far)), data)
-                    self.frames_written += 1
+        for run_rows, (_, block) in zip(rows, runs):
+            memory.write_rows(run_rows, block)
+            self.frames_written += len(run_rows)
         if plan is not None:
             plan.take_post_commit_upset(
                 memory, [FrameAddress.unpacked(int(far)) for fars, _ in runs for far in fars]
@@ -255,14 +230,16 @@ class OpbHwIcap:
 
         The reconfiguration manager charges the bus/CPU time for the
         word-by-word feed separately (calibrated batch), then delivers the
-        words here so the frames actually land in configuration memory.
+        words here in one FIFO copy so the frames actually land in
+        configuration memory.  A non-empty stream clears ``STATUS_DONE``
+        until its commit succeeds, as word-by-word pushes do.
         """
-        fast_ok = fastpath.enabled()
-        if fast_ok and isinstance(words, np.ndarray):
-            self.push_words(words)
-        else:
-            for word in words:
-                self._push_word(int(word) & 0xFFFFFFFF)
+        block = np.asarray(words, dtype=np.uint32).ravel()
+        if block.size:
+            self._reserve(block.size)
+            self._buf[self._pending : self._pending + block.size] = block
+            self._pending += int(block.size)
+            self._status &= ~STATUS_DONE
         self._commit()
 
     def words_pending(self) -> int:

@@ -15,12 +15,13 @@ from repro.bitstream.generator import (
     verify_preserves_static,
 )
 from repro.dock.interface import dock_ports, kernel_ports
-from repro.engine import fastpath
 from repro.errors import LinkError, PortMismatchError, ResourceError
 from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP7, XC2VP30
 from repro.fabric.region import find_region
 from repro.fabric.resources import ResourceVector
+
+from .oracles import frame_path as oracle
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,23 @@ def test_link_preserves_static_rows(linker, region, booted):
     assert verify_preserves_static(before, after, region)
 
 
+@pytest.mark.parametrize(
+    "check", [verify_preserves_static, oracle.verify_preserves_static], ids=["shipped", "oracle"]
+)
+def test_a_failing_preservation_check_reads_the_whole_written_union(region, booted, check):
+    """A failed check is not fatal (a robust load rolls back and retries),
+    so both memories' reads advance by the written union, as on a pass."""
+    after = ConfigMemory(XC2VP7)
+    after.restore(booted.snapshot())
+    inside = set(region.frame_rows.tolist())
+    static_row = next(row for row in np.flatnonzero(after.written_mask()) if row not in inside)
+    after.flip_bit(static_row, 0, 0)
+    union = int((booted.written_mask() | after.written_mask()).sum())
+    reads = booted.reads, after.reads
+    assert not check(booted, after, region)
+    assert (booted.reads - reads[0], after.reads - reads[1]) == (union, union)
+
+
 def test_link_component_content_lands_in_region(linker, region, booted):
     stream = linker.link([Placement(component(), 0, 0)])
     # The region rows of the first component column must differ from the
@@ -247,7 +265,7 @@ def test_clear_bitstream_restores_boot_state(linker, region, booted):
         assert np.array_equal(current.read_frame(address), booted.read_frame(address))
 
 
-# -- fast path == reference ----------------------------------------------------
+# -- block assembly == per-frame oracle -------------------------------------
 
 #: The dynamic regions of the paper's two systems (figures 3 and 4).
 PAPER_REGIONS = {
@@ -318,14 +336,19 @@ def frames_of(stream):
 def test_fast_assembly_matches_reference(paper_linkers, assembly):
     system, placements = assembly
     linker, booted_memory = paper_linkers[system]
-    results = []
-    for mode in (fastpath.forced_on, fastpath.disabled):
-        with mode():
-            results.append((
-                frames_of(linker.link(placements)),
-                frames_of(linker.link_differential(placements, booted_memory)),
-                frames_of(linker.clear_bitstream()),
-            ))
-    fast, reference = results
+
+    def run():
+        reads = booted_memory.reads
+        return (
+            frames_of(linker.link(placements)),
+            frames_of(linker.link_differential(placements, booted_memory)),
+            frames_of(linker.clear_bitstream()),
+            booted_memory.reads - reads,
+        )
+
+    fast = run()
+    with pytest.MonkeyPatch.context() as patch:
+        oracle.per_frame_reference(patch)
+        reference = run()
     assert fast == reference
     assert fast[0] != fast[2]  # the placements did land content

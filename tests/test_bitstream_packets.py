@@ -1,4 +1,9 @@
-"""Tests for the configuration packet protocol."""
+"""Tests for the configuration packet protocol.
+
+Round trips decode through the packet-level oracle (every register, not
+only the frame writes :meth:`PacketReader.scan` collects); malformed
+streams go through ``scan`` itself.
+"""
 
 import numpy as np
 import pytest
@@ -13,9 +18,11 @@ from repro.bitstream.packets import (
 )
 from repro.errors import BitstreamError, CRCError
 
+from .oracles.frame_path import packets
+
 
 def roundtrip(writer: PacketWriter):
-    return list(PacketReader(writer.finish()).packets())
+    return list(packets(writer.finish()))
 
 
 def test_simple_register_write_roundtrip():
@@ -51,7 +58,7 @@ def test_crc_checked_on_read():
     idx = int(np.where(words == 7)[0][0])
     words[idx] = 8
     with pytest.raises(CRCError):
-        list(PacketReader(words).packets())
+        PacketReader(words).scan()
 
 
 def test_rcrc_resets_running_crc():
@@ -71,12 +78,12 @@ def test_desync_present_at_end():
 
 def test_reader_rejects_garbage_before_sync():
     with pytest.raises(BitstreamError):
-        list(PacketReader(np.array([0x123, SYNC_WORD], dtype=np.uint32)).packets())
+        PacketReader(np.array([0x123, SYNC_WORD], dtype=np.uint32)).scan()
 
 
 def test_reader_requires_sync():
     with pytest.raises(BitstreamError):
-        list(PacketReader(np.array([0xFFFFFFFF], dtype=np.uint32)).packets())
+        PacketReader(np.array([0xFFFFFFFF], dtype=np.uint32)).scan()
 
 
 def test_truncated_packet_detected():
@@ -86,7 +93,7 @@ def test_truncated_packet_detected():
     words = w.finish()[:-6]  # chop the tail mid-payload is messy; chop CRC
     # removing words mid-stream must raise either truncation or CRC error
     with pytest.raises(BitstreamError):
-        list(PacketReader(words[:5]).packets())
+        PacketReader(words[:5]).scan()
 
 
 def test_payload_word_masking():

@@ -298,31 +298,6 @@ def test_lint005_guarded_burst_is_clean():
     assert found == []
 
 
-def test_lint005_unguarded_icap_bulk_push():
-    found = lint(
-        """
-        def feed(self, words):
-            self.hwicap.push_words(words)
-        """
-    )
-    assert ids(found) == {"LINT005"}
-
-
-def test_lint005_guarded_icap_bulk_push_is_clean():
-    found = lint(
-        """
-        def feed(self, words):
-            fast_ok = fastpath.enabled()
-            if fast_ok:
-                self.hwicap.push_words(words)
-            else:
-                for word in words:
-                    self.hwicap.push_word(word)
-        """
-    )
-    assert found == []
-
-
 def test_lint005_env_var_literal_outside_fastpath_module():
     found = lint('import os\nflag = os.environ.get("REPRO_NO_FAST_PATH")\n')
     assert ids(found) == {"LINT005"}

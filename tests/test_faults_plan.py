@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.bitstream.packets import TYPE1_MAX_WORDS, Command, PacketWriter, Register
 from repro.errors import ReconfigurationError, TransferError
 from repro.faults import FaultPlan, arm, armed, disarm, payload_word_indices
 from repro.kernels import BrightnessKernel
+
+from .oracles import frame_path as oracle
 
 
 # -- seed derivation / determinism -------------------------------------------
@@ -59,9 +62,29 @@ def test_payload_flip_breaks_the_stream(system32):
     system32.hwicap.load_words(words)
 
 
+def test_payload_indices_of_a_type2_burst_match_the_header_walk():
+    # A Type-2 burst is decoded packet by packet, outside the bulk-run path.
+    w = PacketWriter()
+    w.write_command(Command.RCRC)
+    w.write_register(Register.FAR, [0])
+    w.write_register(Register.FDRI, list(range(TYPE1_MAX_WORDS + 10)))
+    w.write_register(Register.FAR, [1])
+    w.write_register(Register.FDRI, [7, 8, 9])
+    words = w.finish()
+    indices = payload_word_indices(words)
+    assert np.array_equal(indices, oracle.payload_word_indices(words))
+    assert indices.size == TYPE1_MAX_WORDS + 13
+
+
 def test_payload_indices_of_streams_without_sync():
     assert payload_word_indices(np.zeros(16, dtype=np.uint32)).size == 0
     assert payload_word_indices(np.zeros(0, dtype=np.uint32)).size == 0
+
+
+def test_payload_indices_of_a_stream_naming_an_unknown_register():
+    unknown = (1 << 29) | (2 << 27) | (0xA << 13) | 1  # Type-1 write to register 0xA
+    words = np.array([0xFFFFFFFF, 0xAA995566, unknown, 5], dtype=np.uint32)
+    assert payload_word_indices(words).size == 0
 
 
 # -- staged-SEU hook ---------------------------------------------------------

@@ -1,40 +1,43 @@
 """The block frame path: BitLinker's per-placement memo, the Bitstream's
-owned frame block, and the FAR-word row lookup the ICAP commits through."""
+owned frame block, the FAR-word row lookup the ICAP commits through, and
+the packet codec against the per-frame oracles on every rig stream."""
 
 import numpy as np
 import pytest
 
 import repro.bitstream.bitlinker as bitlinker
 from repro.bitstream.bitlinker import BitLinker, Placement, placement_block
-from repro.bitstream.bitstream import Bitstream, BitstreamKind
+from repro.bitstream.bitstream import Bitstream, BitstreamKind, decode_frames
 from repro.bitstream.component import ComponentConfig
 from repro.bitstream.generator import initialize_static_configuration
-from repro.engine import fastpath
+from repro.bitstream.packets import PacketWriter
 from repro.errors import BitstreamError
 from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP7
 from repro.fabric.frames import BlockType, FrameAddress, FrameGeometry
 from repro.fabric.region import find_region
 from repro.fabric.resources import ResourceVector
-from repro.scenarios.rigs import build_rig64
+from repro.faults import payload_word_indices
+from repro.scenarios.rigs import build_rig32, build_rig64
+
+from .oracles import frame_path as oracle
 
 
 def test_equal_components_share_one_placement_block(monkeypatch):
-    with fastpath.forced_on():
-        streams = []
-        for _ in range(2):
-            _, manager = build_rig64()
-            placements = [Placement(manager.component("sha1"), 0, 0)]
-            calls = []
-            original = bitlinker.placement_frame_content
+    streams = []
+    for _ in range(2):
+        _, manager = build_rig64()
+        placements = [Placement(manager.component("sha1"), 0, 0)]
+        calls = []
+        original = bitlinker.placement_frame_content
 
-            def counting(*args, _original=original, _calls=calls):
-                _calls.append(args)
-                return _original(*args)
+        def counting(*args, _original=original, _calls=calls):
+            _calls.append(args)
+            return _original(*args)
 
-            monkeypatch.setattr(bitlinker, "placement_frame_content", counting)
-            streams.append(manager.bitlinker.link(placements).to_words())
-            monkeypatch.undo()
+        monkeypatch.setattr(bitlinker, "placement_frame_content", counting)
+        streams.append(manager.bitlinker.link(placements).to_words())
+        monkeypatch.undo()
     assert streams[0].tobytes() == streams[1].tobytes()
     # The second rig rebuilt an equal component: its link reuses the block.
     assert calls == []
@@ -47,12 +50,11 @@ def test_the_placement_memo_stays_bounded():
     linker = BitLinker(region, memory.snapshot())
     bound = placement_block.cache_info().maxsize
     assert bound is not None
-    with fastpath.forced_on():
-        for index in range(bound + 8):
-            component = ComponentConfig(
-                name=f"memo{index}", width=1, height=1, resources=ResourceVector(slices=1)
-            )
-            linker.link([Placement(component, index % region.rect.width, 0)])
+    for index in range(bound + 8):
+        component = ComponentConfig(
+            name=f"memo{index}", width=1, height=1, resources=ResourceVector(slices=1)
+        )
+        linker.link([Placement(component, index % region.rect.width, 0)])
     assert placement_block.cache_info().currsize <= bound
 
 
@@ -91,3 +93,45 @@ def test_a_region_shares_its_frame_arrays_read_only():
     geometry = FrameGeometry(XC2VP7)
     assert np.array_equal(a.frame_rows, geometry.frame_rows(a.frame_addresses))
     assert np.array_equal(a.frame_fars, [address.packed() for address in a.frame_addresses])
+
+
+@pytest.fixture(scope="module")
+def rig_streams():
+    """Every stream the two rigs produce: the clear stream, plus the
+    complete and the differential link of every registered kernel."""
+    streams = []
+    for build in (build_rig32, build_rig64):
+        _, manager = build()
+        streams.append(manager.bitlinker.clear_bitstream())
+        for name in sorted(manager._library):
+            component = manager.component(name)
+            streams.append(manager._link(component, differential=False))
+            streams.append(manager._link(component, differential=True))
+    return streams
+
+
+def test_payload_word_indices_match_the_header_walk(rig_streams):
+    assert len(rig_streams) == 24
+    for stream in rig_streams:
+        words = stream.to_words()
+        indices = payload_word_indices(words)
+        assert np.array_equal(indices, oracle.payload_word_indices(words)), stream.description
+        assert indices.size == stream.payload_words
+
+
+def test_rig_streams_serialise_and_decode_as_the_packet_oracles(rig_streams, monkeypatch):
+    shipped = [stream.to_words() for stream in rig_streams]
+    monkeypatch.setattr(PacketWriter, "write_frames", oracle.write_frames)
+    for stream, words in zip(rig_streams, shipped):
+        assert words.tobytes() == stream.to_words().tobytes(), stream.description
+        device, runs = decode_frames(words)
+        want_device, want_runs = oracle.decode_frames(words)
+        assert device == want_device
+        assert np.array_equal(
+            np.concatenate([fars for fars, _ in runs]),
+            np.concatenate([fars for fars, _ in want_runs]),
+        )
+        assert np.array_equal(
+            np.concatenate([block for _, block in runs]),
+            np.concatenate([block for _, block in want_runs]),
+        )

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bitstream.bitstream import Bitstream, BitstreamKind
 from repro.bus.transaction import Op, Transaction
+from repro.engine import fastpath
 from repro.errors import ReconfigurationError
 from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP4, XC2VP7
@@ -19,6 +20,8 @@ from repro.periph.hwicap import (
     STATUS_ERROR,
     OpbHwIcap,
 )
+
+from .oracles.frame_path import per_frame_reference
 
 
 @pytest.fixture
@@ -77,13 +80,17 @@ def test_corrupt_stream_sets_error(icap):
     with pytest.raises(ReconfigurationError):
         controller.load_words(words)
     assert controller.crc_failures == 1
+    # The pushed block cleared DONE, and the failed commit did not set it.
+    _, status = controller.access(Transaction(Op.READ, 0x9000_0000 + REG_STATUS), 0)
+    assert status == STATUS_ERROR
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
-def test_commit_of_a_frame_the_device_lacks_fails_the_whole_stream(fast):
+def test_commit_of_a_frame_the_device_lacks_fails_the_whole_stream(fast, monkeypatch):
     from repro.core import build_system32
-    from repro.engine import fastpath
 
+    if not fast:
+        per_frame_reference(monkeypatch)
     with fastpath.forced_on() if fast else fastpath.disabled():
         system = build_system32()
         controller, memory = system.hwicap, system.config_memory
@@ -102,7 +109,7 @@ def test_commit_of_a_frame_the_device_lacks_fails_the_whole_stream(fast):
     assert controller.words_pending() == 0
     _, status = controller.access(Transaction(Op.READ, controller.base + REG_STATUS), 0)
     assert status & STATUS_ERROR
-    assert list(memory.diff(before)) == []
+    assert memory.diff(before).size == 0
     assert np.array_equal(memory.written_mask(), written)
     assert memory.writes == writes
 
@@ -138,11 +145,10 @@ def test_write_wait_states(icap):
     controller.reset()
 
 
-def test_ndarray_burst_accepted_by_reference_path(icap):
+def test_ndarray_burst_accepted_by_reference_path(icap, monkeypatch):
     # Regression: with the fast path disabled, an ndarray burst payload to
     # REG_DATA used to hit the scalar int() coercion and raise TypeError.
-    from repro.engine import fastpath
-
+    per_frame_reference(monkeypatch)
     controller, memory = icap
     words = sample_bitstream().to_words()
     with fastpath.disabled():
@@ -156,9 +162,7 @@ def test_ndarray_burst_accepted_by_reference_path(icap):
     assert controller.stats.get("data_writes") == len(words)
 
 
-def test_ndarray_burst_equivalent_across_paths():
-    from repro.engine import fastpath
-
+def test_ndarray_burst_equivalent_across_paths(monkeypatch):
     def ingest():
         memory = ConfigMemory(XC2VP4)
         controller = OpbHwIcap(memory, base=0x9000_0000)
@@ -177,6 +181,8 @@ def test_ndarray_burst_equivalent_across_paths():
 
     with fastpath.forced_on():
         fast = ingest()
+    per_frame_reference(monkeypatch)
     with fastpath.disabled():
         slow = ingest()
     assert fast == slow
+

@@ -1,13 +1,15 @@
-"""Reconfiguration-datapath fast-path equivalence contract.
+"""Reconfiguration-datapath equivalence contract.
 
-The vectorized reconfiguration datapath (NumPy packet codec, bulk ICAP
-ingest, array-backed configuration memory, bulk BitLinker assembly) must
-be *indistinguishable* from the word-by-word reference path: byte-identical
-serialised bitstreams, identical configuration-memory contents and access
-counters after load/swap/clear cycles, identical simulated timing in every
+The block reconfiguration datapath (array packet codec, bulk ICAP ingest,
+array-backed configuration memory, bulk BitLinker assembly) must be
+*indistinguishable* from the frame-at-a-time oracles in
+:mod:`tests.oracles.frame_path`: byte-identical serialised bitstreams,
+identical configuration-memory contents and access counters after
+load/swap/clear cycles, identical simulated timing in every
 :class:`ReconfigResult`, and identical failure behaviour on corrupt
-streams.  ``repro.engine.fastpath`` flips between the two worlds; these
-tests run the same workload in both and diff everything observable.
+streams.  Each test runs the same workload as shipped with the fast path
+forced on, and again with ``repro.engine.fastpath`` off (per-beat bus
+transfers) and the oracles installed, and diffs everything observable.
 """
 
 from __future__ import annotations
@@ -29,15 +31,19 @@ from repro.kernels import BrightnessKernel
 from repro.scenarios.perf import run_reconfig_cycles
 from repro.scenarios.rigs import build_rig64
 
+from .oracles.frame_path import per_frame_reference
+
 KERNEL = "brightness"
 ALTERNATE = "lookup2"
 
 
 def _both(scenario):
-    """Run ``scenario() -> value`` with the fast path forced on and off."""
+    """Run ``scenario() -> value`` as shipped with the fast path forced on,
+    then with it off and the per-frame oracles installed."""
     with fastpath.forced_on():
         fast = scenario()
-    with fastpath.disabled():
+    with pytest.MonkeyPatch.context() as patch, fastpath.disabled():
+        per_frame_reference(patch)
         slow = scenario()
     return fast, slow
 
@@ -54,9 +60,8 @@ def test_serialized_clear_stream_byte_identical():
 
 
 def test_decode_agrees_with_reference_path():
-    with fastpath.disabled():
-        _, manager = build_rig64()
-        words = manager.bitlinker.clear_bitstream().to_words()
+    _, manager = build_rig64()
+    words = manager.bitlinker.clear_bitstream().to_words()
 
     fast, slow = _both(lambda: Bitstream.from_words(words.copy()))
     assert fast.device_name == slow.device_name
@@ -267,7 +272,7 @@ def _corrupt_feeds(system, manager, samples, sites, word, sticky=False):
 
 
 def _readback_observables(name, scenario):
-    """``scenario(system, manager)`` with the fast path on and off, plus
+    """``scenario(system, manager)`` as shipped and under the oracles, plus
     every observable the batched readback could disturb."""
 
     def run():
@@ -374,7 +379,8 @@ def test_verified_load_readback_identical(name, samples, sites, word):
 
 def test_scrub_rejects_a_reference_to_a_missing_frame():
     """A reference frame outside the device catalogue fails the scrub
-    before any frame is read back or any time is charged, on both paths."""
+    before any frame is read back or any time is charged, as shipped and
+    under the oracles."""
 
     def scenario(system, manager):
         manager.mark_golden()

@@ -62,7 +62,6 @@ def test_verified_load_detects_corruption(system32, monkeypatch):
 
     def corrupting(words):
         original(words)
-        addresses = list(system32.config_memory.written_addresses())
         victim = system32.region.frame_addresses[0]
         frame = system32.config_memory.read_frame(victim)
         frame[0] ^= 0xFFFFFFFF

@@ -17,6 +17,8 @@ from repro.bitstream.generator import (
 from repro.core import build_system32, build_system64
 from repro.engine import fastpath
 
+from .oracles.frame_path import per_frame_reference
+
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
@@ -35,24 +37,28 @@ def test_memo_hit_restores_identical_memory(builder):
     with fastpath.forced_on():
         cold = _memory_state(builder())  # miss: generates and stores
         warm = _memory_state(builder())  # hit: restores
-    with fastpath.disabled():
-        reference = _memory_state(builder())
-    for label, state in (("warm", warm), ("reference", reference)):
+        assert (rig_memo_telemetry().hits, rig_memo_telemetry().misses) == (1, 1)
+        reset_rig_memo()
+        regenerated = _memory_state(builder())  # miss after the reset: regenerates
+    with pytest.MonkeyPatch.context() as patch, fastpath.disabled():
+        per_frame_reference(patch)
+        reference = _memory_state(builder())  # frame by frame, memo untouched
+    for label, state in (("warm", warm), ("regenerated", regenerated), ("reference", reference)):
         data, written, writes, reads = state
         assert np.array_equal(cold[0], data), label
         assert np.array_equal(cold[1], written), label
         assert cold[2] == writes, f"{label} writes accounting diverged"
         assert cold[3] == reads, f"{label} reads accounting diverged"
     assert rig_memo_telemetry().misses == 1
-    assert rig_memo_telemetry().hits == 1
+    assert rig_memo_telemetry().hits == 0
 
 
-def test_fastpath_off_bypasses_the_memo():
+def test_the_memo_runs_with_the_fast_path_off():
     with fastpath.disabled():
         build_system32()
         build_system32()
-    assert rig_memo_telemetry().hits == 0
-    assert rig_memo_telemetry().misses == 0
+    assert rig_memo_telemetry().hits == 1
+    assert rig_memo_telemetry().misses == 1
 
 
 def test_key_separates_devices_and_seeds():
