@@ -215,9 +215,10 @@ class PacketReader:
         """Single-pass decode: headers by index arithmetic, payloads as
         array views, CRC over little-endian byte views.
 
-        Raises :class:`BitstreamError` on a malformed stream and
-        :class:`CRCError` on a checksum mismatch, doing O(packets) Python
-        work.  Only the stream content consumed by
+        Raises :class:`BitstreamError` on a malformed stream (a header
+        naming no :class:`Register` or a FAR word naming no block type
+        included) and :class:`CRCError` on a checksum mismatch, doing
+        O(packets) Python work.  Only the stream content consumed by
         :meth:`repro.bitstream.bitstream.Bitstream.from_words` — the
         IDCODE and the FAR/FDRI frame writes — is collected, with each
         run's position in the stream.
@@ -228,12 +229,12 @@ class PacketReader:
         """
         words = np.ascontiguousarray(self._words, dtype="<u4")
         n = int(words.size)
-        # Skip dummies up to the sync word.
-        nondummy = np.flatnonzero(words != DUMMY_WORD)
-        if nondummy.size == 0:
+        # Skip dummies up to the sync word: argmax gives the first
+        # non-dummy word (index 0 when there is none).
+        idx = int(np.argmax(words != DUMMY_WORD)) if n else 0
+        first = int(words[idx]) if n else DUMMY_WORD
+        if first == DUMMY_WORD:
             raise BitstreamError("no sync word found")
-        idx = int(nondummy[0])
-        first = int(words[idx])
         if first != SYNC_WORD:
             raise BitstreamError(f"unexpected word {first:#010x} before sync")
         idx += 1
@@ -289,7 +290,10 @@ class PacketReader:
             ptype = header >> 29
             opcode = (header >> 27) & 0x3
             if ptype == _TYPE1:
-                register = Register((header >> 13) & 0x3FFF)
+                try:
+                    register = Register((header >> 13) & 0x3FFF)
+                except ValueError:
+                    raise BitstreamError(f"unknown register in header {header:#010x}") from None
                 count = header & 0x7FF
                 kind = "Type-1"
                 pending_register = register

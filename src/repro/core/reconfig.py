@@ -398,8 +398,9 @@ class ReconfigManager:
         golden snapshot captured by the last successful ``load_robust`` /
         :meth:`mark_golden`) through the ICAP, and rewrites only the
         frames whose readback mismatches — the periodic scrubbing pass a
-        radiation-tolerant deployment would schedule.  A reference that
-        names a frame the device lacks raises before any time is charged.
+        radiation-tolerant deployment would schedule.  A snapshot of
+        another device, or a reference that names a frame the device lacks,
+        raises before any time is charged.
         """
         ref = reference if reference is not None else self._golden
         if ref is None:
@@ -407,15 +408,21 @@ class ReconfigManager:
                 "no golden snapshot to scrub against; call load_robust()/"
                 "mark_golden() first or pass an explicit reference"
             )
-        addresses = list(ref)
         geometry = self.system.config_memory.geometry
-        try:
-            rows = geometry.frame_rows(addresses)
-        except BitstreamError as err:
-            raise ReconfigurationError(f"scrub reference: {err}") from err
         if isinstance(ref, ConfigSnapshot):
-            expected = ref.rows_for(addresses)
+            if ref.geometry.device != geometry.device:
+                raise ReconfigurationError(
+                    f"scrub reference: snapshot of {ref.geometry.device.name} does not "
+                    f"fit the {geometry.device.name} configuration memory"
+                )
+            rows = ref.written_rows()
+            expected = ref.data_rows(rows)
         else:
+            addresses = list(ref)
+            try:
+                rows = geometry.frame_rows(addresses)
+            except BitstreamError as err:
+                raise ReconfigurationError(f"scrub reference: {err}") from err
             expected = np.array([ref[address] for address in addresses], dtype=np.uint32)
         fars = geometry.frame_fars()[rows]
         cpu = self.system.cpu
@@ -425,10 +432,11 @@ class ReconfigManager:
             self._feed_frames(
                 fars[repair], expected[repair], f"scrub repair of {repair.size} frame(s)"
             )
+        order = geometry.frame_order()
         return ScrubReport(
-            frames_checked=len(ref),
+            frames_checked=len(rows),
             frames_repaired=int(repair.size),
-            repaired=[addresses[position] for position in repair],
+            repaired=[order[row] for row in rows[repair]],
             elapsed_ps=cpu.now_ps - start,
         )
 

@@ -54,25 +54,21 @@ class ConfigSnapshot(MappingABC):
 
     def __iter__(self) -> Iterator[FrameAddress]:
         order = self.geometry.frame_order()
-        for row in np.flatnonzero(self._written):
+        for row in self.written_rows():
             yield order[row]
 
     def __len__(self) -> int:
         return int(self._written.sum())
 
     # -- bulk access (fast paths) ----------------------------------------
-    def rows_for(self, addresses: Sequence[FrameAddress]) -> np.ndarray:
-        """Stacked ``(len(addresses), words_per_frame)`` copy of frames.
-
-        Unwritten frames come back as zeros, matching ``get(addr, empty)``
-        over the mapping interface.
-        """
-        rows = self.geometry.frame_rows(addresses)
-        return self._data[rows]
-
     def data_rows(self, rows: np.ndarray) -> np.ndarray:
         """Stacked copy of the given dense rows (zeros when unwritten)."""
         return self._data[rows]
+
+    def written_rows(self) -> np.ndarray:
+        """Dense rows of the written frames, in FAR order (the mapping's
+        iteration order)."""
+        return np.flatnonzero(self._written)
 
 
 class ConfigMemory:
@@ -191,15 +187,16 @@ class ConfigMemory:
         self,
         rng: np.random.Generator,
         flips: int = 1,
-        addresses: Sequence[FrameAddress] = None,
+        rows: np.ndarray = None,
         include_unwritten: bool = False,
     ) -> List[Tuple[FrameAddress, int, int]]:
         """Flip random bits in written frames (fault injection only).
 
         Models a radiation upset, not a bus access: the read/write
-        counters do *not* advance and no timing is charged.  ``addresses``
-        restricts the strike to specific frames (e.g. the frames a commit
-        just wrote); by default any written frame is fair game.
+        counters do *not* advance and no timing is charged.  ``rows``
+        restricts the strike to specific frames by dense row, drawn in the
+        order given (e.g. the frames a commit just wrote); by default any
+        written frame is fair game.
         ``include_unwritten=True`` widens the target set to the *whole*
         frame catalogue — the Monte-Carlo campaigns sample the full
         configuration space, where strikes on never-written frames are
@@ -208,10 +205,9 @@ class ConfigMemory:
         memory holds nothing to corrupt.
         """
         order = self.geometry.frame_order()
-        if addresses is None:
+        if rows is None:
             rows = np.arange(self._written.size, dtype=np.int64)
-        else:
-            rows = self.geometry.frame_rows(addresses)
+        rows = np.asarray(rows)
         if not include_unwritten:
             rows = rows[self._written[rows]]
         if rows.size == 0:

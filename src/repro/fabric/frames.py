@@ -74,11 +74,13 @@ class FrameAddress:
 
 
 def check_far_words(fars: np.ndarray) -> None:
-    """Raise as :meth:`FrameAddress.unpacked` does on the first FAR word
-    whose block field names no :class:`BlockType`."""
-    bad = np.flatnonzero(((np.asarray(fars) >> 24) & 0x3) > max(BlockType))
+    """Raise :class:`BitstreamError` on the first FAR word whose block
+    field names no :class:`BlockType`, with the message
+    :meth:`FrameAddress.unpacked` would give."""
+    blocks = (np.asarray(fars) >> 24) & 0x3
+    bad = np.flatnonzero(blocks > max(BlockType))
     if bad.size:
-        FrameAddress.unpacked(int(fars[bad[0]]))
+        raise BitstreamError(f"{int(blocks[bad[0]])} is not a valid {BlockType.__name__}")
 
 
 class FrameGeometry:

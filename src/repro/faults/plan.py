@@ -61,13 +61,13 @@ def payload_word_indices(words: np.ndarray) -> np.ndarray:
     padding word is absorbed without consequence; campaigns that want a
     guaranteed-consequential upset aim at the CRC-covered frame payload.
     The positions come from :meth:`PacketReader.scan`'s run layout; a
-    stream the reader rejects yields no candidates (never an error — this
-    runs on data that is *about* to be corrupted anyway).  The reader
-    rejects a header naming no :class:`Register` with ``ValueError``.
+    stream the reader rejects with :class:`BitstreamError` yields no
+    candidates (never an error — this runs on data that is *about* to be
+    corrupted anyway).
     """
     try:
         decoded = PacketReader(words).scan()
-    except (BitstreamError, ValueError):
+    except BitstreamError:
         return np.zeros(0, dtype=np.int64)
     parts = [
         (start + stride * np.arange(len(fars))[:, None] + np.arange(block.shape[1])).ravel()
@@ -185,18 +185,19 @@ class FaultPlan:
             return []
         return self._upset(memory, f"upset:{index}", self.upset_flips, site=f"load[{index}]")
 
-    def take_post_commit_upset(self, memory, addresses) -> List[object]:
-        """Maybe upset one of the frames a commit just wrote."""
+    def take_post_commit_upset(self, memory, rows: np.ndarray) -> List[object]:
+        """Maybe upset one of the frames a commit just wrote (their dense
+        ``rows``, in stream order)."""
         index = self._post_commit_ordinal
         self._post_commit_ordinal += 1
-        if index not in self.post_commit_upsets or not addresses:
+        if index not in self.post_commit_upsets or not len(rows):
             return []
         return self._upset(
             memory,
             f"post-commit:{index}",
             self.post_commit_flips,
             site=f"commit[{index}]",
-            addresses=addresses,
+            rows=rows,
         )
 
     def upset_now(self, memory) -> List[object]:
@@ -204,9 +205,9 @@ class FaultPlan:
         index = self._load_ordinal  # share the derivation stream
         return self._upset(memory, f"upset-now:{index}", self.upset_flips, site="idle")
 
-    def _upset(self, memory, label: str, flips: int, site: str, addresses=None) -> List[object]:
+    def _upset(self, memory, label: str, flips: int, site: str, rows=None) -> List[object]:
         rng = self._rng(label)
-        flipped = memory.inject_upset(rng, flips=flips, addresses=addresses)
+        flipped = memory.inject_upset(rng, flips=flips, rows=rows)
         for address, word, bit in flipped:
             self.injected.append(
                 InjectedFault("memory-upset", site, f"{address} word {word} bit {bit}")

@@ -47,6 +47,7 @@ CTRL_COMMIT = 0x1
 CTRL_READBACK = 0x2
 
 _EMPTY_WORDS = np.zeros(0, dtype=np.uint32)
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class OpbHwIcap:
@@ -209,9 +210,7 @@ class OpbHwIcap:
             memory.write_rows(run_rows, block)
             self.frames_written += len(run_rows)
         if plan is not None:
-            plan.take_post_commit_upset(
-                memory, [FrameAddress.unpacked(int(far)) for fars, _ in runs for far in fars]
-            )
+            plan.take_post_commit_upset(memory, np.concatenate(rows) if rows else _NO_ROWS)
         self._pending = 0
         self._status = STATUS_DONE
 

@@ -339,6 +339,7 @@ def dse_recovery(
     manager.mark_golden()
     golden = system.config_memory.snapshot()
     addresses = list(golden)
+    written = golden.written_rows()
     require(bool(addresses), "loaded kernel wrote no frames")
     sampled = set(_verify_indices(len(addresses), verify_samples))
 
@@ -350,7 +351,7 @@ def dse_recovery(
         rng = np.random.default_rng(derive_seed(seed, f"dse_recovery:{trial}"))
         index = int(rng.integers(len(addresses)))
         address = addresses[index]
-        flips = system.config_memory.inject_upset(rng, flips=1, addresses=[address])
+        flips = system.config_memory.inject_upset(rng, flips=1, rows=written[index : index + 1])
         require(len(flips) == 1, "expected exactly one injected upset")
         scrub_in_us = float(rng.uniform(0.0, float(scrub_period_us)))
         use_in_us = float(rng.uniform(0.0, float(use_window_us)))

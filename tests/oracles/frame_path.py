@@ -323,7 +323,9 @@ def commit(icap: OpbHwIcap) -> None:
         memory.write_frame(address, data)
         icap.frames_written += 1
     if plan is not None:
-        plan.take_post_commit_upset(memory, [address for address, _ in frames])
+        plan.take_post_commit_upset(
+            memory, memory.geometry.frame_rows([address for address, _ in frames])
+        )
     icap._pending = 0
     icap._status = STATUS_DONE
 

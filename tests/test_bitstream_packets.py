@@ -8,6 +8,7 @@ streams go through ``scan`` itself.
 import numpy as np
 import pytest
 
+from repro.bitstream.bitstream import Bitstream
 from repro.bitstream.packets import (
     SYNC_WORD,
     TYPE1_MAX_WORDS,
@@ -84,6 +85,51 @@ def test_reader_rejects_garbage_before_sync():
 def test_reader_requires_sync():
     with pytest.raises(BitstreamError):
         PacketReader(np.array([0xFFFFFFFF], dtype=np.uint32)).scan()
+
+
+#: A Type-1 write of one word to register 0xA, which names no Register.
+UNKNOWN_REGISTER_STREAM = np.array(
+    [0xFFFFFFFF, SYNC_WORD, (1 << 29) | (2 << 27) | (0xA << 13) | 1, 5], dtype=np.uint32
+)
+
+
+def _far_block_3_stream(bulk):
+    """A frame write whose FAR word has block field 3 (no BlockType)."""
+    writer = PacketWriter()
+    far, payload = 3 << 24, np.zeros(4, dtype=np.uint32)
+    if bulk:
+        writer.write_frames(np.array([far], dtype=np.uint32), payload[None, :])
+    else:
+        writer.write_register(Register.FAR, [far])
+        writer.write_command(Command.NULL)
+        writer.write_register(Register.FDRI, payload)
+    return writer.finish()
+
+
+MALFORMED = {
+    "unknown register": (UNKNOWN_REGISTER_STREAM, "unknown register in header 0x30014001"),
+    "FAR block 3, bulk run": (_far_block_3_stream(True), "3 is not a valid BlockType"),
+    "FAR block 3, single write": (_far_block_3_stream(False), "3 is not a valid BlockType"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_reader_and_from_words_reject_a_field_naming_nothing(case):
+    words, message = MALFORMED[case]
+    with pytest.raises(BitstreamError, match=message):
+        PacketReader(words).scan()
+    with pytest.raises(BitstreamError, match=message):
+        Bitstream.from_words(words)
+
+
+def test_reader_skips_leading_dummies_to_the_sync_word():
+    stream = PacketWriter().finish()
+    padded = np.concatenate([np.full(7, 0xFFFFFFFF, dtype=np.uint32), stream])
+    assert PacketReader(padded).scan().runs == PacketReader(stream).scan().runs == []
+    with pytest.raises(BitstreamError, match="no sync word"):
+        PacketReader(np.zeros(0, dtype=np.uint32)).scan()
+    with pytest.raises(BitstreamError, match="no sync word"):
+        PacketReader(np.full(5, 0xFFFFFFFF, dtype=np.uint32)).scan()
 
 
 def test_truncated_packet_detected():

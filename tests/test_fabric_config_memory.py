@@ -220,18 +220,28 @@ def test_inject_upset_is_counter_silent(mem):
 def test_inject_upset_respects_address_restriction(mem):
     mem.write_frame(addr(0), frame_of(mem, 1))
     mem.write_frame(addr(2), frame_of(mem, 1))
-    flips = mem.inject_upset(_rng(), flips=12, addresses=[addr(2)])
+    flips = mem.inject_upset(_rng(), flips=12, rows=mem.geometry.frame_rows([addr(2)]))
     assert {address for address, _, _ in flips} == {addr(2)}
 
 
 def test_inject_upset_address_restriction_skips_unwritten_unless_asked(mem):
     mem.write_frame(addr(0), frame_of(mem, 1))
-    assert mem.inject_upset(_rng(), flips=4, addresses=[addr(3)]) == []
-    flips = mem.inject_upset(
-        _rng(), flips=4, addresses=[addr(3)], include_unwritten=True
-    )
+    rows = mem.geometry.frame_rows([addr(3)])
+    assert mem.inject_upset(_rng(), flips=4, rows=rows) == []
+    flips = mem.inject_upset(_rng(), flips=4, rows=rows, include_unwritten=True)
     assert {address for address, _, _ in flips} == {addr(3)}
     assert not mem.written_mask()[mem.geometry.frame_index(addr(3))]
+
+
+def test_snapshot_written_rows_follow_the_mapping_order(mem):
+    for major in (3, 1, 2):
+        mem.write_frame(addr(major), frame_of(mem, major))
+    snapshot = mem.snapshot()
+    order = mem.geometry.frame_order()
+    assert [order[row] for row in snapshot.written_rows()] == list(snapshot)
+    assert np.array_equal(
+        snapshot.data_rows(snapshot.written_rows()), np.stack([snapshot[a] for a in snapshot])
+    )
 
 
 def test_inject_upset_actually_corrupts_and_is_seeded(mem):

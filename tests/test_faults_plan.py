@@ -87,6 +87,12 @@ def test_payload_indices_of_a_stream_naming_an_unknown_register():
     assert payload_word_indices(words).size == 0
 
 
+def test_payload_indices_of_a_stream_naming_an_unknown_block_type():
+    writer = PacketWriter()
+    writer.write_frames(np.array([3 << 24], dtype=np.uint32), np.zeros((1, 4), dtype=np.uint32))
+    assert payload_word_indices(writer.finish()).size == 0
+
+
 # -- staged-SEU hook ---------------------------------------------------------
 
 def test_corrupt_staged_only_fires_on_scheduled_ordinals(system32):

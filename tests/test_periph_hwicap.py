@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.bitstream.bitstream import Bitstream, BitstreamKind
+from repro.bitstream.bitstream import Bitstream, BitstreamKind, device_idcode
+from repro.bitstream.packets import Command, PacketWriter, Register
 from repro.bus.transaction import Op, Transaction
 from repro.engine import fastpath
 from repro.errors import ReconfigurationError
 from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP4, XC2VP7
 from repro.fabric.frames import BlockType, FrameAddress
+from repro.faults.plan import FaultPlan
 from repro.periph.hwicap import (
     CTRL_READBACK,
     REG_CONTROL,
@@ -83,6 +85,51 @@ def test_corrupt_stream_sets_error(icap):
     # The pushed block cleared DONE, and the failed commit did not set it.
     _, status = controller.access(Transaction(Op.READ, 0x9000_0000 + REG_STATUS), 0)
     assert status == STATUS_ERROR
+
+
+def test_a_stream_naming_an_unknown_register_is_a_bad_bitstream(icap):
+    controller, memory = icap
+    unknown = (1 << 29) | (2 << 27) | (0xA << 13) | 1  # Type-1 write to register 0xA
+    words = np.array([0xFFFFFFFF, 0xAA995566, unknown, 5], dtype=np.uint32)
+    with pytest.raises(ReconfigurationError, match="bad bitstream: unknown register"):
+        controller.load_words(words)
+    assert controller.crc_failures == 1
+    assert controller.frames_written == 0
+    _, status = controller.access(Transaction(Op.READ, 0x9000_0000 + REG_STATUS), 0)
+    assert status == STATUS_ERROR
+
+
+def test_a_post_commit_upset_draws_from_the_committed_rows_in_stream_order(monkeypatch):
+    """A commit of several runs hands the armed plan its rows in stream
+    order: the strikes match the per-frame commit's, flip for flip."""
+
+    def run():
+        memory = ConfigMemory(XC2VP4)
+        controller = OpbHwIcap(memory, base=0x9000_0000)
+        controller.fault_plan = FaultPlan(3, post_commit_upsets={0}, post_commit_flips=8)
+        order = memory.geometry.frame_order()
+        fars = np.array([order[row].packed() for row in (40, 7, 300, 12, 99)], dtype=np.uint32)
+        block = np.arange(fars.size * XC2VP4.words_per_frame, dtype=np.uint32)
+        writer = PacketWriter()
+        writer.write_command(Command.RCRC)
+        writer.write_register(Register.IDCODE, [device_idcode(XC2VP4.name)])
+        writer.write_command(Command.WCFG)
+        writer.write_frames(fars[:2], block.reshape(fars.size, -1)[:2])
+        writer.write_command(Command.NULL)  # ends the first run
+        writer.write_frames(fars[2:], block.reshape(fars.size, -1)[2:])
+        controller.load_words(writer.finish())
+        return controller.fault_plan.injected, memory.snapshot()
+
+    shipped, shipped_memory = run()
+    per_frame_reference(monkeypatch)
+    reference, reference_memory = run()
+    assert len(shipped) == 8
+    assert shipped == reference
+    assert ConfigMemory(XC2VP4).diff(shipped_memory).size == 5
+    assert np.array_equal(
+        shipped_memory.data_rows(np.arange(XC2VP4.total_frames)),
+        reference_memory.data_rows(np.arange(XC2VP4.total_frames)),
+    )
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])

@@ -377,6 +377,48 @@ def test_verified_load_readback_identical(name, samples, sites, word):
     assert fast == slow
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_snapshot_reference_scrubs_as_the_same_frames_in_a_dict(name):
+    """A :class:`ConfigSnapshot` reference (read by dense row) checks,
+    repairs, reports and charges exactly what a plain dict of its frames
+    (read by address) does."""
+
+    def scenario(as_dict):
+        system, manager = _fresh(name)
+        manager.load_robust(KERNEL, verify_samples=2)
+        golden = system.config_memory.snapshot()
+        addresses = list(golden)
+        upset = _positions(("probed", "extrapolated", "last"), len(addresses))
+        for position in upset:
+            _upset(system, addresses[position], 1)
+        reference = {address: golden[address] for address in addresses} if as_dict else golden
+        report = manager.scrub(reference=reference)
+        assert report.repaired == [addresses[position] for position in upset]
+        return (
+            report, system.cpu.now_ps,
+            [group.snapshot() for group in (system.cpu.stats, system.hwicap.stats)],
+            system.config_memory.reads, system.config_memory.writes,
+            system.config_memory.diff(golden).tolist(),
+        )
+
+    with fastpath.forced_on():
+        by_rows, by_addresses = scenario(False), scenario(True)
+    assert by_rows == by_addresses
+    assert by_rows[0].frames_repaired == 3
+    assert by_rows[-1] == []
+
+
+def test_scrub_rejects_a_snapshot_of_another_device():
+    system64, manager = _fresh("system64")
+    manager.mark_golden()
+    system32 = build_system32()
+    start = system64.cpu.now_ps
+    with pytest.raises(ReconfigurationError, match="scrub reference: snapshot of"):
+        manager.scrub(reference=system32.config_memory.snapshot())
+    assert system64.cpu.now_ps == start
+    assert system64.hwicap.frames_read_back == 0
+
+
 def test_scrub_rejects_a_reference_to_a_missing_frame():
     """A reference frame outside the device catalogue fails the scrub
     before any frame is read back or any time is charged, as shipped and

@@ -2,9 +2,9 @@
 
 Hypothesis drives random operation sequences against a component and a
 trivially correct reference model in lockstep; any divergence is a bug in
-the component.  Covered: the output FIFO vs a deque, the cache's tag state
-vs an explicit LRU dictionary, and the configuration memory vs a dict of
-frames.
+the component.  Covered: the output FIFO vs a deque, the 2- and 4-way
+cache's tag state vs an explicit LRU dictionary, and the configuration
+memory vs a dict of frames.
 """
 
 import numpy as np
@@ -74,8 +74,8 @@ class CacheMachine(RuleBasedStateMachine):
         line = address // self.LINE
         return line % self.SETS, line // self.SETS
 
-    @rule(address=st.integers(0, 4095), write=st.booleans())
-    def access(self, address, write):
+    def _reference(self, address, write):
+        """One reference in the model: ``(hit, dirty eviction address)``."""
         index, tag = self._locate(address)
         lines = self.model[index]
         expected_hit = any(t == tag for t, _ in lines)
@@ -91,9 +91,35 @@ class CacheMachine(RuleBasedStateMachine):
                     victim_line = victim_tag * self.SETS + index
                     expected_evict = victim_line * self.LINE
             lines.insert(0, (tag, write))
-        hit, evicted = self.cache.access(address, write=write)
-        assert hit == expected_hit
-        assert evicted == expected_evict
+        return expected_hit, expected_evict
+
+    @rule(address=st.integers(0, 4095), write=st.booleans())
+    def access(self, address, write):
+        expected = self._reference(address, write)
+        assert self.cache.access(address, write=write) == expected
+
+    @rule(start=st.integers(0, 4095), nbytes=st.integers(0, 1024), write=st.booleans())
+    def stream(self, start, nbytes, write):
+        """A sweep misses on every line not resident among its first
+        ``capacity`` lines, evicts dirty lines it displaces (plus its own
+        beyond capacity when writing), and leaves its last ``capacity``
+        lines referenced in order."""
+        expected = (0, 0)
+        if nbytes:
+            capacity = self.SETS * self.WAYS
+            lines = range(start // self.LINE, (start + nbytes - 1) // self.LINE + 1)
+            window = min(len(lines), capacity)
+            resident = sum(
+                any(t == self._locate(line * self.LINE)[1] for t, _ in self.model[line % self.SETS])
+                for line in lines[:window]
+            )
+            misses = len(lines) - resident
+            dirty = sum(d for entries in self.model.values() for _, d in entries) if misses else 0
+            evictions = min(dirty, misses) + (len(lines) - window if write else 0)
+            for line in lines[len(lines) - window:]:
+                self._reference(line * self.LINE, write)
+            expected = (misses, evictions)
+        assert self.cache.stream(start, nbytes, write=write) == expected
 
     @rule()
     def invalidate(self):
@@ -111,6 +137,18 @@ class CacheMachine(RuleBasedStateMachine):
     def dirty_counts_agree(self):
         expected = sum(1 for lines in self.model.values() for _, d in lines if d)
         assert self.cache.dirty_line_count() == expected
+
+    @invariant()
+    def lru_order_agrees(self):
+        for index, lines in self.model.items():
+            entries = list(zip(self.cache._tags[index].tolist(), self.cache._dirty[index].tolist()))
+            assert entries == lines + [(-1, False)] * (self.WAYS - len(lines))
+
+
+class FourWayCacheMachine(CacheMachine):
+    """The same model on a 4-way cache, where a hit can sit mid-LRU."""
+
+    WAYS = 4
 
 
 class ConfigMemoryMachine(RuleBasedStateMachine):
@@ -149,10 +187,14 @@ class ConfigMemoryMachine(RuleBasedStateMachine):
 
 FifoMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=30, deadline=None)
 CacheMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=40, deadline=None)
+FourWayCacheMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None
+)
 ConfigMemoryMachine.TestCase.settings = settings(
     max_examples=15, stateful_step_count=15, deadline=None
 )
 
 TestFifoModel = FifoMachine.TestCase
 TestCacheModel = CacheMachine.TestCase
+TestFourWayCacheModel = FourWayCacheMachine.TestCase
 TestConfigMemoryModel = ConfigMemoryMachine.TestCase
