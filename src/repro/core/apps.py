@@ -120,11 +120,7 @@ class HwPatternMatch:
         counts_rows: List[np.ndarray] = []
         for strip in range(strips):
             kernel.reset()
-            cols = np.asarray(PatternMatchKernel.strip_columns(img, strip), dtype=np.uint64)
-            pad = (-len(cols)) % 4
-            if pad:
-                cols = np.concatenate([cols, np.zeros(pad, dtype=np.uint64)])
-            words = [int(w) for w in PatternMatchKernel._pack_block(cols, 4, 8)]
+            words = key_to_words(bytes(PatternMatchKernel.strip_columns(img, strip)))
             # The column words are loaded from external memory...
             charge_word_reads(system, memmap.STAGE_INPUT, len(words))
             # ...pushed through the dock...
@@ -134,9 +130,7 @@ class HwPatternMatch:
             expect_words = (width - 7 + 3) // 4
             result_words = _read_words(system, expect_words)
             charge_word_writes(system, memmap.STAGE_OUTPUT, expect_words)
-            counts = PatternMatchKernel._split_block(
-                np.asarray(result_words, dtype=np.uint64), 32, 8
-            )
+            counts = np.array(result_words, dtype="<u4").view(np.uint8)
             counts_rows.append(counts[: width - 7].astype(np.int32))
         result = np.array(counts_rows, dtype=np.int32)
         return RunResult(result=result, elapsed_ps=cpu.now_ps - start, label=self.name)

@@ -1,8 +1,9 @@
 """Hardware-kernel models for the dynamic area.
 
 Each kernel is bit-exact functionally (verified against the software
-references and, for SHA-1, against ``hashlib``) and carries the resource
-footprint used by the partial-reconfiguration fit checks.
+references and against the word-at-a-time references in
+``tests/oracles/kernels.py``) and carries the resource footprint used by
+the partial-reconfiguration fit checks.
 """
 
 from .base import BaseKernel
@@ -18,7 +19,7 @@ from .image_ops import (
 )
 from .jenkins_hash import GOLDEN_RATIO, JenkinsHashKernel, key_to_words, lookup2
 from .pattern_match import PatternMatchKernel, pattern_to_columns
-from .sha1_core import Sha1Kernel, sha1, sha1_compress
+from .sha1_core import Sha1Kernel, sha1
 from .streams import CounterSourceKernel, LoopbackKernel, SinkKernel
 
 __all__ = [
@@ -44,5 +45,4 @@ __all__ = [
     "pattern_to_columns",
     "saturate_u8",
     "sha1",
-    "sha1_compress",
 ]

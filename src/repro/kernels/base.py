@@ -8,6 +8,14 @@ A kernel model plays two roles:
 * **Physical** — it can emit the :class:`ComponentConfig` that BitLinker
   assembles into a partial bitstream, carrying a resource footprint that
   the fit/no-fit checks (SHA-1 vs the 32-bit system's region) rely on.
+
+Each kernel has one datapath, :meth:`BaseKernel._absorb`, which takes the
+little-endian bytes of any number of data words.  The dock's PIO write
+(:meth:`~BaseKernel.consume`, one word) and its DMA or bulk feed
+(:meth:`~BaseKernel.consume_block`) both reach it; writes to a control
+offset go to :meth:`BaseKernel._control`, one value at a time.  The
+word-at-a-time state machines these datapaths replaced are the references
+the tests compare them with (``tests/oracles/kernels.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from ..fabric.resources import SLICES_PER_CLB, ResourceVector
 
 
 class BaseKernel:
-    """Shared output queue + component synthesis."""
+    """Shared output queue, write dispatch and component synthesis."""
 
     #: Kernel display name; subclasses override.
     name = "kernel"
@@ -49,14 +57,33 @@ class BaseKernel:
     def reset(self) -> None:
         self._out.clear()
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:  # pragma: no cover
-        raise NotImplementedError
+    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
+        if offset:
+            self._control(offset, value, width_bits)
+        else:
+            mask = (1 << width_bits) - 1
+            self._absorb((int(value) & mask).to_bytes(width_bits >> 3, "little"), width_bits)
+
+    def consume_block(self, values: np.ndarray, width_bits: int, offset: int = 0) -> np.ndarray:
+        """Consume a block of already-masked words; return the words the
+        kernel emits in response, in order.
+
+        Data words reach :meth:`_absorb` as one byte string, so the result
+        and the kernel state equal those of ``consume`` on each word in
+        turn followed by a drain.  Control writes are applied in order.
+        """
+        if offset:
+            for value in values.tolist():
+                self._control(offset, value, width_bits)
+        elif len(values):
+            self._absorb(values.astype(f"<u{width_bits >> 3}", copy=False).tobytes(), width_bits)
+        return self.produce_array()
 
     def produce(self) -> List[int]:
         drained: List[int] = []
         for segment in self._out:
             if isinstance(segment, np.ndarray):
-                drained.extend(int(v) for v in segment)
+                drained.extend(segment.tolist())
             else:
                 drained.append(segment)
         self._out.clear()
@@ -74,21 +101,17 @@ class BaseKernel:
         self._out.clear()
         return segments[0] if len(segments) == 1 else np.concatenate(segments)
 
-    def consume_block(self, values: np.ndarray, width_bits: int, offset: int = 0) -> np.ndarray:
-        """Consume a block of already-masked words; return the words the
-        kernel emits in response, in order.
-
-        The default replays the per-word protocol (``consume`` each word,
-        then drain), so any kernel is block-safe; vectorized kernels
-        override it.  Equivalent to the per-word path: the dock pushes the
-        returned words into its FIFO exactly as the scalar loop would.
-        """
-        for value in values:
-            self.consume(int(value), width_bits, offset)
-        return self.produce_array()
-
     def read_register(self, offset: int) -> int:
         return 0
+
+    # -- the datapath subclasses implement ------------------------------------
+    def _absorb(self, data: bytes, width_bits: int) -> None:  # pragma: no cover
+        """Take the little-endian bytes of whole ``width_bits`` data words."""
+        raise NotImplementedError
+
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
+        """One write to a control offset; subclasses handle theirs first."""
+        raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
 
     def _emit(self, word: int) -> None:
         self._out.append(word)
@@ -97,6 +120,13 @@ class BaseKernel:
         """Queue a whole array of output words in one append."""
         if len(words):
             self._out.append(np.asarray(words, dtype=np.uint64))
+
+    def _emit_lanes(self, lanes: bytes, width_bits: int) -> None:
+        """Queue output bytes (a whole number of words) as little-endian words."""
+        if len(lanes) == width_bits >> 3:
+            self._out.append(int.from_bytes(lanes, "little"))  # one word: skip numpy
+        else:
+            self._emit_block(np.frombuffer(lanes, f"<u{width_bits >> 3}").astype(np.uint64))
 
     # -- physical side ------------------------------------------------------
     def slice_demand(self, bus_width: int) -> int:
@@ -137,39 +167,48 @@ class BaseKernel:
             ports=ports,
         )
 
-    # -- helpers for subclasses ----------------------------------------------
-    @staticmethod
-    def _split_words(value: int, width_bits: int, chunk_bits: int) -> List[int]:
-        """Split a bus word into little-endian chunks of ``chunk_bits``."""
-        if width_bits % chunk_bits:
-            raise KernelError(f"{width_bits}-bit word does not split into {chunk_bits}-bit chunks")
-        mask = (1 << chunk_bits) - 1
-        return [(value >> (i * chunk_bits)) & mask for i in range(width_bits // chunk_bits)]
 
-    @staticmethod
-    def _pack_words(chunks: List[int], chunk_bits: int) -> int:
-        value = 0
-        for index, chunk in enumerate(chunks):
-            value |= (chunk & ((1 << chunk_bits) - 1)) << (index * chunk_bits)
-        return value
+#: Control offset: pad and emit a partially packed output word.
+FLUSH_OFFSET = 0x10
+#: Register: output lanes produced since reset (pixels, match positions).
+REG_LANES = 0x0
 
-    @staticmethod
-    def _split_block(values: np.ndarray, width_bits: int, chunk_bits: int) -> np.ndarray:
-        """Vectorized :meth:`_split_words` over a block of words.
 
-        Returns all chunks lane-ordered (word 0's chunks first), exactly the
-        concatenation of the per-word splits.
-        """
-        arr = np.asarray(values, dtype=np.uint64)
-        lanes = width_bits // chunk_bits
-        shifts = (np.arange(lanes, dtype=np.uint64) * np.uint64(chunk_bits))
-        mask = np.uint64((1 << chunk_bits) - 1)
-        return ((arr[:, None] >> shifts[None, :]) & mask).ravel()
+class PackingKernel(BaseKernel):
+    """A kernel whose results are byte lanes packed 4 (32-bit writes) or 8
+    (64-bit writes) per output word: the pattern matcher's counts and the
+    image kernels' pixels."""
 
-    @staticmethod
-    def _pack_block(chunks: np.ndarray, per_word: int, chunk_bits: int) -> np.ndarray:
-        """Vectorized :meth:`_pack_words`: pack ``per_word`` chunks into each
-        output word (``len(chunks)`` must be a multiple of ``per_word``)."""
-        arr = np.asarray(chunks, dtype=np.uint64).reshape(-1, per_word)
-        shifts = (np.arange(per_word, dtype=np.uint64) * np.uint64(chunk_bits))
-        return np.bitwise_or.reduce(arr << shifts[None, :], axis=1)
+    def __init__(self) -> None:
+        super().__init__()
+        self._out_width = 32
+        self.reset()
+
+    def reset(self) -> None:
+        super().reset()
+        self._pending = b""
+        self._lanes = 0
+
+    def _pack_lanes(self, lanes: bytes, width_bits: int) -> None:
+        """Queue result lanes; emit every output word they complete."""
+        self._out_width = width_bits
+        self._lanes += len(lanes)
+        pending = self._pending + lanes
+        full = len(pending) - len(pending) % (width_bits >> 3)
+        if full:
+            self._emit_lanes(pending[:full], width_bits)
+        self._pending = pending[full:]
+
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
+        if offset == FLUSH_OFFSET:
+            self._flush()
+        else:
+            super()._control(offset, value, width_bits)
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._emit_lanes(self._pending.ljust(self._out_width >> 3, b"\0"), self._out_width)
+            self._pending = b""
+
+    def read_register(self, offset: int) -> int:
+        return self._lanes if offset == REG_LANES else 0

@@ -13,13 +13,18 @@ looks to software like one kernel with a segmented register map.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..errors import KernelError
-from .base import BaseKernel
+from .base import FLUSH_OFFSET, BaseKernel
 
 #: Byte offset between consecutive stages' register windows.
 STAGE_WINDOW = 0x40
+
+#: Lane -> its bitwise complement, as a ``bytes.translate`` table.
+_INVERT = bytes(range(255, -1, -1))
 
 
 class InvertKernel(BaseKernel):
@@ -29,11 +34,8 @@ class InvertKernel(BaseKernel):
     SLICES_32 = 52
     PIPELINE_DEPTH = 1
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
-        lanes = self._split_words(value, width_bits, 8)
-        self._emit(self._pack_words([~lane & 0xFF for lane in lanes], 8))
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        self._emit_lanes(data.translate(_INVERT), width_bits)
 
 
 class CompositeKernel(BaseKernel):
@@ -55,44 +57,33 @@ class CompositeKernel(BaseKernel):
         for stage in self.stages:
             stage.reset()
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
-        if offset != 0:
-            stage_index, stage_offset = divmod(offset, STAGE_WINDOW)
-            if stage_index >= len(self.stages):
-                raise KernelError(f"{self.name}: no stage at offset {offset:#x}")
-            self.stages[stage_index].consume(value, width_bits, stage_offset)
-            return
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
+        stage_index, stage_offset = divmod(offset, STAGE_WINDOW)
+        if stage_index >= len(self.stages):
+            raise KernelError(f"{self.name}: no stage at offset {offset:#x}")
+        self.stages[stage_index].consume(value, width_bits, stage_offset)
+
+    def _absorb(self, data: bytes, width_bits: int) -> None:
         # Data words flow through the whole chain.
-        words: List[int] = [value]
+        words = np.frombuffer(data, f"<u{width_bits >> 3}").astype(np.uint64)
         for stage in self.stages:
-            produced: List[int] = []
-            for word in words:
-                stage.consume(word, width_bits, 0)
-                produced.extend(stage.produce())
-            words = produced
-        for word in words:
-            self._emit(word)
+            words = stage.consume_block(words, width_bits)
+        self._emit_block(words)
 
     def flush(self, width_bits: int = 32) -> None:
         """Propagate stage flushes down the chain (partial output words)."""
-        from .image_ops import FLUSH_OFFSET
-
-        words: List[int] = []
-        for index, stage in enumerate(self.stages):
+        words = np.empty(0, dtype=np.uint64)
+        for stage in self.stages:
             # Push pending carry-through words first.
-            produced: List[int] = []
-            for word in words:
-                stage.consume(word, width_bits, 0)
-                produced.extend(stage.produce())
+            produced = [stage.consume_block(words, width_bits)]
             if hasattr(stage, "_flush") or hasattr(stage, "flush"):
                 try:
                     stage.consume(0, width_bits, FLUSH_OFFSET)
                 except KernelError:
                     pass
-            produced.extend(stage.produce())
-            words = produced
-        for word in words:
-            self._emit(word)
+            produced.append(stage.produce_array())
+            words = np.concatenate(produced)
+        self._emit_block(words)
 
     def read_register(self, offset: int) -> int:
         stage_index, stage_offset = divmod(offset, STAGE_WINDOW)

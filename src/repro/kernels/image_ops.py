@@ -16,19 +16,29 @@ the dynamic area:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 import numpy as np
 
 from ..errors import KernelError
-from .base import BaseKernel
+from .base import FLUSH_OFFSET, REG_LANES, PackingKernel
+
+__all__ = [
+    "FLUSH_OFFSET",
+    "PARAM_OFFSET",
+    "REG_PIXELS",
+    "BlendKernel",
+    "BrightnessKernel",
+    "FadeKernel",
+    "interleave_images",
+    "saturate_u8",
+]
 
 #: Control offset to set the brightness constant / fade factor.
 PARAM_OFFSET = 0x8
-#: Control offset: flush partially packed output pixels.
-FLUSH_OFFSET = 0x10
 
-REG_PIXELS = 0x0
+REG_PIXELS = REG_LANES
 
 
 def saturate_u8(value: int) -> int:
@@ -40,58 +50,35 @@ def saturate_u8(value: int) -> int:
     return value
 
 
-class _PackingKernel(BaseKernel):
-    """Shared output-pixel packing (groups of 4 or 8 per word)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pending: List[int] = []
-        self._pixels = 0
-        self._out_width = 32
-
-    def reset(self) -> None:
-        super().reset()
-        self._pending.clear()
-        self._pixels = 0
-
-    def _push_pixels(self, pixels: List[int]) -> None:
-        self._pending.extend(pixels)
-        self._pixels += len(pixels)
-        per_word = self._out_width // 8
-        while len(self._pending) >= per_word:
-            self._emit(self._pack_words(self._pending[:per_word], 8))
-            del self._pending[:per_word]
-
-    def _push_pixels_block(self, pixels: np.ndarray) -> None:
-        """Vectorized :meth:`_push_pixels`: same packing, one array emit."""
-        self._pixels += len(pixels)
-        per_word = self._out_width // 8
-        if self._pending:
-            pending = np.concatenate(
-                [np.asarray(self._pending, dtype=np.uint64), pixels.astype(np.uint64)]
-            )
-        else:
-            pending = pixels.astype(np.uint64)
-        full = len(pending) // per_word
-        if full:
-            self._emit_block(self._pack_block(pending[: full * per_word], per_word, 8))
-        self._pending = [int(p) for p in pending[full * per_word :]]
-
-    def _flush(self) -> None:
-        if not self._pending:
-            return
-        per_word = self._out_width // 8
-        padded = self._pending + [0] * (per_word - len(self._pending))
-        self._emit(self._pack_words(padded, 8))
-        self._pending.clear()
-
-    def read_register(self, offset: int) -> int:
-        if offset == REG_PIXELS:
-            return self._pixels
-        return 0
+@lru_cache(maxsize=64)
+def _brightness_map(constant: int) -> bytes:
+    """Pixel -> saturated ``pixel + constant``, as a ``bytes.translate`` table."""
+    return bytes(saturate_u8(v + constant) for v in range(256))
 
 
-class BrightnessKernel(_PackingKernel):
+def _lane_pairs() -> tuple[np.ndarray, np.ndarray]:
+    """Lanes A and B of every pair, broadcast so that element ``[B, A]``
+    sits at the pair's little-endian 16-bit value ``A | B << 8``."""
+    lanes = np.arange(256, dtype=np.int32)
+    return lanes[None, :], lanes[:, None]
+
+
+@lru_cache(maxsize=1)
+def _blend_map() -> np.ndarray:
+    """Lane pair -> saturated ``A + B``."""
+    a, b = _lane_pairs()
+    return np.minimum(a + b, 255).astype(np.uint8).ravel()
+
+
+@lru_cache(maxsize=16)
+def _fade_map(factor_fx: int) -> np.ndarray:
+    """Lane pair -> saturated ``((A - B) * f >> 8) + B`` (arithmetic shift,
+    the same floor as Python's)."""
+    a, b = _lane_pairs()
+    return np.clip(((a - b) * factor_fx >> 8) + b, 0, 255).astype(np.uint8).ravel()
+
+
+class BrightnessKernel(PackingKernel):
     """Saturating add of a signed constant to every pixel."""
 
     name = "brightness"
@@ -103,30 +90,18 @@ class BrightnessKernel(_PackingKernel):
             raise KernelError(f"brightness constant {constant} out of range")
         self.constant = constant
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
         if offset == PARAM_OFFSET:
             raw = value & 0x1FF
             self.constant = raw - 512 if raw & 0x100 else raw
-            return
-        if offset == FLUSH_OFFSET:
-            self._flush()
-            return
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
-        self._out_width = width_bits
-        pixels = self._split_words(value, width_bits, 8)
-        self._push_pixels([saturate_u8(p + self.constant) for p in pixels])
+        else:
+            super()._control(offset, value, width_bits)
 
-    def consume_block(self, values: np.ndarray, width_bits: int, offset: int = 0) -> np.ndarray:
-        if offset != 0 or len(values) == 0:
-            return super().consume_block(values, width_bits, offset)
-        self._out_width = width_bits
-        lanes = self._split_block(values, width_bits, 8).astype(np.int16)
-        self._push_pixels_block(np.clip(lanes + self.constant, 0, 255).astype(np.uint8))
-        return self.produce_array()
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        self._pack_lanes(data.translate(_brightness_map(self.constant)), width_bits)
 
 
-class BlendKernel(_PackingKernel):
+class BlendKernel(PackingKernel):
     """Saturating add of two images.
 
     Each input word carries lanes ``A0 B0 A1 B1 ...`` (half from each
@@ -136,32 +111,15 @@ class BlendKernel(_PackingKernel):
     name = "blend"
     SLICES_32 = 236
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
-        if offset == FLUSH_OFFSET:
-            self._flush()
-            return
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
-        self._out_width = width_bits
-        lanes = self._split_words(value, width_bits, 8)
-        pixels = [saturate_u8(lanes[i] + lanes[i + 1]) for i in range(0, len(lanes), 2)]
-        self._push_pixels(pixels)
-
-    def consume_block(self, values: np.ndarray, width_bits: int, offset: int = 0) -> np.ndarray:
-        if offset != 0 or len(values) == 0:
-            return super().consume_block(values, width_bits, offset)
-        self._out_width = width_bits
-        lanes = self._split_block(values, width_bits, 8).astype(np.int16)
-        pixels = np.clip(lanes[0::2] + lanes[1::2], 0, 255).astype(np.uint8)
-        self._push_pixels_block(pixels)
-        return self.produce_array()
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        self._pack_lanes(_blend_map()[np.frombuffer(data, "<u2")].tobytes(), width_bits)
 
 
-class FadeKernel(_PackingKernel):
+class FadeKernel(PackingKernel):
     """Fade-in/fade-out: ``(A - B) * f + B`` with 8.8 fixed-point ``f``.
 
     ``f`` in [0, 1] maps to factor 0..256; the multiply uses one of the
-    fabric's 18x18 multiplier blocks.
+    fabric's 18x18 multiplier blocks.  Lanes pair up as in blending.
     """
 
     name = "fade"
@@ -177,34 +135,15 @@ class FadeKernel(_PackingKernel):
             raise KernelError(f"fade factor {factor} outside [0, 1]")
         self.factor_fx = round(factor * 256)
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
         if offset == PARAM_OFFSET:
             self.factor_fx = value & 0x1FF
-            return
-        if offset == FLUSH_OFFSET:
-            self._flush()
-            return
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
-        self._out_width = width_bits
-        lanes = self._split_words(value, width_bits, 8)
-        pixels = []
-        for i in range(0, len(lanes), 2):
-            a, b = lanes[i], lanes[i + 1]
-            pixels.append(saturate_u8(((a - b) * self.factor_fx >> 8) + b))
-        self._push_pixels(pixels)
+        else:
+            super()._control(offset, value, width_bits)
 
-    def consume_block(self, values: np.ndarray, width_bits: int, offset: int = 0) -> np.ndarray:
-        if offset != 0 or len(values) == 0:
-            return super().consume_block(values, width_bits, offset)
-        self._out_width = width_bits
-        lanes = self._split_block(values, width_bits, 8).astype(np.int32)
-        a, b = lanes[0::2], lanes[1::2]
-        # Matches the scalar path bit for bit: numpy's >> on int32 is an
-        # arithmetic shift, the same floor semantics as Python's.
-        pixels = np.clip(((a - b) * self.factor_fx >> 8) + b, 0, 255).astype(np.uint8)
-        self._push_pixels_block(pixels)
-        return self.produce_array()
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        pairs = np.frombuffer(data, "<u2")
+        self._pack_lanes(_fade_map(self.factor_fx)[pairs].tobytes(), width_bits)
 
 
 def interleave_images(a_pixels: List[int], b_pixels: List[int]) -> List[int]:

@@ -13,7 +13,10 @@ applies the final mix when the full key has arrived.
 
 from __future__ import annotations
 
+import struct
 from typing import List
+
+import numpy as np
 
 from ..errors import KernelError
 from .base import BaseKernel
@@ -27,61 +30,38 @@ _MASK = 0xFFFFFFFF
 GOLDEN_RATIO = 0x9E3779B9
 
 
-def _mix(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The lookup2 96-bit mixer (all arithmetic mod 2**32)."""
-    a = (a - b - c) & _MASK; a ^= c >> 13
-    b = (b - c - a) & _MASK; b ^= (a << 8) & _MASK
-    c = (c - a - b) & _MASK; c ^= b >> 13
-    a = (a - b - c) & _MASK; a ^= c >> 12
-    b = (b - c - a) & _MASK; b ^= (a << 16) & _MASK
-    c = (c - a - b) & _MASK; c ^= b >> 5
-    a = (a - b - c) & _MASK; a ^= c >> 3
-    b = (b - c - a) & _MASK; b ^= (a << 10) & _MASK
-    c = (c - a - b) & _MASK; c ^= b >> 15
+def _mix_groups(a: int, b: int, c: int, data: bytes) -> tuple[int, int, int]:
+    """Add each 12-byte group of ``data`` into ``(a, b, c)`` and run the
+    lookup2 96-bit mixer on it (all arithmetic mod 2**32)."""
+    for x, y, z in struct.iter_unpack("<3I", data):
+        a = (a + x) & _MASK
+        b = (b + y) & _MASK
+        c = (c + z) & _MASK
+        a = (a - b - c) & _MASK; a ^= c >> 13
+        b = (b - c - a) & _MASK; b ^= (a << 8) & _MASK
+        c = (c - a - b) & _MASK; c ^= b >> 13
+        a = (a - b - c) & _MASK; a ^= c >> 12
+        b = (b - c - a) & _MASK; b ^= (a << 16) & _MASK
+        c = (c - a - b) & _MASK; c ^= b >> 5
+        a = (a - b - c) & _MASK; a ^= c >> 3
+        b = (b - c - a) & _MASK; b ^= (a << 10) & _MASK
+        c = (c - a - b) & _MASK; c ^= b >> 15
     return a, b, c
 
 
+def _final_mix(a: int, b: int, c: int, length: int, tail: bytes) -> int:
+    """Mix the last ``length % 12`` key bytes and the key length: the tail
+    fills ``a`` and ``b`` from their low byte up, and ``c`` from its second
+    byte, the first byte of ``c`` being reserved for the length."""
+    group = (tail[:8].ljust(8, b"\0") + b"\0" + tail[8:11]).ljust(12, b"\0")
+    return _mix_groups(a, b, (c + length) & _MASK, group)[2]
+
+
 def lookup2(key: bytes, initval: int = 0) -> int:
-    """Reference lookup2 (batch form), bit-exact to the published C code."""
-    a = b = GOLDEN_RATIO
-    c = initval & _MASK
-    length = len(key)
-    pos = 0
-    remaining = length
-    while remaining >= 12:
-        a = (a + int.from_bytes(key[pos : pos + 4], "little")) & _MASK
-        b = (b + int.from_bytes(key[pos + 4 : pos + 8], "little")) & _MASK
-        c = (c + int.from_bytes(key[pos + 8 : pos + 12], "little")) & _MASK
-        a, b, c = _mix(a, b, c)
-        pos += 12
-        remaining -= 12
-    c = (c + length) & _MASK
-    tail = key[pos:]
-    if remaining >= 11:
-        c = (c + (tail[10] << 24)) & _MASK
-    if remaining >= 10:
-        c = (c + (tail[9] << 16)) & _MASK
-    if remaining >= 9:
-        c = (c + (tail[8] << 8)) & _MASK
-    # the first byte of c is reserved for the length
-    if remaining >= 8:
-        b = (b + (tail[7] << 24)) & _MASK
-    if remaining >= 7:
-        b = (b + (tail[6] << 16)) & _MASK
-    if remaining >= 6:
-        b = (b + (tail[5] << 8)) & _MASK
-    if remaining >= 5:
-        b = (b + tail[4]) & _MASK
-    if remaining >= 4:
-        a = (a + (tail[3] << 24)) & _MASK
-    if remaining >= 3:
-        a = (a + (tail[2] << 16)) & _MASK
-    if remaining >= 2:
-        a = (a + (tail[1] << 8)) & _MASK
-    if remaining >= 1:
-        a = (a + tail[0]) & _MASK
-    a, b, c = _mix(a, b, c)
-    return c
+    """Batch lookup2, bit-exact to the published C code."""
+    full = len(key) - len(key) % 12
+    a, b, c = _mix_groups(GOLDEN_RATIO, GOLDEN_RATIO, initval & _MASK, key[:full])
+    return _final_mix(a, b, c, len(key), key[full:])
 
 
 class JenkinsHashKernel(BaseKernel):
@@ -93,13 +73,7 @@ class JenkinsHashKernel(BaseKernel):
 
     def __init__(self) -> None:
         super().__init__()
-        self._length = 0
-        self._initval = 0
-        self._buffer = bytearray()
-        self._a = self._b = GOLDEN_RATIO
-        self._c = 0
-        self._bytes_seen = 0
-        self._result: int | None = None
+        self.reset()
 
     def reset(self) -> None:
         super().reset()
@@ -108,81 +82,52 @@ class JenkinsHashKernel(BaseKernel):
         self._restart()
 
     def _restart(self) -> None:
-        self._buffer = bytearray()
+        self._buffer = b""
         self._a = self._b = GOLDEN_RATIO
         self._c = self._initval & _MASK
         self._bytes_seen = 0
-        self._blocks_done = 0
-        self._result = None
+        self._result: int | None = None
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
         if offset == LENGTH_OFFSET:
             self._length = value & _MASK
             self._restart()
             if self._length == 0:
                 self._finalise()
-            return
-        if offset == INIT_OFFSET:
+        elif offset == INIT_OFFSET:
             self._initval = value & _MASK
             self._restart()
-            return
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
+        else:
+            super()._control(offset, value, width_bits)
+
+    def _check_writable(self) -> None:
         if self._result is not None:
             raise KernelError(f"{self.name}: key already finalised; write LENGTH to restart")
-        incoming = bytes(self._split_words(value, width_bits, 8))
-        take = min(len(incoming), self._length - self._bytes_seen)
-        if take <= 0:
+        if self._bytes_seen >= self._length:
             raise KernelError(f"{self.name}: more data than the declared length")
-        self._buffer.extend(incoming[:take])
-        self._bytes_seen += take
-        self._drain_blocks()
+
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        # Words are taken in order up to the one that completes the key
+        # (its excess bytes dropped); the word after it is refused.
+        self._check_writable()
+        room = self._length - self._bytes_seen
+        word_bytes = width_bits >> 3
+        taken = data[:room]
+        self._bytes_seen += len(taken)
+        key = self._buffer + taken
+        # Every full group is mixed as it completes; the last length%12
+        # bytes wait for the final mix.
+        full = len(key) - len(key) % 12
+        self._a, self._b, self._c = _mix_groups(self._a, self._b, self._c, key[:full])
+        self._buffer = key[full:]
         if self._bytes_seen == self._length:
             self._finalise()
-
-    def _drain_blocks(self) -> None:
-        # lookup2 mixes exactly length//12 full blocks; the remaining
-        # length%12 bytes stay buffered for the final mix.
-        blocks_allowed = self._length // 12
-        while len(self._buffer) >= 12 and self._blocks_done < blocks_allowed:
-            block = bytes(self._buffer[:12])
-            del self._buffer[:12]
-            self._blocks_done += 1
-            self._a = (self._a + int.from_bytes(block[0:4], "little")) & _MASK
-            self._b = (self._b + int.from_bytes(block[4:8], "little")) & _MASK
-            self._c = (self._c + int.from_bytes(block[8:12], "little")) & _MASK
-            self._a, self._b, self._c = _mix(self._a, self._b, self._c)
+        if len(data) > -(-room // word_bytes) * word_bytes:
+            self._check_writable()
 
     def _finalise(self) -> None:
-        a, b, c = self._a, self._b, self._c
-        tail = bytes(self._buffer)
-        remaining = len(tail)
-        c = (c + self._length) & _MASK
-        if remaining >= 11:
-            c = (c + (tail[10] << 24)) & _MASK
-        if remaining >= 10:
-            c = (c + (tail[9] << 16)) & _MASK
-        if remaining >= 9:
-            c = (c + (tail[8] << 8)) & _MASK
-        if remaining >= 8:
-            b = (b + (tail[7] << 24)) & _MASK
-        if remaining >= 7:
-            b = (b + (tail[6] << 16)) & _MASK
-        if remaining >= 6:
-            b = (b + (tail[5] << 8)) & _MASK
-        if remaining >= 5:
-            b = (b + tail[4]) & _MASK
-        if remaining >= 4:
-            a = (a + (tail[3] << 24)) & _MASK
-        if remaining >= 3:
-            a = (a + (tail[2] << 16)) & _MASK
-        if remaining >= 2:
-            a = (a + (tail[1] << 8)) & _MASK
-        if remaining >= 1:
-            a = (a + tail[0]) & _MASK
-        _, _, c = _mix(a, b, c)
-        self._result = c
-        self._buffer.clear()
+        self._result = _final_mix(self._a, self._b, self._c, self._length, self._buffer)
+        self._buffer = b""
 
     def read_register(self, offset: int) -> int:
         if offset == REG_RESULT:
@@ -200,8 +145,5 @@ class JenkinsHashKernel(BaseKernel):
 
 def key_to_words(key: bytes, word_bytes: int = 4) -> List[int]:
     """Pack a key little-endian into bus words (zero-padded tail)."""
-    words = []
-    for pos in range(0, len(key), word_bytes):
-        chunk = key[pos : pos + word_bytes]
-        words.append(int.from_bytes(chunk.ljust(word_bytes, b"\0"), "little"))
-    return words
+    pad = b"\0" * (-len(key) % word_bytes)
+    return np.frombuffer(key + pad, f"<u{word_bytes}").tolist()

@@ -21,25 +21,31 @@ Streaming protocol (one 8-row image strip at a time):
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import KernelError
-from .base import BaseKernel
+from .base import FLUSH_OFFSET, REG_LANES, PackingKernel
 
-#: Control offset: flush partially filled output word.
-FLUSH_OFFSET = 0x10
+__all__ = [
+    "FLUSH_OFFSET",
+    "PATTERN_HI_OFFSET",
+    "PATTERN_LO_OFFSET",
+    "REG_BEST",
+    "REG_POSITIONS",
+    "PatternMatchKernel",
+    "pattern_to_columns",
+]
+
 #: Control offsets for loading the pattern (8 columns packed 4/word).
 PATTERN_LO_OFFSET = 0x14
 PATTERN_HI_OFFSET = 0x18
 
-REG_POSITIONS = 0x0
+REG_POSITIONS = REG_LANES
 REG_BEST = 0x4
 
-#: Matches-per-byte lookup: popcount of the complement of a XOR result.
-_MATCH_TABLE = np.array([bin(~v & 0xFF).count("1") for v in range(256)], dtype=np.uint16)
+_ALL_ONES = (1 << 64) - 1
 
 
 def pattern_to_columns(pattern: np.ndarray) -> List[int]:
@@ -58,7 +64,7 @@ def pattern_to_columns(pattern: np.ndarray) -> List[int]:
     return columns
 
 
-class PatternMatchKernel(BaseKernel):
+class PatternMatchKernel(PackingKernel):
     """Eight-stage pipelined 8x8 binary pattern matcher."""
 
     name = "patmatch"
@@ -67,112 +73,52 @@ class PatternMatchKernel(BaseKernel):
 
     def __init__(self, pattern: np.ndarray | Sequence[int] | None = None) -> None:
         super().__init__()
-        self._pattern_cols: List[int] = [0] * 8
+        columns = [0] * 8
         if pattern is not None:
             arr = np.asarray(pattern)
             if arr.ndim == 2:
-                self._pattern_cols = pattern_to_columns(arr)
+                columns = pattern_to_columns(arr)
             else:
                 if len(arr) != 8:
                     raise KernelError("pattern column list must have 8 entries")
-                self._pattern_cols = [int(b) & 0xFF for b in arr]
-        self._window: Deque[int] = deque(maxlen=8)
-        self._counts: List[int] = []
-        self._positions = 0
-        self._best = 0
-        self._out_width = 32
+                columns = [int(b) & 0xFF for b in arr]
+        #: The eight pattern columns as one little-endian word (column 0 lowest).
+        self._pattern = int.from_bytes(bytes(columns), "little")
 
     # -- protocol -----------------------------------------------------------
     def reset(self) -> None:
         super().reset()
-        self._window.clear()
-        self._counts.clear()
-        self._positions = 0
+        #: The last (up to) seven columns: the pipeline's fill.
+        self._history = b""
         self._best = 0
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
-        if offset == FLUSH_OFFSET:
-            self._flush(width_bits)
-            return
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
         if offset == PATTERN_LO_OFFSET:
-            for index, byte in enumerate(self._split_words(value, 32, 8)):
-                self._pattern_cols[index] = byte
-            return
-        if offset == PATTERN_HI_OFFSET:
-            for index, byte in enumerate(self._split_words(value, 32, 8)):
-                self._pattern_cols[4 + index] = byte
-            return
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
-        self._out_width = width_bits
-        for column in self._split_words(value, width_bits, 8):
-            self._shift_column(column)
-
-    def _shift_column(self, column: int) -> None:
-        self._window.append(column & 0xFF)
-        if len(self._window) < 8:
-            return
-        count = 0
-        for win_col, pat_col in zip(self._window, self._pattern_cols):
-            count += bin(~(win_col ^ pat_col) & 0xFF).count("1")
-        self._positions += 1
-        if count > self._best:
-            self._best = count
-        self._counts.append(count)
-        per_word = self._out_width // 8
-        if len(self._counts) >= per_word:
-            self._emit(self._pack_words(self._counts[:per_word], 8))
-            del self._counts[:per_word]
-
-    def consume_block(self, values: np.ndarray, width_bits: int, offset: int = 0) -> np.ndarray:
-        """Vectorized data path: whole strips of columns in one call.
-
-        Identical to the per-word protocol: same window evolution, same
-        counts in the same packed output words, same registers.  Control
-        offsets fall back to the scalar path.
-        """
-        if offset != 0 or len(values) == 0:
-            return super().consume_block(values, width_bits, offset)
-        self._out_width = width_bits
-        cols = self._split_block(values, width_bits, 8).astype(np.uint8)
-        hist = np.asarray(list(self._window), dtype=np.uint8)
-        seq = np.concatenate([hist, cols]) if len(hist) else cols
-        total = len(seq)
-        # A window of 8 completes at each new column index >= max(|hist|, 7).
-        first_end = max(len(hist), 7)
-        if total >= 8 and first_end <= total - 1:
-            windows = np.lib.stride_tricks.sliding_window_view(seq, 8)[first_end - 7 :]
-            pattern = np.asarray(self._pattern_cols, dtype=np.uint8)
-            counts = _MATCH_TABLE[np.bitwise_xor(windows, pattern[None, :])].sum(axis=1)
-            self._positions += len(counts)
-            best = int(counts.max())
-            if best > self._best:
-                self._best = best
-            pending = self._counts + [int(c) for c in counts]
+            self._pattern = (self._pattern & ~0xFFFFFFFF) | (value & 0xFFFFFFFF)
+        elif offset == PATTERN_HI_OFFSET:
+            self._pattern = (self._pattern & 0xFFFFFFFF) | ((value & 0xFFFFFFFF) << 32)
         else:
-            pending = list(self._counts)
-        per_word = width_bits // 8
-        full = len(pending) // per_word
-        if full:
-            self._emit_block(self._pack_block(np.asarray(pending[: full * per_word], dtype=np.uint64), per_word, 8))
-        self._counts = pending[full * per_word :]
-        self._window = deque((int(c) for c in seq[-8:]), maxlen=8)
-        return self.produce_array()
+            super()._control(offset, value, width_bits)
 
-    def _flush(self, width_bits: int) -> None:
-        if not self._counts:
-            return
-        per_word = self._out_width // 8
-        padded = self._counts + [0] * (per_word - len(self._counts))
-        self._emit(self._pack_words(padded, 8))
-        self._counts.clear()
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        columns = self._history + data
+        positions = len(columns) - 7
+        counts = b""
+        if positions > 0:
+            # Window i is columns i..i+7 read as one little-endian word; its
+            # count is the number of bits equal to the pattern's, i.e. the
+            # bits set in (window XOR NOT pattern).
+            windows = np.ndarray((positions,), "<u8", buffer=columns, strides=(1,))
+            matches = np.bitwise_count(windows ^ np.uint64(self._pattern ^ _ALL_ONES))
+            self._best = max(self._best, int(matches.max()))
+            counts = matches.tobytes()
+        self._history = columns[-7:]
+        self._pack_lanes(counts, width_bits)
 
     def read_register(self, offset: int) -> int:
-        if offset == REG_POSITIONS:
-            return self._positions
         if offset == REG_BEST:
             return self._best
-        return 0
+        return super().read_register(offset)
 
     # -- convenience for strip preparation -------------------------------------
     @staticmethod

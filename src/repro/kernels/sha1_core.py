@@ -7,13 +7,17 @@ implementation does not fit into the dynamic area of the 32-bit system").
 
 Protocol: write the message length (bytes) to LENGTH, stream the message
 packed little-endian into data words, write any value to FINALIZE, then
-read H0..H4 from the result registers.  The kernel buffers incoming bytes
-into 512-bit blocks and runs the 80-round compression as blocks complete
-(the real core does a round per clock; see PIPELINE_DEPTH).
+read H0..H4 from the result registers.  The real core runs the 80-round
+compression on each 512-bit block as it completes (a round per clock; see
+PIPELINE_DEPTH) and pads the message on FINALIZE.  The model computes the
+digest with ``hashlib`` and counts the blocks the core compresses; the
+RFC 3174 round-by-round reference it is tested against lives with the
+tests (``tests/oracles/kernels.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from ..errors import KernelError
@@ -24,57 +28,16 @@ REG_BLOCKS = 0x14
 LENGTH_OFFSET = 0x20
 FINALIZE_OFFSET = 0x24
 
-_MASK = 0xFFFFFFFF
-_INIT = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
-
-
-def _rotl(value: int, amount: int) -> int:
-    value &= _MASK
-    return ((value << amount) | (value >> (32 - amount))) & _MASK
-
-
-def sha1_compress(state: tuple[int, int, int, int, int], block: bytes) -> tuple[int, int, int, int, int]:
-    """One 512-bit SHA-1 compression (RFC 3174 section 6.1)."""
-    if len(block) != 64:
-        raise KernelError(f"SHA-1 block must be 64 bytes, got {len(block)}")
-    w = list(struct.unpack(">16I", block))
-    for t in range(16, 80):
-        w.append(_rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1))
-    a, b, c, d, e = state
-    for t in range(80):
-        if t < 20:
-            f = (b & c) | (~b & d)
-            k = 0x5A827999
-        elif t < 40:
-            f = b ^ c ^ d
-            k = 0x6ED9EBA1
-        elif t < 60:
-            f = (b & c) | (b & d) | (c & d)
-            k = 0x8F1BBCDC
-        else:
-            f = b ^ c ^ d
-            k = 0xCA62C1D6
-        temp = (_rotl(a, 5) + f + e + w[t] + k) & _MASK
-        e, d, c, b, a = d, c, _rotl(b, 30), a, temp
-    return (
-        (state[0] + a) & _MASK,
-        (state[1] + b) & _MASK,
-        (state[2] + c) & _MASK,
-        (state[3] + d) & _MASK,
-        (state[4] + e) & _MASK,
-    )
-
 
 def sha1(message: bytes) -> bytes:
-    """Batch SHA-1 (reference for tests; bit-exact to hashlib)."""
-    state = _INIT
-    length_bits = len(message) * 8
-    padded = message + b"\x80"
-    padded += b"\x00" * ((56 - len(padded) % 64) % 64)
-    padded += struct.pack(">Q", length_bits)
-    for pos in range(0, len(padded), 64):
-        state = sha1_compress(state, padded[pos : pos + 64])
-    return struct.pack(">5I", *state)
+    """Batch SHA-1 (the 20-byte digest)."""
+    return hashlib.sha1(message).digest()
+
+
+def padded_blocks(length: int) -> int:
+    """512-bit blocks SHA-1 compresses for a ``length``-byte message: the
+    message, the 0x80 byte and the 64-bit bit count, rounded up."""
+    return (length + 9 + 63) // 64
 
 
 class Sha1Kernel(BaseKernel):
@@ -88,82 +51,71 @@ class Sha1Kernel(BaseKernel):
 
     def __init__(self) -> None:
         super().__init__()
-        self._length = 0
-        self._buffer = bytearray()
-        self._bytes_seen = 0
-        self._state = _INIT
-        self._blocks = 0
-        self._final = False
+        self.reset()
 
     def reset(self) -> None:
         super().reset()
         self._length = 0
-        self._buffer = bytearray()
-        self._bytes_seen = 0
-        self._state = _INIT
-        self._blocks = 0
-        self._final = False
+        self._restart()
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
+    def _restart(self) -> None:
+        self._hash = hashlib.sha1()
+        self._bytes_seen = 0
+        self._state: tuple[int, ...] | None = None
+
+    def _control(self, offset: int, value: int, width_bits: int) -> None:
         if offset == LENGTH_OFFSET:
             self._length = value
-            self._buffer.clear()
-            self._bytes_seen = 0
-            self._state = _INIT
-            self._blocks = 0
-            self._final = False
-            return
-        if offset == FINALIZE_OFFSET:
+            self._restart()
+        elif offset == FINALIZE_OFFSET:
             self._finalise()
-            return
-        if offset != 0:
-            raise KernelError(f"{self.name}: write to unknown offset {offset:#x}")
-        if self._final:
+        else:
+            super()._control(offset, value, width_bits)
+
+    def _check_writable(self) -> None:
+        if self._state is not None:
             raise KernelError(f"{self.name}: digest already finalised")
-        incoming = bytes(self._split_words(value, width_bits, 8))
-        take = min(len(incoming), self._length - self._bytes_seen)
-        if take <= 0:
+        if self._bytes_seen >= self._length:
             raise KernelError(f"{self.name}: more data than the declared length")
-        self._buffer.extend(incoming[:take])
-        self._bytes_seen += take
-        while len(self._buffer) >= 64:
-            block = bytes(self._buffer[:64])
-            del self._buffer[:64]
-            self._state = sha1_compress(self._state, block)
-            self._blocks += 1
+
+    def _absorb(self, data: bytes, width_bits: int) -> None:
+        # Words are taken in order up to the one that completes the
+        # message (its excess bytes dropped); the word after it is refused.
+        self._check_writable()
+        room = self._length - self._bytes_seen
+        word_bytes = width_bits >> 3
+        taken = data[:room]
+        self._hash.update(taken)
+        self._bytes_seen += len(taken)
+        if len(data) > -(-room // word_bytes) * word_bytes:
+            self._check_writable()
 
     def _finalise(self) -> None:
-        if self._final:
+        if self._state is not None:
             return
         if self._bytes_seen != self._length:
             raise KernelError(
                 f"{self.name}: finalise after {self._bytes_seen} of {self._length} bytes"
             )
-        length_bits = self._length * 8
-        tail = bytes(self._buffer) + b"\x80"
-        tail += b"\x00" * ((56 - len(tail) % 64) % 64)
-        tail += struct.pack(">Q", length_bits)
-        for pos in range(0, len(tail), 64):
-            self._state = sha1_compress(self._state, tail[pos : pos + 64])
-            self._blocks += 1
-        self._buffer.clear()
-        self._final = True
+        self._state = struct.unpack(">5I", self._hash.digest())
 
     def read_register(self, offset: int) -> int:
         if offset in REG_H:
-            if not self._final:
+            if self._state is None:
                 raise KernelError(f"{self.name}: digest not finalised")
             return self._state[REG_H.index(offset)]
         if offset == REG_BLOCKS:
-            return self._blocks
+            if self._state is None:
+                return self._bytes_seen // 64
+            return padded_blocks(self._length)
         return 0
 
     @property
     def digest_ready(self) -> bool:
-        return self._final
+        return self._state is not None
 
     def digest(self) -> bytes:
         """The full 20-byte digest (testing convenience)."""
-        if not self._final:
+        if self._state is None:
             raise KernelError(f"{self.name}: digest not finalised")
         return struct.pack(">5I", *self._state)

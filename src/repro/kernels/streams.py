@@ -70,8 +70,10 @@ class CounterSourceKernel(BaseKernel):
         super().reset()
         self._n = 0
 
-    def consume(self, value: int, width_bits: int, offset: int = 0) -> None:
+    def _refuse(self, *_write) -> None:
         raise KernelError(f"{self.name} has no write channel")
+
+    _absorb = _control = _refuse
 
     def generate(self, count: int, width_bits: int = 64) -> None:
         """Queue ``count`` output words (the dock collects them)."""

@@ -9,7 +9,7 @@ whose relative importance decreases as the input grows (Table 11).
 from __future__ import annotations
 
 from ..cpu.isa import CALL_OVERHEAD, InstructionMix
-from ..kernels.sha1_core import sha1
+from ..kernels.sha1_core import padded_blocks, sha1
 from .costmodel import RunResult, SystemFacade, charge_repeated_word_reads
 
 #: Per 64-byte block: 80 rounds x ~11 ops + the W[t] expansion with its
@@ -34,8 +34,7 @@ class SwSha1:
     def run(self, system: SystemFacade, message: bytes, base: int = 0x0030_0000) -> RunResult:
         """Digest ``message`` on ``system``; returns digest and time."""
         digest = sha1(message)
-        padded_len = len(message) + 1 + ((56 - (len(message) + 1) % 64) % 64) + 8
-        blocks = padded_len // 64
+        blocks = padded_blocks(len(message))
 
         cpu = system.cpu
         start = cpu.now_ps

@@ -15,7 +15,6 @@ from repro.kernels.sha1_core import (
     REG_H,
     Sha1Kernel,
     sha1,
-    sha1_compress,
 )
 
 
@@ -96,11 +95,6 @@ def test_write_after_finalize_rejected():
     stream_message(kernel, b"done")
     with pytest.raises(KernelError):
         kernel.consume(0, 32, 0)
-
-
-def test_compress_requires_full_block():
-    with pytest.raises(KernelError):
-        sha1_compress((0, 0, 0, 0, 0), b"short")
 
 
 def test_reset_allows_reuse():

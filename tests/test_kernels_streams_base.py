@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels.base import BaseKernel
 from repro.kernels.streams import CounterSourceKernel, LoopbackKernel, SinkKernel
 
 
@@ -103,15 +102,3 @@ def test_unsupported_width_rejected():
 def test_component_rejects_too_short_region():
     with pytest.raises(KernelError):
         SinkKernel().make_component(64, 4)
-
-
-def test_split_pack_roundtrip():
-    value = 0x0807060504030201
-    chunks = BaseKernel._split_words(value, 64, 8)
-    assert chunks == [1, 2, 3, 4, 5, 6, 7, 8]
-    assert BaseKernel._pack_words(chunks, 8) == value
-
-
-def test_split_requires_divisible_width():
-    with pytest.raises(KernelError):
-        BaseKernel._split_words(0, 32, 12)

@@ -77,7 +77,7 @@ block:
 
 def test_lookup2_block_functional(system64):
     """The assembly mixer computes the real lookup2 state transitions."""
-    from repro.kernels.jenkins_hash import _mix
+    from .oracles.kernels import _mix
 
     key = bytes(range(36))  # three 12-byte blocks
     base = memmap.STAGE_INPUT
