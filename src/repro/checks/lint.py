@@ -35,11 +35,11 @@ module.  The rules encode the modelling contract documented in
   that drives CPU/bus primitives or writes timing cursors double-charges
   the phase and silently breaks fast/slow equivalence.
 * **LINT009** — serve-decision discipline.  ``decide_*`` admission
-  kernels feed both scheduler paths and the result cache, so they must
-  be pure functions of their cost arguments (no loops, RNG, clock or
+  kernels feed the scheduler, its test oracle and the result cache, so
+  they must be pure functions of their cost arguments (no loops, RNG, clock or
   environment reads, no global state); and scenarios tagged ``serve``
   must not loop over per-request trace/outcome data in Python — that
-  work belongs inside :mod:`repro.serve.engine`'s vectorized fast path.
+  work belongs inside :mod:`repro.serve.engine`'s vectorized scheduler.
 
 Per-line suppression: append ``# repro: noqa RULE-ID[,RULE-ID...]`` to
 silence named rules on that line, or ``# repro: noqa`` to silence all.
@@ -850,8 +850,8 @@ class _Visitor(ast.NodeVisitor):
         """Flag state, loops, RNG and environment reads in a ``decide_*``
         kernel.  (Wall-clock reads are already LINT001 everywhere.)"""
         hint = (
-            "decide_* kernels feed both scheduler paths and the result "
-            "cache; keep them pure over their cost-table arguments"
+            "decide_* kernels feed the scheduler, its test oracle and the "
+            "result cache; keep them pure over their cost-table arguments"
         )
         for child in ast.walk(node):
             if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
@@ -905,7 +905,7 @@ class _Visitor(ast.NodeVisitor):
         tainted = _per_request_tainted(node)
         hint = (
             "per-request work belongs in repro.serve.engine's vectorized "
-            "fast path; reduce outcome arrays with NumPy instead"
+            "scheduler; reduce outcome arrays with NumPy instead"
         )
         for child in ast.walk(node):
             if isinstance(child, (ast.For, ast.AsyncFor)):

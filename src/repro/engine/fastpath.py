@@ -4,9 +4,10 @@ The bus transfer stack keeps two implementations of its hot loops: the
 per-beat reference path (ground truth, traceable) and a closed-form
 vectorized path that produces *identical* simulated timestamps, data and
 aggregate statistics while doing O(1) Python work per burst instead of
-O(beats).  The switch reaches bus bursts, the DMA engine, ``run_steady``
-compilation and the serve simulator; the configuration-data path
-(BitLinker, packet codec, HWICAP) has one implementation and no switch.
+O(beats).  The switch reaches bus bursts, the DMA engine and
+``run_steady`` compilation; the configuration-data path (BitLinker,
+packet codec, HWICAP) and the serve scheduler have one implementation
+and no switch.
 This module is the single gate the forked sites consult:
 
 * the ``REPRO_NO_FAST_PATH`` environment variable (any value other than

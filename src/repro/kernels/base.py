@@ -104,6 +104,9 @@ class BaseKernel:
     def read_register(self, offset: int) -> int:
         return 0
 
+    def flush(self, width_bits: int = 32) -> None:
+        """End of a sequence: emit what the datapath still holds (none here)."""
+
     # -- the datapath subclasses implement ------------------------------------
     def _absorb(self, data: bytes, width_bits: int) -> None:  # pragma: no cover
         """Take the little-endian bytes of whole ``width_bits`` data words."""
@@ -201,11 +204,13 @@ class PackingKernel(BaseKernel):
 
     def _control(self, offset: int, value: int, width_bits: int) -> None:
         if offset == FLUSH_OFFSET:
-            self._flush()
+            self.flush()
         else:
             super()._control(offset, value, width_bits)
 
-    def _flush(self) -> None:
+    def flush(self, width_bits: int = 32) -> None:
+        """Pad and emit a partially packed output word (at the width it was
+        packed for)."""
         if self._pending:
             self._emit_lanes(self._pending.ljust(self._out_width >> 3, b"\0"), self._out_width)
             self._pending = b""

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..errors import KernelError
-from .base import FLUSH_OFFSET, BaseKernel
+from .base import BaseKernel
 
 #: Byte offset between consecutive stages' register windows.
 STAGE_WINDOW = 0x40
@@ -76,11 +76,7 @@ class CompositeKernel(BaseKernel):
         for stage in self.stages:
             # Push pending carry-through words first.
             produced = [stage.consume_block(words, width_bits)]
-            if hasattr(stage, "_flush") or hasattr(stage, "flush"):
-                try:
-                    stage.consume(0, width_bits, FLUSH_OFFSET)
-                except KernelError:
-                    pass
+            stage.flush(width_bits)
             produced.append(stage.produce_array())
             words = np.concatenate(produced)
         self._emit_block(words)

@@ -14,7 +14,7 @@ requests against the dynamic area"):
 
 Scenario bodies never iterate the trace per-request (LINT009): all
 per-request work happens inside :func:`repro.serve.engine.simulate`'s
-vectorized fast path, and post-processing uses NumPy reductions.
+vectorized scheduler, and post-processing uses NumPy reductions.
 """
 
 from __future__ import annotations

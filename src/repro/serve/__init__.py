@@ -11,9 +11,9 @@ request service over the measured cost model:
   fragmentation accounting and a compaction defrag policy;
 * :mod:`repro.serve.decisions`  — the pure admission decision kernel
   (break-even math over the cost tables);
-* :mod:`repro.serve.engine`     — the scheduler: a vectorized fast path
-  and a scalar reference path pinned byte-identical behind
-  ``REPRO_NO_FAST_PATH`` (see :mod:`repro.engine.fastpath`);
+* :mod:`repro.serve.engine`     — the scheduler, vectorized over
+  epoch-aligned chunks of requests (its per-request reference lives in
+  ``tests/oracles/serve.py``);
 * :mod:`repro.serve.report`     — :class:`~repro.serve.report.ServeReport`
   percentile latency / utilization / amortization summaries.
 

@@ -9,8 +9,7 @@ Examples::
     repro serve --json --out report.json
 
 The command calibrates a cost table against the 64-bit rig, generates a
-seeded arrival trace, simulates it through the vectorized engine
-(``REPRO_NO_FAST_PATH=1`` switches to the scalar reference path), and
+seeded arrival trace, simulates it through the vectorized engine, and
 prints a service-level report (percentile latency, utilization, decision
 mix, allocator health, amortization curve).
 """

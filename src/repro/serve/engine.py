@@ -10,30 +10,31 @@ each maximal same-kernel run forms a **segment**, the granularity at
 which the admission decision (:mod:`repro.serve.decisions`) and the
 region allocator (:mod:`repro.serve.regions`) operate.
 
-Two implementations produce byte-identical outcomes:
+:func:`simulate` is vectorized and works in two passes over
+epoch-aligned chunks of about :data:`CHUNK_REQUESTS` requests, so its
+temporaries are bounded by the chunk and only its outputs span the
+trace.  Pass 1 orders each chunk (one ``np.lexsort``), keeps the service
+order plus a narrow cost index per request, and sums costs per segment
+(``ufunc.reduceat``).  The scalar per-segment driver
+(:func:`_run_segments`) then walks the whole segment stream once, so
+oracle look-ahead and allocator state are global.  Pass 2 rebuilds the
+costs and runs the closed-form queueing recurrence (``finish =
+max(maximum.accumulate(dispatch - C_prev), carry) + C``), carrying the
+server's last finish time across chunk boundaries.
 
-* the **fast path** — one global ``np.lexsort`` for the service order,
-  ``ufunc.reduceat`` for group/segment aggregates and a closed-form
-  queueing recurrence (``finish = maximum.accumulate(dispatch - C_prev)
-  + C``), so per-request Python work is zero;
-* the **reference path** — a plain per-request Python loop, kept as
-  ground truth behind ``REPRO_NO_FAST_PATH``
-  (:mod:`repro.engine.fastpath`).
-
-Both paths share the scalar per-segment driver (:func:`_run_segments`),
-so policy decisions and allocator state transitions are computed by the
-same code — the equivalence tests pin decisions, latencies and stats.
+A per-request Python reference lives in ``tests/oracles/serve.py``; the
+tier-1 tests hold :func:`simulate` byte-identical to it, at every chunk
+size.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import fastpath
 from ..errors import ReproError
 from ..workloads.traces import validate_trace
 from .costtable import CostTable
@@ -51,6 +52,10 @@ RESIDENCY_POLICIES = ("lru", "oracle")
 #: Default dispatch quantum: 20 ms — roughly 1.4 reconfigurations long,
 #: wide enough to batch same-kernel requests, short against deadlines.
 DEFAULT_EPOCH_PS = 20_000_000_000
+
+#: Requests per scheduling chunk.  A chunk ends on an epoch boundary, and
+#: one epoch larger than this is one chunk.
+CHUNK_REQUESTS = 65_536
 
 
 class ServeError(ReproError):
@@ -93,7 +98,7 @@ class ServeConfig:
 
 @dataclass
 class ServeOutcome:
-    """Raw simulation output (identical between fast and reference paths).
+    """Raw simulation output (byte-identical to the per-request oracle's).
 
     Request-indexed arrays are in original trace order; segment arrays
     are in service order.
@@ -141,10 +146,10 @@ def _run_segments(
 ) -> Tuple[List[int], List[int], Dict[str, object]]:
     """Drive the admission decision + allocator over the segment stream.
 
-    Scalar by design and shared verbatim by both scheduler paths: the
-    segment stream is thousands of entries per million requests, so this
-    loop is off the hot path, and sharing it makes the fast/reference
-    decision equivalence structural rather than coincidental.
+    Scalar by design and shared verbatim with the per-request oracle in
+    ``tests/oracles/serve.py``: the segment stream is thousands of entries
+    per million requests, so this loop is off the hot path, and sharing it
+    makes the decision equivalence structural rather than coincidental.
     """
     cols = config.region_cols if config.region_cols is not None else table.region_cols
     alloc = RegionAllocator(
@@ -227,116 +232,89 @@ def _validated_inputs(trace: np.ndarray, table: CostTable) -> None:
 
 
 def simulate(trace: np.ndarray, table: CostTable, config: ServeConfig) -> ServeOutcome:
-    """Run the scheduler over a trace; dispatches on the fast-path gate."""
+    """Run the scheduler over a trace, one epoch-aligned chunk at a time."""
     _validated_inputs(trace, table)
-    if fastpath.enabled():
-        return _simulate_fast(trace, table, config)
-    return _simulate_reference(trace, table, config)
-
-
-def _policy_keys(
-    config: ServeConfig,
-    epoch: np.ndarray,
-    arrival: np.ndarray,
-    deadline: np.ndarray,
-    priority: np.ndarray,
-    g_min_arrival: np.ndarray,
-    g_max_priority: np.ndarray,
-    g_min_deadline: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(g1, g2, w1, w2) sort keys for the configured queue policy.
-
-    ``g*`` order same-epoch kernel groups; ``w*`` order requests inside a
-    group.  The scalar reference path builds the identical tuples.
-    """
-    zeros = np.zeros(arrival.size, dtype=np.int64)
-    if config.queue == "fifo":
-        return g_min_arrival, zeros, arrival, zeros
-    if config.queue == "priority":
-        return -g_max_priority, g_min_arrival, -priority, arrival
-    return g_min_deadline, zeros, deadline, arrival  # edf
-
-
-def _simulate_fast(
-    trace: np.ndarray, table: CostTable, config: ServeConfig
-) -> ServeOutcome:
     n = int(trace.size)
-    arrival = trace["arrival_ps"].astype(np.int64)
-    kern = trace["kernel"].astype(np.int64)
-    size = trace["size"].astype(np.int64)
-    deadline = trace["deadline_ps"].astype(np.int64)
-    priority = trace["priority"].astype(np.int64)
+    arrival = trace["arrival_ps"]
+    hw_flat = table.hw_run_ps.ravel()
+    sw_flat = table.sw_run_ps.ravel()
+    index_dtype = np.int16 if hw_flat.size <= np.iinfo(np.int16).max else np.int32
 
-    epoch = arrival // config.epoch_ps + 1
-    kernel_count = len(table.kernels)
-    gid = epoch * kernel_count + kern
-
-    # Group aggregates (epoch × kernel) via sort + reduceat.
-    g_order = np.argsort(gid, kind="stable")
-    sorted_gid = gid[g_order]
-    g_starts = np.flatnonzero(np.r_[True, sorted_gid[1:] != sorted_gid[:-1]])
-    g_index = np.searchsorted(sorted_gid[g_starts], gid)
-    g_min_arrival = np.minimum.reduceat(arrival[g_order], g_starts)[g_index]
-    g_max_priority = np.maximum.reduceat(priority[g_order], g_starts)[g_index]
-    g_min_deadline = np.minimum.reduceat(deadline[g_order], g_starts)[g_index]
-
-    g1, g2, w1, w2 = _policy_keys(
-        config, epoch, arrival, deadline, priority,
-        g_min_arrival, g_max_priority, g_min_deadline,
+    # Pass 1: service order, cost index and segment sums, chunk by chunk.
+    # Epoch is the most significant sort key, so chunk orders concatenate.
+    chunks = list(_chunks(arrival, config.epoch_ps))
+    service_order = np.empty(n, dtype=np.int64)
+    cost_index = np.empty(n, dtype=index_dtype)
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    for start, stop in chunks:
+        chunk = trace[start:stop]
+        order = _chunk_order(chunk, len(table.kernels), config)
+        kern = chunk["kernel"][order]
+        cidx = kern.astype(index_dtype) * table.size_classes + chunk["size"][order]
+        epoch = chunk["arrival_ps"][order] // config.epoch_ps
+        # Segments: maximal same-kernel runs within an epoch.
+        seg_starts = np.flatnonzero(
+            np.r_[True, (kern[1:] != kern[:-1]) | (epoch[1:] != epoch[:-1])]
+        )
+        parts.append((
+            kern[seg_starts],
+            np.diff(seg_starts, append=order.size),
+            np.add.reduceat(hw_flat[cidx], seg_starts),
+            np.add.reduceat(sw_flat[cidx], seg_starts),
+        ))
+        order += start
+        service_order[start:stop] = order
+        cost_index[start:stop] = cidx
+    seg_kernel, seg_len, seg_hw, seg_sw = (
+        np.concatenate(column).astype(np.int64) for column in zip(*parts)
     )
-    # np.lexsort: last key is most significant; the trailing index key
-    # makes the order (and thus equivalence) explicit, not just stable.
-    order = np.lexsort(
-        (np.arange(n, dtype=np.int64), w2, w1, kern, g2, g1, epoch)
-    )
 
-    ke = kern[order]
-    ee = epoch[order]
-    hw_cost = table.hw_run_ps[ke, size[order]]
-    sw_cost = table.sw_run_ps[ke, size[order]]
-
-    # Segments: maximal same-kernel runs within an epoch.
-    boundary = np.r_[True, (ke[1:] != ke[:-1]) | (ee[1:] != ee[:-1])]
-    seg_starts = np.flatnonzero(boundary)
-    seg_len = np.diff(np.r_[seg_starts, n])
-    seg_kernel = ke[seg_starts]
-    seg_hw = np.add.reduceat(hw_cost, seg_starts)
-    seg_sw = np.add.reduceat(sw_cost, seg_starts)
-
+    # Between the passes: one global decision + allocator walk.
     seg_dec_list, seg_overhead_list, alloc_stats = _run_segments(
         seg_kernel.tolist(), seg_hw.tolist(), seg_sw.tolist(), table, config
     )
     seg_decision = np.asarray(seg_dec_list, dtype=np.uint8)
     seg_overhead = np.asarray(seg_overhead_list, dtype=np.int64)
 
-    # Per-request service costs + the closed-form queueing recurrence:
-    # finish_i = max(dispatch_i, finish_{i-1}) + cost_i  ==
-    # maximum.accumulate(dispatch - C_prev) + C  (exact, by induction).
-    dec_req = np.repeat(seg_decision, seg_len)
-    cost = np.where(dec_req == DECISION_SOFTWARE, sw_cost, hw_cost)
-    extra = np.zeros(n, dtype=np.int64)
-    extra[seg_starts] = seg_overhead
-    total = cost + extra
-    csum = np.cumsum(total)
-    dispatch_sorted = ee * config.epoch_ps
-    finish_sorted = np.maximum.accumulate(dispatch_sorted - (csum - total)) + csum
-
-    finish = np.empty(n, dtype=np.int64)
-    finish[order] = finish_sorted
+    # Pass 2: per-request costs and the closed-form queueing recurrence
+    # finish_i = max(dispatch_i, finish_{i-1}) + cost_i
+    #          = max(maximum.accumulate(dispatch - C_prev), carry) + C
+    # (exact, by induction), carrying the last finish into the next chunk.
+    finish_ps = np.empty(n, dtype=np.int64)
     decisions = np.empty(n, dtype=np.uint8)
-    decisions[order] = dec_req
-    latency = finish - arrival
+    seg_first = np.cumsum(seg_len) - seg_len
+    server_free = 0
+    busy = 0
+    first_seg = 0
+    for start, stop in chunks:
+        order = service_order[start:stop]
+        last_seg = int(np.searchsorted(seg_first, stop))
+        segs = slice(first_seg, last_seg)
+        dec = np.repeat(seg_decision[segs], seg_len[segs])
+        cidx = cost_index[start:stop]
+        total = np.where(dec == DECISION_SOFTWARE, sw_flat[cidx], hw_flat[cidx])
+        total[seg_first[segs] - start] += seg_overhead[segs]
+        csum = np.cumsum(total)
+        dispatch = (arrival[order] // config.epoch_ps + 1) * config.epoch_ps
+        finish = np.maximum(np.maximum.accumulate(dispatch - (csum - total)), server_free)
+        finish += csum
+        finish_ps[order] = finish
+        decisions[order] = dec
+        busy += int(csum[-1])
+        server_free = int(finish[-1])
+        first_seg = last_seg
+
     return ServeOutcome(
         config=config,
         requests=n,
         decisions=decisions,
-        finish_ps=finish,
-        latency_ps=latency,
-        service_order=order.astype(np.int64),
-        busy_ps=int(total.sum()),
-        span_ps=int(finish_sorted[-1]),
-        seg_kernel=seg_kernel.astype(np.int64),
-        seg_len=seg_len.astype(np.int64),
+        finish_ps=finish_ps,
+        latency_ps=finish_ps - arrival,
+        service_order=service_order,
+        busy_ps=busy,
+        span_ps=server_free,
+        seg_kernel=seg_kernel,
+        seg_len=seg_len,
         seg_decision=seg_decision,
         seg_overhead_ps=seg_overhead,
         alloc=alloc_stats,
@@ -345,107 +323,64 @@ def _simulate_fast(
     )
 
 
-def _simulate_reference(
-    trace: np.ndarray, table: CostTable, config: ServeConfig
-) -> ServeOutcome:
-    """Ground-truth scalar scheduler (``REPRO_NO_FAST_PATH``)."""
-    n = int(trace.size)
-    arrival = [int(v) for v in trace["arrival_ps"]]
-    kern = [int(v) for v in trace["kernel"]]
-    size = [int(v) for v in trace["size"]]
-    deadline = [int(v) for v in trace["deadline_ps"]]
-    priority = [int(v) for v in trace["priority"]]
-    hw_tab = [[int(v) for v in row] for row in table.hw_run_ps]
-    sw_tab = [[int(v) for v in row] for row in table.sw_run_ps]
+def _chunks(arrival: np.ndarray, epoch_ps: int) -> Iterator[Tuple[int, int]]:
+    """``[start, stop)`` request ranges of about :data:`CHUNK_REQUESTS`.
 
-    epoch = [a // config.epoch_ps + 1 for a in arrival]
+    Arrivals are sorted, so an epoch is a contiguous slice: each chunk
+    is cut back to the first request of the epoch its limit falls in, or,
+    when one epoch fills the whole chunk, runs on to that epoch's end.
+    """
+    n = arrival.size
+    start = 0
+    while start < n:
+        stop = min(start + CHUNK_REQUESTS, n)
+        if stop < n:
+            epoch_start = int(arrival[stop]) // epoch_ps * epoch_ps
+            cut = start + int(np.searchsorted(arrival[start:stop], epoch_start))
+            if cut > start:
+                stop = cut
+            else:
+                epoch_end = epoch_start + epoch_ps
+                while stop < n and arrival[stop] < epoch_end:
+                    window = arrival[stop:stop + CHUNK_REQUESTS]
+                    stop += int(np.searchsorted(window, epoch_end))
+        yield start, stop
+        start = stop
 
-    # Group aggregates (epoch × kernel): [min arrival, max prio, min deadline].
-    group: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(n):
-        entry = group.get((epoch[i], kern[i]))
-        if entry is None:
-            group[(epoch[i], kern[i])] = [arrival[i], priority[i], deadline[i]]
-        else:
-            entry[0] = min(entry[0], arrival[i])
-            entry[1] = max(entry[1], priority[i])
-            entry[2] = min(entry[2], deadline[i])
 
-    def sort_key(i: int) -> Tuple[int, int, int, int, int, int, int]:
-        agg = group[(epoch[i], kern[i])]
-        if config.queue == "fifo":
-            return (epoch[i], agg[0], 0, kern[i], arrival[i], 0, i)
-        if config.queue == "priority":
-            return (epoch[i], -agg[1], agg[0], kern[i], -priority[i], arrival[i], i)
-        return (epoch[i], agg[2], 0, kern[i], deadline[i], arrival[i], i)
+def _chunk_order(chunk: np.ndarray, kernels: int, config: ServeConfig) -> np.ndarray:
+    """Service order of one chunk of whole epochs, as chunk offsets.
 
-    order = sorted(range(n), key=sort_key)
+    Same-epoch kernel groups are ordered by the queue policy applied to
+    group aggregates, then requests inside a group.  ``np.lexsort`` is
+    stable (last key most significant), so ties keep trace order.
+    """
+    arrival = chunk["arrival_ps"]
+    kern = chunk["kernel"]
+    epoch = arrival // config.epoch_ps
+    gid = epoch * kernels + kern
 
-    # Segments in service order.
-    seg_kernel: List[int] = []
-    seg_hw: List[int] = []
-    seg_sw: List[int] = []
-    seg_len: List[int] = []
-    seg_of_pos: List[int] = []
-    previous: Optional[Tuple[int, int]] = None
-    for i in order:
-        key = (epoch[i], kern[i])
-        if key != previous:
-            seg_kernel.append(kern[i])
-            seg_hw.append(0)
-            seg_sw.append(0)
-            seg_len.append(0)
-            previous = key
-        seg = len(seg_kernel) - 1
-        seg_of_pos.append(seg)
-        seg_hw[seg] += hw_tab[kern[i]][size[i]]
-        seg_sw[seg] += sw_tab[kern[i]][size[i]]
-        seg_len[seg] += 1
+    # Group aggregates (epoch × kernel) via sort + reduceat.
+    g_order = np.argsort(gid, kind="stable")
+    sorted_gid = gid[g_order]
+    g_starts = np.flatnonzero(np.r_[True, sorted_gid[1:] != sorted_gid[:-1]])
+    g_index = np.searchsorted(sorted_gid[g_starts], gid)
 
-    seg_decision, seg_overhead, alloc_stats = _run_segments(
-        seg_kernel, seg_hw, seg_sw, table, config
-    )
+    def group(ufunc, column: np.ndarray) -> np.ndarray:
+        return ufunc.reduceat(column[g_order], g_starts)[g_index]
 
-    # Per-request timeline: one server, explicit recurrence.
-    finish = [0] * n
-    decisions = [0] * n
-    busy = 0
-    server_free = 0
-    previous_seg = -1
-    for pos in range(n):
-        i = order[pos]
-        seg = seg_of_pos[pos]
-        dec = seg_decision[seg]
-        cost = (
-            sw_tab[kern[i]][size[i]]
-            if dec == DECISION_SOFTWARE
-            else hw_tab[kern[i]][size[i]]
+    if config.queue == "fifo":
+        keys = (arrival, kern, group(np.minimum, arrival))
+    elif config.queue == "priority":
+        priority = chunk["priority"]
+        keys = (
+            arrival,
+            np.negative(priority, dtype=np.int16),
+            kern,
+            group(np.minimum, arrival),
+            np.negative(group(np.maximum, priority), dtype=np.int16),
         )
-        if seg != previous_seg:
-            cost += seg_overhead[seg]
-            previous_seg = seg
-        dispatch = epoch[i] * config.epoch_ps
-        start = dispatch if dispatch > server_free else server_free
-        server_free = start + cost
-        finish[i] = server_free
-        decisions[i] = dec
-        busy += cost
-
-    latency = [finish[i] - arrival[i] for i in range(n)]
-    return ServeOutcome(
-        config=config,
-        requests=n,
-        decisions=np.asarray(decisions, dtype=np.uint8),
-        finish_ps=np.asarray(finish, dtype=np.int64),
-        latency_ps=np.asarray(latency, dtype=np.int64),
-        service_order=np.asarray(order, dtype=np.int64),
-        busy_ps=busy,
-        span_ps=server_free,
-        seg_kernel=np.asarray(seg_kernel, dtype=np.int64),
-        seg_len=np.asarray(seg_len, dtype=np.int64),
-        seg_decision=np.asarray(seg_decision, dtype=np.uint8),
-        seg_overhead_ps=np.asarray(seg_overhead, dtype=np.int64),
-        alloc=alloc_stats,
-        trace=trace,
-        table=table,
-    )
+    else:  # edf
+        deadline = chunk["deadline_ps"]
+        keys = (arrival, deadline, kern, group(np.minimum, deadline))
+    return np.lexsort(keys + (epoch,))

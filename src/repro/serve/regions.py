@@ -18,8 +18,8 @@ that width for the serve scheduler:
 
 The allocator is deliberately scalar Python: it is driven at *segment*
 granularity (thousands of events per million requests), never
-per-request, and it is shared verbatim by the vectorized fast path and
-the scalar reference path so both produce identical placements.
+per-request, and it is shared verbatim by the vectorized scheduler and
+its per-request test oracle so both produce identical placements.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ reconfiguration-amortization curve (per-swap cost spread over the run
 length it amortises across, bucketed by power-of-two run length).
 
 Everything is computed from the outcome's arrays with shared code, so a
-report from the fast path equals a report from the reference path
-exactly (the equivalence tests compare ``to_dict()``).
+report from the scheduler equals a report from its per-request test
+oracle exactly (the equivalence tests compare ``to_dict()``).
 """
 
 from __future__ import annotations

@@ -65,9 +65,10 @@ def _sticky_ids(count: int, values: int, stickiness: float, rng) -> np.ndarray:
     switch = rng.random(count) < (1.0 - stickiness)
     if count:
         switch[0] = True
-    run_id = np.cumsum(switch) - 1
+    run_id = np.cumsum(switch)
+    run_id -= 1
     run_values = rng.integers(0, values, size=int(run_id[-1]) + 1 if count else 0)
-    return run_values[run_id].astype(np.int64)
+    return run_values[run_id]
 
 
 def _size_weights(size_classes: int, skew: float = 0.55) -> np.ndarray:
@@ -87,26 +88,33 @@ def _assemble(
     deadline_slack_ps: Sequence[int],
     priority_levels: int,
 ) -> np.ndarray:
-    """Common tail: turn a float gap vector into a finished trace."""
+    """Common tail: turn a float gap vector into a finished trace.
+
+    Works in place: ``gaps`` (the caller's scratch vector) becomes the
+    rounded arrival times, and each column is written straight into the
+    trace, so a million-request trace never holds a second copy of one.
+    """
     lo, hi = int(deadline_slack_ps[0]), int(deadline_slack_ps[1])
     if lo <= 0 or hi <= lo:
         raise KernelError("deadline_slack_ps must be an increasing positive pair")
-    arrival = np.rint(np.cumsum(np.maximum(gaps, 1.0))).astype(np.int64)
+    np.maximum(gaps, 1.0, out=gaps)
+    np.cumsum(gaps, out=gaps)
+    np.rint(gaps, out=gaps)
     kernel_rng = np.random.default_rng(derive_trace_seed(seed, "kernel"))
     tenant_rng = np.random.default_rng(derive_trace_seed(seed, "tenant"))
     size_rng = np.random.default_rng(derive_trace_seed(seed, "size"))
     slack_rng = np.random.default_rng(derive_trace_seed(seed, "deadline"))
     trace = np.zeros(count, dtype=TRACE_DTYPE)
-    trace["arrival_ps"] = arrival
+    trace["arrival_ps"] = gaps
     trace["kernel"] = _sticky_ids(count, kernels, stickiness, kernel_rng)
     trace["tenant"] = _sticky_ids(count, tenants, stickiness, tenant_rng)
     trace["priority"] = trace["tenant"] % priority_levels
     trace["size"] = size_rng.choice(
         size_classes, size=count, p=_size_weights(size_classes)
     )
-    trace["deadline_ps"] = arrival + slack_rng.integers(
-        lo, hi, size=count, dtype=np.int64
-    )
+    deadline = trace["deadline_ps"]
+    deadline[:] = slack_rng.integers(lo, hi, size=count, dtype=np.int64)
+    deadline += trace["arrival_ps"]
     return trace
 
 

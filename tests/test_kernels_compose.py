@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
-from repro.kernels import BrightnessKernel
+from repro.kernels import BrightnessKernel, LoopbackKernel
 from repro.kernels.compose import STAGE_WINDOW, CompositeKernel, InvertKernel
 from repro.kernels.image_ops import PARAM_OFFSET
 from repro.sw.image_ops import brightness_ref
@@ -95,3 +95,21 @@ def test_composite_end_to_end_through_dock(system32):
     result = np.array(outs, dtype="<u4").view(np.uint8)[: pixels.size]
     expected = np.array([~int(p) & 0xFF for p in brightness_ref(pixels, 30)], dtype=np.uint8)
     assert np.array_equal(result, expected)
+
+
+def test_flush_through_loopback_emits_no_spurious_word():
+    """A loopback stage drains on flush instead of echoing the flush write."""
+    composite = CompositeKernel([LoopbackKernel(1), BrightnessKernel(5)])
+    composite.consume(0x01020304, 32, 0)
+    composite.flush()
+    assert composite.produce() == [0x06070809]
+    assert composite.read_register(STAGE_WINDOW) == 4
+
+    loopback, brightness = LoopbackKernel(1), BrightnessKernel(5)
+    loopback.consume(0x01020304, 32, 0)
+    loopback.flush()
+    for word in loopback.produce():
+        brightness.consume(word, 32, 0)
+    brightness.flush()
+    assert brightness.produce() == [0x06070809]
+    assert brightness.read_register(0) == 4

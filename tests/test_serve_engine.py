@@ -1,20 +1,21 @@
-"""Serve engine: fast path == scalar reference, policy semantics, errors.
+"""Serve engine: chunked scheduler == per-request oracle, policy semantics, errors.
 
-The load-bearing guarantee mirrors the repo's other fast paths: the
-vectorized scheduler and the per-request reference interpreter must
-produce byte-identical simulated outcomes — decisions, finish
-timestamps, segment structure, allocator stats — on any trace and any
-policy combination.  ``REPRO_NO_FAST_PATH=1`` runs this whole file
-through the reference path (CI does), so the engine's own equivalence
-tests force both paths explicitly via the fastpath contexts.
+The load-bearing guarantee mirrors the repo's other block datapaths: the
+vectorized scheduler (:func:`repro.serve.engine.simulate`, which works
+in epoch-aligned chunks) and the per-request interpreter in
+``tests/oracles/serve.py`` must produce byte-identical simulated
+outcomes — decisions, finish timestamps, segment structure, allocator
+stats — on any trace, any policy combination and any chunk size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import fastpath
+import repro.serve.engine as engine
 from repro.scenarios.registry import derive_seed
 from repro.scenarios.rigs import build_rig64
 from repro.serve.costtable import calibrate
@@ -28,6 +29,8 @@ from repro.serve.engine import (
 from repro.serve.report import ServeReport
 from repro.workloads.traces import ARRIVAL_MODELS, make_trace
 
+from .oracles import serve as oracle
+
 #: One calibration for the whole module: the cost table is immutable.
 TABLE = calibrate(build_rig64, seed=2006)
 
@@ -40,11 +43,7 @@ def trace_for(requests, model="poisson", seed=7, util=0.7):
 
 
 def both_paths(trace, config):
-    with fastpath.forced_on():
-        fast = simulate(trace, TABLE, config)
-    with fastpath.disabled():
-        ref = simulate(trace, TABLE, config)
-    return fast, ref
+    return simulate(trace, TABLE, config), oracle.simulate(trace, TABLE, config)
 
 
 # -- fast == reference --------------------------------------------------------
@@ -88,6 +87,61 @@ def test_fast_equals_reference_property(model, queue, residency, requests, seed)
     config = ServeConfig(queue=queue, residency=residency)
     fast, ref = both_paths(trace, config)
     assert fast.observables() == ref.observables()
+
+
+# -- chunk boundaries ---------------------------------------------------------
+
+SMALL_CHUNKS = (1, 3, 64)
+
+
+@pytest.mark.parametrize("queue,residency", ALL_COMBOS)
+def test_small_chunks_equal_reference(monkeypatch, queue, residency):
+    trace = trace_for(2_000)
+    config = ServeConfig(queue=queue, residency=residency)
+    ref = oracle.simulate(trace, TABLE, config)
+    for chunk in SMALL_CHUNKS:
+        monkeypatch.setattr(engine, "CHUNK_REQUESTS", chunk)
+        fast = simulate(trace, TABLE, config)
+        assert fast.observables() == ref.observables(), chunk
+        assert ServeReport.from_outcome(fast).to_dict() == (
+            ServeReport.from_outcome(ref).to_dict()
+        ), chunk
+
+
+def test_epoch_larger_than_chunk_is_one_chunk(monkeypatch):
+    trace = trace_for(4_000, model="bursty", util=0.9)
+    config = ServeConfig(queue="edf", residency="oracle")
+    epochs = trace["arrival_ps"] // config.epoch_ps
+    per_epoch = np.bincount(epochs)
+    assert per_epoch.max() > max(SMALL_CHUNKS)
+    ref = oracle.simulate(trace, TABLE, config)
+    for chunk in SMALL_CHUNKS:
+        monkeypatch.setattr(engine, "CHUNK_REQUESTS", chunk)
+        bounds = list(engine._chunks(trace["arrival_ps"], config.epoch_ps))
+        assert bounds[0][0] == 0 and bounds[-1][1] == trace.size
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert all(epochs[stop - 1] != epochs[stop] for _, stop in bounds[:-1])
+        assert max(stop - start for start, stop in bounds) == per_epoch.max()
+        assert simulate(trace, TABLE, config).observables() == ref.observables(), chunk
+
+
+def test_simulate_peak_memory_is_bounded_by_its_outputs():
+    """Per-request temporaries are bounded by the chunk: a 1M-request run
+    peaks at under twice the bytes of its per-request output arrays."""
+    trace = make_trace("poisson", 1_000_000, TABLE.mean_gap_for_utilization(0.7), 2006)
+    tracemalloc.start()
+    try:
+        outcome = simulate(trace, TABLE, ServeConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(
+        column.nbytes
+        for column in (
+            outcome.finish_ps, outcome.latency_ps, outcome.service_order, outcome.decisions,
+        )
+    )
+    assert peak <= 2 * outputs, (peak, outputs)
 
 
 def test_simulate_is_deterministic():

@@ -1,5 +1,7 @@
 """Seeded arrival-trace generators (repro.workloads.traces)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,22 @@ def test_same_seed_is_bit_identical():
     a = poisson_trace(3_000, 750_000, seed=11)
     b = poisson_trace(3_000, 750_000, seed=11)
     assert np.array_equal(a, b)
+
+
+#: SHA-256 of ``make_trace(model, 50_000, 3_000_000, 2006).tobytes()``,
+#: recorded before the assembly was rewritten to work in place: any change
+#: to a generator's arithmetic or RNG draws shows up here.
+PINNED_TRACE_SHA256 = {
+    "poisson": "f4e27344f98ba09a98930694e3515399542d13b55e982df34a270a0ff0986f11",
+    "bursty": "461720998f5f70fd3e58e8cd763e18e6c496ea5343de8c595ab910369265867d",
+    "diurnal": "20f5168b4e90bc3f0ed6b7639af4a7d7e25ca54ebd293a89fd78f2ae2bd45bc7",
+}
+
+
+@pytest.mark.parametrize("model", ARRIVAL_MODELS)
+def test_trace_bytes_match_pinned_digest(model):
+    trace = make_trace(model, 50_000, 3_000_000, 2006)
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == PINNED_TRACE_SHA256[model]
 
 
 def test_different_seeds_differ():
