@@ -49,6 +49,8 @@ import numpy as np
 
 from ..analysis.stats import percentiles_ps, wilson_half_width, wilson_interval
 from ..bitstream.bitlinker import Placement
+from ..engine import fastpath
+from ..engine.memo import memoized
 from ..errors import InvariantError
 from .campaign import TrialResult
 from .plan import FaultPlan, armed, derive_rng_seed
@@ -151,8 +153,25 @@ def calibrate_rig(
     repair, in-load catch, CRC retry, each commit-retry depth, and the
     fallback), validating along the way that each simulation took the
     path the model charges for.  Campaign cost is then independent of
-    trial count; scenario-level caching amortises even this.
+    trial count.  The result is memoized per process on the arguments and
+    the fast-path state (:func:`repro.engine.memo.memoized`), so each
+    distinct calibration is simulated once per process; ``builder`` must
+    therefore be a pure function of its arguments, as
+    :func:`repro.scenarios.rigs.build_rig64` is.
     """
+    key = ("faults.calibrate_rig", builder, kernel, max_attempts, calibration_seed,
+           fastpath.enabled())
+    return memoized(
+        key, lambda: _calibrate_rig(builder, kernel, max_attempts, calibration_seed)
+    )
+
+
+def _calibrate_rig(
+    builder: Callable[[], Tuple[object, object]],
+    kernel: str,
+    max_attempts: int,
+    calibration_seed: int,
+) -> CalibratedRig:
     _expect(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
 
     # Clean robust load: baseline timeline + the golden configuration

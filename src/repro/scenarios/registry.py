@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import ReproError
@@ -92,7 +93,15 @@ class Scenario:
         material.  Never ``repr(self.fn)`` — that embeds the object's
         memory address, which changes per process and would make cache
         keys nondeterministic.
+
+        Computed once per scenario per process: a process runs the code
+        it loaded whatever later happens to the file, which is also why
+        the package digest is memoized per process.
         """
+        return self._source_digest
+
+    @cached_property
+    def _source_digest(self) -> str:
         try:
             source = inspect.getsource(self.fn)
         except (OSError, TypeError):  # dynamically defined (tests)

@@ -7,6 +7,9 @@ driver, and the software reference, all charged through the same CPU/bus
 cost model as the paper benches — and freezes the simulated costs into
 dense integer arrays.  Admission decisions are then pure break-even math
 over these tables (:mod:`repro.serve.decisions`), evaluated in batch.
+A table is memoized per process by value (:mod:`repro.engine.memo`), so
+each distinct calibration is simulated once per process however many
+scenarios ask for it; its arrays are read-only.
 
 Size classes are square-image edge lengths (``32 + 16*c`` pixels); the
 hash kernel hashes one key of ``edge*edge`` bytes so all kernels share
@@ -28,6 +31,8 @@ from ..core.apps import (
     HwJenkinsHash,
     HwPatternMatch,
 )
+from ..engine import fastpath
+from ..engine.memo import memoized
 from ..errors import KernelError
 from ..sw import SwBlend, SwBrightness, SwFade, SwJenkinsHash, SwPatternMatch
 from ..workloads import binary_image, binary_pattern, grayscale_image, random_key
@@ -57,6 +62,8 @@ class CostTable:
 
     ``hw_run_ps``/``sw_run_ps`` are ``(kernels, sizes)`` int64 arrays;
     ``reconfig_ps`` and ``widths`` (CLB columns) are ``(kernels,)``.
+    All four are read-only, so a memoized table cannot be changed by a
+    caller.
     """
 
     kernels: Tuple[str, ...]
@@ -66,6 +73,11 @@ class CostTable:
     widths: np.ndarray
     region_cols: int
     size_edges: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def size_classes(self) -> int:
@@ -142,9 +154,23 @@ def calibrate(
 
     ``build_rig`` is a rig factory like
     :func:`repro.scenarios.rigs.build_rig64` — it must return
-    ``(system, ReconfigManager)`` with the requested kernels registered.
-    All workload seeds are derived from ``seed``.
+    ``(system, ReconfigManager)`` with the requested kernels registered,
+    and be a pure function of its arguments: the table is memoized per
+    process on ``(build_rig, kernels, size_classes, seed)`` and the
+    fast-path state (:func:`repro.engine.memo.memoized`).  All workload
+    seeds are derived from ``seed``.
     """
+    kernels = tuple(kernels)
+    key = ("serve.calibrate", build_rig, kernels, size_classes, seed, fastpath.enabled())
+    return memoized(key, lambda: _calibrate(build_rig, kernels, size_classes, seed))
+
+
+def _calibrate(
+    build_rig: Callable[..., Tuple[object, object]],
+    kernels: Tuple[str, ...],
+    size_classes: int,
+    seed: int,
+) -> CostTable:
     if size_classes < 1:
         raise KernelError("need at least one size class")
     system, manager = build_rig(pattern_seed=seed)
@@ -164,7 +190,7 @@ def calibrate(
                 system, name, edge, pair_seed, pattern
             )
     return CostTable(
-        kernels=tuple(kernels),
+        kernels=kernels,
         reconfig_ps=reconfig,
         hw_run_ps=hw_table,
         sw_run_ps=sw_table,

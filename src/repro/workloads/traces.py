@@ -174,13 +174,26 @@ def bursty_trace(
     if count:
         starts[0] = True
     # One long off-gap per burst keeps the long-run rate near the mean.
-    idle = rng.exponential(float(mean_gap_ps) * burst_len * (1.0 - 1.0 / idle_factor),
-                           size=count)
-    gaps = np.where(starts, dense + idle, dense)
+    # Added in place so the idle draw is the only extra full-length vector.
+    idle_mean = float(mean_gap_ps) * burst_len * (1.0 - 1.0 / idle_factor)
+    np.add(dense, rng.exponential(idle_mean, size=count), out=dense, where=starts)
     return _assemble(
-        gaps, count, seed, kernels, tenants, size_classes, stickiness,
+        dense, count, seed, kernels, tenants, size_classes, stickiness,
         deadline_slack_ps, priority_levels,
     )
+
+
+def _diurnal_load(count: int, cycles: float, depth: float) -> np.ndarray:
+    """``1 + depth*sin(2*pi*cycles*i/count)`` per request, built in one
+    vector.  The operation order is fixed: the pinned trace digests
+    depend on every rounding step."""
+    load = np.arange(count, dtype=np.float64)
+    load *= 2.0 * np.pi * cycles
+    load /= max(1, count)
+    np.sin(load, out=load)
+    load *= depth
+    load += 1.0
+    return load
 
 
 def diurnal_trace(
@@ -207,9 +220,8 @@ def diurnal_trace(
     if not 0.0 <= depth < 1.0:
         raise KernelError("depth must be in [0, 1)")
     rng = np.random.default_rng(derive_trace_seed(seed, "diurnal-gaps"))
-    base = rng.exponential(float(mean_gap_ps), size=count)
-    phase = 2.0 * np.pi * cycles * np.arange(count, dtype=np.float64) / max(1, count)
-    gaps = base * (1.0 + depth * np.sin(phase))
+    gaps = rng.exponential(float(mean_gap_ps), size=count)
+    gaps *= _diurnal_load(count, cycles, depth)
     return _assemble(
         gaps, count, seed, kernels, tenants, size_classes, stickiness,
         deadline_slack_ps, priority_levels,

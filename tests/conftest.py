@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import build_system32, build_system64
 from repro.core.reconfig import ReconfigManager
+from repro.engine.memo import reset_calibration_memo
 from repro.kernels import (
     BlendKernel,
     BrightnessKernel,
@@ -21,6 +22,13 @@ from repro.kernels import (
     PatternMatchKernel,
 )
 from repro.workloads import binary_image, binary_pattern, grayscale_image
+
+
+@pytest.fixture(autouse=True)
+def _cold_calibrations():
+    """Every test starts with no memoized calibration, so a monkeypatched
+    model is never served a table or outcome model measured without it."""
+    reset_calibration_memo()
 
 
 @pytest.fixture

@@ -5,6 +5,9 @@ orchestrator and the result cache — these tests pin down the parts the
 other two rely on (stable names, deterministic seeds, JSON-safe results).
 """
 
+import dataclasses
+import hashlib
+import inspect
 import json
 
 import pytest
@@ -131,6 +134,22 @@ def test_source_fingerprint_tracks_the_body():
     other = get_scenario("table04_hash32")
     assert one.source_fingerprint() == one.source_fingerprint()
     assert one.source_fingerprint() != other.source_fingerprint()
+
+
+def test_source_fingerprint_reads_the_source_once(monkeypatch):
+    entry = dataclasses.replace(get_scenario("table03_patmatch32"))  # nothing cached
+    expected = hashlib.sha256(inspect.getsource(entry.fn).encode("utf-8")).hexdigest()
+    calls = []
+
+    def counting_getsource(obj):
+        calls.append(obj)
+        return original(obj)
+
+    original = inspect.getsource
+    monkeypatch.setattr(inspect, "getsource", counting_getsource)
+    assert entry.source_fingerprint() == expected
+    assert entry.source_fingerprint() == expected
+    assert calls == [entry.fn]
 
 
 # -- result transport ---------------------------------------------------------
