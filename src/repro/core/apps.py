@@ -36,12 +36,23 @@ LOOP_CYCLES = 4
 #: Batchable-phase names the drivers declare to the steady-state compiler
 #: (`repro.engine.batch.run_steady`).  Rigs opt systems in via
 #: `repro.engine.batch.declare_phases`; on undeclared systems every loop
-#: below runs the per-word reference path.
+#: below runs the per-word reference path.  Phases nest: the
+#: pattern-match strip loop (`pio-strip`) compiles as one phase whose
+#: probed strips run the `pio-write` and `pio-read` phases inside, and
+#: the data-cache sweeps each strip charges are watched state, so the
+#: strip loop compiles once those sweeps hit a settled cache.
 PHASE_PIO_WRITE = "pio-write"
 PHASE_PIO_READ = "pio-read"
 PHASE_PIO_STREAM = "pio-stream"
 PHASE_PIO_PAIRED = "pio-paired"
-PIO_PHASES = (PHASE_PIO_WRITE, PHASE_PIO_READ, PHASE_PIO_STREAM, PHASE_PIO_PAIRED)
+PHASE_PIO_STRIP = "pio-strip"
+PIO_PHASES = (
+    PHASE_PIO_WRITE,
+    PHASE_PIO_READ,
+    PHASE_PIO_STREAM,
+    PHASE_PIO_PAIRED,
+    PHASE_PIO_STRIP,
+)
 
 #: Bulk feed/drain chunk: keeps a bounded output FIFO from seeing more
 #: than its depth in flight at once while staying wide enough to amortize
@@ -113,26 +124,44 @@ class HwPatternMatch:
         _require_kernel(system, "patmatch")
         kernel: PatternMatchKernel = system.dock.kernel
         img = np.asarray(image).astype(bool)
+        if img.shape[0] < 8 or img.shape[1] < 8:
+            raise KernelError(f"image {img.shape} smaller than the pattern")
         strips = img.shape[0] - 7
         width = img.shape[1]
+        positions = width - 7
+        expect_words = (positions + 3) // 4
+        columns = [
+            key_to_words(bytes(PatternMatchKernel.strip_columns(img, strip)))
+            for strip in range(strips)
+        ]
         cpu = system.cpu
+        dock = system.dock
+        flush = dock.base + PM_FLUSH_OFFSET
         start = cpu.now_ps
-        counts_rows: List[np.ndarray] = []
-        for strip in range(strips):
+        result_words: List[List[int]] = []
+
+        def step(strip: int) -> None:
             kernel.reset()
-            words = key_to_words(bytes(PatternMatchKernel.strip_columns(img, strip)))
+            words = columns[strip]
             # The column words are loaded from external memory...
             charge_word_reads(system, memmap.STAGE_INPUT, len(words))
             # ...pushed through the dock...
             _write_words(system, words)
-            cpu.io_write(system.dock.base + PM_FLUSH_OFFSET, 0)
+            cpu.io_write(flush, 0)
             # ...and the packed match counts read back and stored.
-            expect_words = (width - 7 + 3) // 4
-            result_words = _read_words(system, expect_words)
+            result_words.append(_read_words(system, expect_words))
             charge_word_writes(system, memmap.STAGE_OUTPUT, expect_words)
-            counts = np.array(result_words, dtype="<u4").view(np.uint8)
-            counts_rows.append(counts[: width - 7].astype(np.int32))
-        result = np.array(counts_rows, dtype=np.int32)
+
+        def bulk(first: int, n: int) -> None:
+            for strip in range(first, first + n):
+                kernel.reset()
+                dock.feed_words(columns[strip], 32)
+                dock.feed_words([0], 32, PM_FLUSH_OFFSET)
+                result_words.append(dock.drain_words(expect_words, 32))
+
+        run_steady(system, strips, step, bulk, phase=PHASE_PIO_STRIP)
+        counts = np.array(result_words, dtype="<u4").view(np.uint8)
+        result = counts[:, :positions].astype(np.int32)
         return RunResult(result=result, elapsed_ps=cpu.now_ps - start, label=self.name)
 
 

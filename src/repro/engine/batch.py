@@ -17,7 +17,9 @@ by the same delta.
    (CPU time, per-bus busy watermarks, the bridge's posted-write buffer
    relative to *now*), bus clock-phase offsets, and exact per-group
    statistics deltas (counters plus accumulator total/count with
-   unchanged min/max);
+   unchanged min/max); the CPU caches' tags and dirty bits must also be
+   identical at consecutive boundaries, since a cache that still fills
+   or evicts makes the next iteration cost something else;
 2. once two consecutive signatures are identical, the phase is provably
    periodic: every further iteration is a time-shifted copy, so the
    remaining iterations are applied **closed-form** — one clock jump
@@ -38,7 +40,8 @@ timestamps exactly.  ``tests/test_batch_compile_equivalence.py`` holds
 the contract under hypothesis.
 
 **Division of labour** — the compiler owns simulated time and every
-watched statistics group (CPU, buses, bridge, dock, DMA engine, HWICAP);
+watched statistics group (CPU, CPU data and instruction caches, buses,
+bridge, dock, DMA engine, HWICAP);
 ``bulk`` callbacks own data movement and functional counters (FIFO
 statistics via ``push_many``/``pop_array``, ICAP readback counts via
 ``bulk_readback``), matching the per-word reference exactly.  A ``bulk``
@@ -49,6 +52,12 @@ Phases are **declared, not guessed**: scenarios/rigs opt loops in with
 :func:`declare_phases`, and :func:`run_steady` compiles only phases whose
 name was declared on the target system.  Undeclared loops simply run the
 reference path.
+
+Phases **nest**: a ``step`` may itself call :func:`run_steady` (the
+pattern-match strip loop runs a PIO write phase and a PIO read phase per
+strip).  Each call watches the whole system, so the outer phase sees
+what its inner phases charged, compiled or not, and once the outer phase
+extrapolates, its ``bulk`` stands in for the inner phases as well.
 """
 
 from __future__ import annotations
@@ -151,8 +160,11 @@ class _Watch:
     """Snapshot/extrapolate view over everything timing-relevant.
 
     Watches the CPU cursor, each bus's busy watermark and clock phase, the
-    bridge's posted-write buffer, the PLB dock's DMA watermark, and the
-    statistics groups of every timed component.
+    bridge's posted-write buffer, the PLB dock's DMA watermark, the CPU
+    caches' tag and dirty state, and the statistics groups of every timed
+    component, the two caches included.  The cache state is not
+    extrapolated: an iteration that leaves it changed has no signature,
+    so only phases whose cache footprint is already settled compile.
     The dock FIFO's group is deliberately *not* watched: its statistics
     are functional (charged by ``push_many``/``pop_array`` inside the
     reference path and the ``bulk`` callbacks alike).
@@ -160,6 +172,7 @@ class _Watch:
 
     def __init__(self, system) -> None:
         self.cpu = system.cpu
+        self.caches = [self.cpu.dcache, self.cpu.icache]
         self.buses = [
             bus
             for bus in (getattr(system, "plb", None), getattr(system, "opb", None))
@@ -170,7 +183,8 @@ class _Watch:
         self.cursors: List[Tuple[object, str]] = [(bus, "_busy_until") for bus in self.buses]
         if dock is not None and hasattr(dock, "dma_busy_until_ps"):
             self.cursors.append((dock, "dma_busy_until_ps"))
-        groups = [self.cpu.stats] + [bus.stats for bus in self.buses]
+        groups = [self.cpu.stats] + [cache.stats for cache in self.caches]
+        groups += [bus.stats for bus in self.buses]
         if self.bridge is not None:
             groups.append(self.bridge.stats)
         if dock is not None:
@@ -191,6 +205,9 @@ class _Watch:
         now = self.cpu.now_ps
         cursor_vals = tuple(getattr(obj, attr) for obj, attr in self.cursors)
         inflight = tuple(self.bridge._inflight) if self.bridge is not None else ()
+        caches = tuple(
+            (cache._tags.tobytes(), cache._dirty.tobytes()) for cache in self.caches
+        )
         stats = []
         for group in self.groups:
             counters = {name: c.value for name, c in group._counters.items()}
@@ -199,7 +216,7 @@ class _Watch:
                 for name, a in group._accumulators.items()
             }
             stats.append((counters, accs))
-        return (now, cursor_vals, inflight, stats)
+        return (now, cursor_vals, inflight, caches, stats)
 
     def signature(self, prev, cur):
         """The iteration's timeline signature, or ``None`` if irregular.
@@ -208,12 +225,13 @@ class _Watch:
         cursor state is reproduced at the boundary, clock phases repeat,
         and the statistics deltas are constant with untouched accumulator
         extremes — so by induction every further iteration is the same
-        iteration shifted by ``dt``.
+        iteration shifted by ``dt``.  Cache state is compared absolutely:
+        an iteration that moved it has no signature.
         """
-        pnow, pcursors, pinflight, pstats = prev
-        cnow, ccursors, cinflight, cstats = cur
+        pnow, pcursors, pinflight, pcaches, pstats = prev
+        cnow, ccursors, cinflight, ccaches, cstats = cur
         dt = cnow - pnow
-        if dt <= 0:
+        if dt <= 0 or pcaches != ccaches:
             return None
 
         cursor_kinds = []

@@ -3,9 +3,9 @@
 The batch compiler must be invisible in every simulated observable: for
 random workload shapes, each PIO driver is run with the compiler on and
 off and everything comparable is diffed — elapsed picoseconds, task
-results, CPU/bus/bridge/dock/FIFO statistics including accumulator
-count/min/max tuples.  ``REPRO_NO_FAST_PATH`` and trace hooks must force
-the identical reference behaviour.
+results, CPU/cache/bus/bridge/dock/FIFO/DMA/HWICAP statistics including
+accumulator count/min/max tuples.  ``REPRO_NO_FAST_PATH`` and trace hooks
+must force the identical reference behaviour.
 """
 
 import os
@@ -20,15 +20,19 @@ from repro.core.apps import (
     HwFadePio,
     HwJenkinsHash,
     HwPatternMatch,
+    PHASE_PIO_STRIP,
 )
 from repro.engine import fastpath
+from repro.engine.batch import EXTRAS_KEY, MIN_PROBES, telemetry
+from repro.errors import KernelError
 from repro.scenarios.rigs import build_rig32, build_rig64
 from repro.workloads import binary_image, grayscale_image, random_key
 
 
 def _full_stats(system):
-    groups = [system.cpu.stats, system.plb.stats, system.dock.stats]
-    for attr in ("opb", "bridge"):
+    cpu = system.cpu
+    groups = [cpu.stats, cpu.dcache.stats, cpu.icache.stats, system.plb.stats, system.dock.stats]
+    for attr in ("opb", "bridge", "hwicap"):
         component = getattr(system, attr, None)
         if component is not None and hasattr(component, "stats"):
             groups.append(component.stats)
@@ -47,9 +51,13 @@ def _full_stats(system):
     return out
 
 
-def _run_both(builder, scenario):
+def _run_both(builder, scenario, only_phases=None):
+    """Run ``scenario`` compiled and stepped and diff every observable;
+    ``only_phases`` narrows the compiled run's declared phases."""
     with fastpath.forced_on():
         fast_system, fast_manager = builder()
+        if only_phases is not None:
+            fast_system.extras[EXTRAS_KEY] = set(only_phases)
         fast_run = scenario(fast_system, fast_manager)
     with fastpath.disabled():
         slow_system, slow_manager = builder()
@@ -93,6 +101,24 @@ def test_patmatch_equivalence(builder, height, width):
         return HwPatternMatch().run(system, binary_image(height, width, seed=height + width))
 
     _run_both(builder, scenario)
+    # With only the strip loop declared, the inner PIO phases step, so every
+    # compiled phase is a pio-strip phase: the strip loop compiles exactly
+    # once whenever it is long enough to probe.
+    before = telemetry().compiled_phases
+    _run_both(builder, scenario, only_phases=[PHASE_PIO_STRIP])
+    strips = height - 7
+    assert telemetry().compiled_phases - before == (1 if strips > MIN_PROBES else 0)
+
+
+@pytest.mark.parametrize("builder", [build_rig32, build_rig64], ids=["32", "64"])
+@pytest.mark.parametrize("shape", [(10, 6), (7, 20), (12, 3)])
+def test_patmatch_rejects_images_smaller_than_the_pattern(builder, shape):
+    system, manager = builder()
+    manager.load("patmatch")
+    now = system.cpu.now_ps
+    with pytest.raises(KernelError, match="smaller than the pattern"):
+        HwPatternMatch().run(system, np.ones(shape, dtype=bool))
+    assert system.cpu.now_ps == now
 
 
 @pytest.mark.parametrize("builder", [build_rig32, build_rig64], ids=["32", "64"])

@@ -24,6 +24,7 @@ from repro.engine.batch import (
 from repro.engine.trace import TraceRecorder
 from repro.kernels.streams import LoopbackKernel
 from repro.scenarios.rigs import build_rig32, build_rig64
+from repro.sw.costmodel import charge_word_reads, charge_word_writes
 
 N = 64
 PHASE = "unit-phase"
@@ -196,3 +197,43 @@ def test_probe_budget_is_bounded():
         run_steady(system, N, step, bulk, phase=PHASE)
     assert seen == list(range(N))
     assert MAX_PROBES < N
+
+
+@pytest.mark.parametrize("charge", [charge_word_reads, charge_word_writes], ids=["reads", "writes"])
+def test_phase_that_fills_the_data_cache_stays_exact(charge):
+    """A phase whose iterations sweep fresh lines through the data cache
+    changes the cache at every boundary, so it must not compile: 400
+    iterations of three lines each overflow the 512-line cache, and a
+    final sweep over the first iteration's lines then misses on both
+    paths."""
+    iterations = 400
+
+    def run(ctx_factory):
+        with ctx_factory():
+            system, _ = build_rig64()
+            declare_phases(system, PHASE)
+            cpu = system.cpu
+            base = system.dock.base
+
+            def step(i):
+                charge(system, memmap.STAGE_INPUT + 96 * i, 24)
+                cpu.io_write(base, i)
+
+            def bulk(start, count):
+                system.dock.feed_words(np.arange(start, start + count, dtype=np.uint64), 32, 0)
+
+            run_steady(system, iterations, step, bulk, phase=PHASE)
+            charge(system, memmap.STAGE_INPUT, 24)
+            stats = {}
+            for group in (cpu.stats, system.plb.stats, cpu.dcache.stats):
+                stats[group.name] = (
+                    {name: c.value for name, c in group._counters.items()},
+                    {
+                        name: (a.total, a.count, a.minimum, a.maximum)
+                        for name, a in group._accumulators.items()
+                    },
+                )
+            return cpu.now_ps, stats
+
+    assert run(fastpath.forced_on) == run(fastpath.disabled)
+    assert telemetry().compiled_phases == 0
