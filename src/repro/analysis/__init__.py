@@ -1,15 +1,6 @@
 """Developer-facing analysis tools built on the measured transfer costs."""
 
-from .amortization import (
-    Episode,
-    EpisodePlanner,
-    Plan,
-    PlanStep,
-    amortized_reconfig_ps,
-    break_even_runs,
-    break_even_table,
-    measure_episode,
-)
+from .amortization import break_even_runs, break_even_table, measure_episode
 from .lower_bound import (
     Assessment,
     Method,
@@ -59,12 +50,7 @@ __all__ = [
     "wilson_half_width",
     "wilson_interval",
     "BusUtilization",
-    "Episode",
-    "EpisodePlanner",
     "Method",
-    "Plan",
-    "PlanStep",
-    "amortized_reconfig_ps",
     "break_even_runs",
     "break_even_table",
     "measure_episode",

@@ -5,16 +5,15 @@ multiple (and mutually exclusive) tasks".  Each swap costs a full partial
 reconfiguration (tens of ms through the OPB HWICAP), so the decision per
 work episode is: reconfigure and run in hardware, or stay in software?
 
-:func:`break_even_runs` answers the unit question; :class:`EpisodePlanner`
-plans a whole episode sequence greedily, accounting for the kernel that is
-already resident (a repeat episode needs no swap).
+:func:`break_even_runs` answers the unit question,
+:func:`break_even_table` answers it over kernel × size cost tables, and
+:func:`measure_episode` calibrates the three timings on a live system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -60,114 +59,6 @@ def break_even_table(reconfig_ps, sw_run_ps, hw_run_ps) -> np.ndarray:
     profitable = gain > 0
     np.divide(reconfig, gain, out=out, where=profitable)
     return out
-
-
-def amortized_reconfig_ps(reconfig_ps: int, run_lengths) -> np.ndarray:
-    """Per-run share of one reconfiguration amortised over run batches.
-
-    ``run_lengths`` is an integer array of consecutive-run counts; every
-    entry must be >= 1 (a swap is only ever paid for at least one run).
-    Returns ``reconfig_ps / run_lengths`` as floats.
-    """
-    if reconfig_ps < 0:
-        raise TransferError("reconfiguration time must be non-negative")
-    lengths = np.asarray(run_lengths, dtype=np.int64)
-    if lengths.size and np.any(lengths <= 0):
-        raise TransferError("every run batch must contain at least one run")
-    return reconfig_ps / lengths.astype(np.float64)
-
-
-@dataclass(frozen=True)
-class Episode:
-    """A batch of ``runs`` executions of one task."""
-
-    kernel: str
-    runs: int
-    sw_run_ps: int
-    hw_run_ps: int
-    reconfig_ps: int
-
-    def __post_init__(self) -> None:
-        if self.runs <= 0:
-            raise TransferError("episode must contain at least one run")
-
-    def software_ps(self) -> int:
-        return self.runs * self.sw_run_ps
-
-    def hardware_ps(self, resident: Optional[str]) -> int:
-        swap = 0 if resident == self.kernel else self.reconfig_ps
-        return swap + self.runs * self.hw_run_ps
-
-
-@dataclass
-class PlanStep:
-    """One planned episode with the decision taken."""
-
-    episode: Episode
-    use_hardware: bool
-    elapsed_ps: int
-    resident_after: Optional[str]
-
-
-@dataclass
-class Plan:
-    """Outcome of :meth:`EpisodePlanner.plan`."""
-
-    steps: List[PlanStep] = field(default_factory=list)
-
-    @property
-    def total_ps(self) -> int:
-        return sum(step.elapsed_ps for step in self.steps)
-
-    @property
-    def swaps(self) -> int:
-        count = 0
-        resident: Optional[str] = None
-        for step in self.steps:
-            if step.use_hardware and resident != step.episode.kernel:
-                count += 1
-            if step.use_hardware:
-                resident = step.episode.kernel
-        return count
-
-    def software_only_ps(self) -> int:
-        return sum(step.episode.software_ps() for step in self.steps)
-
-    @property
-    def speedup(self) -> float:
-        return self.software_only_ps() / self.total_ps if self.total_ps else 1.0
-
-
-class EpisodePlanner:
-    """Greedy hardware/software scheduler for an episode sequence.
-
-    For each episode, it compares the software cost with the hardware cost
-    *given the currently resident kernel* and takes the cheaper option —
-    the policy an embedded runtime can actually implement online.
-    """
-
-    def __init__(self, initial_resident: Optional[str] = None) -> None:
-        self.initial_resident = initial_resident
-
-    def plan(self, episodes: Sequence[Episode]) -> Plan:
-        plan = Plan()
-        resident = self.initial_resident
-        for episode in episodes:
-            hw = episode.hardware_ps(resident)
-            sw = episode.software_ps()
-            use_hw = hw < sw
-            elapsed = hw if use_hw else sw
-            if use_hw:
-                resident = episode.kernel
-            plan.steps.append(
-                PlanStep(
-                    episode=episode,
-                    use_hardware=use_hw,
-                    elapsed_ps=elapsed,
-                    resident_after=resident,
-                )
-            )
-        return plan
 
 
 def measure_episode(system, manager, kernel_name: str, sw_task, hw_driver, *args) -> Dict[str, int]:

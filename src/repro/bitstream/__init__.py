@@ -3,11 +3,9 @@ frame generation and BitLinker-style assembly."""
 
 from .bits import deterministic_bits, extract_bits, int_to_words, place_bits, words_to_int
 from .bitlinker import BitLinker, LinkReport, Placement
-from .bitstream import Bitstream, BitstreamKind, concatenate, device_idcode
+from .bitstream import Bitstream, BitstreamKind, device_idcode
 from .busmacro import BusMacro, Direction, MacroKind, Port, Side, standard_data_macros
 from .component import ComponentConfig
-from .fileio import BitFileHeader, read_bit_file, write_bit_file
-from .placer import assembly_resources, free_columns, pack_chain, pack_independent
 from .generator import (
     full_configuration_frames,
     initialize_static_configuration,
@@ -24,17 +22,10 @@ from .packets import (
 )
 
 __all__ = [
-    "BitFileHeader",
     "BitLinker",
     "Bitstream",
     "BitstreamKind",
     "BusMacro",
-    "assembly_resources",
-    "free_columns",
-    "pack_chain",
-    "pack_independent",
-    "read_bit_file",
-    "write_bit_file",
     "Command",
     "ComponentConfig",
     "DUMMY_WORD",
@@ -48,7 +39,6 @@ __all__ = [
     "Register",
     "SYNC_WORD",
     "Side",
-    "concatenate",
     "deterministic_bits",
     "device_idcode",
     "extract_bits",

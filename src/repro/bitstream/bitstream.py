@@ -250,37 +250,3 @@ def decode_frames(words: np.ndarray) -> Tuple[str, List[FrameRun]]:
 
     decoded = PacketReader(words).scan()
     return _device_for_idcode(decoded.idcode), decoded.runs
-
-
-def concatenate(streams: Sequence[Bitstream]) -> Bitstream:
-    """Concatenate partial bitstreams for the same device.
-
-    Frames later in the sequence override earlier writes to the same
-    address (last-write-wins, as on the configuration port).
-    """
-    if not streams:
-        raise BitstreamError("cannot concatenate zero bitstreams")
-    device_name = streams[0].device_name
-    for stream in streams[1:]:
-        if stream.device_name != device_name:
-            raise BitstreamError(
-                f"cannot concatenate bitstreams for {device_name} and {stream.device_name}"
-            )
-    merged: Dict[FrameAddress, np.ndarray] = {}
-    order: List[FrameAddress] = []
-    for stream in streams:
-        for address, data in stream.frames:
-            if address not in merged:
-                order.append(address)
-            merged[address] = data
-    kind = (
-        BitstreamKind.PARTIAL_COMPLETE
-        if all(s.kind is not BitstreamKind.PARTIAL_DIFFERENTIAL for s in streams)
-        else BitstreamKind.PARTIAL_DIFFERENTIAL
-    )
-    return Bitstream(
-        device_name=device_name,
-        kind=kind,
-        frames=[(address, merged[address]) for address in order],
-        description="concatenation of " + ", ".join(s.description or "?" for s in streams),
-    )

@@ -1,13 +1,6 @@
 """CoreConnect-style on-chip bus models: OPB, PLB, PLB-OPB bridge."""
 
-from .arbiter import (
-    CPU_DATA,
-    CPU_INSTR,
-    DMA_ENGINE,
-    FixedPriorityArbiter,
-    Master,
-    RoundRobinArbiter,
-)
+from .arbiter import CPU_DATA, CPU_INSTR, DMA_ENGINE, Master
 from .bridge import PlbOpbBridge
 from .bus import Attachment, Bus
 from .opb import OPB_MAX_BURST_BEATS, OPB_WIDTH_BITS, make_opb
@@ -22,9 +15,7 @@ __all__ = [
     "CPU_INSTR",
     "Completion",
     "DMA_ENGINE",
-    "FixedPriorityArbiter",
     "Master",
-    "RoundRobinArbiter",
     "OPB_MAX_BURST_BEATS",
     "OPB_WIDTH_BITS",
     "Op",

@@ -132,7 +132,9 @@ class Bus:
                 f"{txn.size_bytes * 8}-bit beats"
             )
         if txn.beats > self.max_burst_beats:
-            return self._split_burst(when_ps, txn, master)
+            return self._chunked_requests(
+                when_ps, txn.op, txn.address, txn.size_bytes, txn.beats, txn.data, master, False
+            )
 
         attachment = self.decode(txn.address, txn.total_bytes)
         start = self.clock.next_edge(max(when_ps, self._busy_until))
@@ -284,7 +286,8 @@ class Bus:
         master,
         fixed_address: bool,
     ) -> Completion:
-        """Reference path for :meth:`request_burst`: one request per sub-burst."""
+        """One :meth:`request` per max-sized sub-burst (the reference path of
+        :meth:`request_burst`, and how :meth:`request` splits long bursts)."""
         remaining = beats
         cursor = when_ps
         addr = address
@@ -309,51 +312,6 @@ class Bus:
             offset += sub_beats
             remaining -= sub_beats
         return Completion(done_ps=cursor, value=values if values else None, released_ps=released)
-
-    def request_concurrent(self, when_ps: int, requests, arbiter) -> List[Completion]:
-        """Issue several same-edge requests in arbiter-granted order.
-
-        ``requests`` is a sequence of ``(Master, Transaction)`` pairs that
-        all want the bus at ``when_ps``; the arbiter decides the grant
-        order and every loser naturally queues behind the winner's tenure.
-        Completions are returned in the *input* order.
-        """
-        order = arbiter.order(requests)
-        if sorted(order) != list(range(len(requests))):
-            raise BusError("arbiter returned an invalid grant order")
-        completions: List[Optional[Completion]] = [None] * len(requests)
-        for index in order:
-            master, txn = requests[index]
-            completions[index] = self.request(when_ps, txn, master=master)
-        return completions  # type: ignore[return-value]
-
-    def _split_burst(self, when_ps: int, txn: Transaction, master=None) -> Completion:
-        remaining = txn.beats
-        address = txn.address
-        offset = 0
-        cursor = when_ps
-        values: List[Any] = []
-        released: Optional[int] = None
-        while remaining > 0:
-            chunk = min(remaining, self.max_burst_beats)
-            data = None
-            if txn.data is not None:
-                data = txn.data[offset : offset + chunk]
-            sub = Transaction(
-                op=txn.op, address=address, size_bytes=txn.size_bytes, beats=chunk, data=data
-            )
-            completion = self.request(cursor, sub, master=master)
-            if completion.value is not None:
-                values.extend(
-                    completion.value if isinstance(completion.value, (list, tuple)) else [completion.value]
-                )
-            cursor = completion.done_ps
-            released = completion.released_ps
-            address += chunk * txn.size_bytes
-            offset += chunk
-            remaining -= chunk
-        value: Any = values if values else None
-        return Completion(done_ps=cursor, value=value, released_ps=released)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name} ({self.width_bits}-bit @ {self.clock.freq_mhz:g} MHz)"

@@ -3,10 +3,9 @@
 Two layers share one diagnostic vocabulary (:mod:`repro.checks.diagnostics`):
 
 * **Layer 1 — model DRC**: pure functions that validate built objects
-  without simulating — component placements and produced bitstreams
+  without simulating — component placements
   (:mod:`~repro.checks.drc_bitstream`), bus address maps and bridge
-  topology (:mod:`~repro.checks.drc_bus`), DMA descriptor programs
-  (:mod:`~repro.checks.drc_dma`), and whole systems
+  topology (:mod:`~repro.checks.drc_bus`), and whole systems
   (:mod:`~repro.checks.drc_system`).
 * **Layer 2 — codebase lint**: an AST pass enforcing the simulator's
   modelling contract on ``src/repro`` itself (:mod:`~repro.checks.lint`).
@@ -19,7 +18,7 @@ Run both from the command line with ``python -m repro.checks`` or
 """
 
 from .diagnostics import CheckReport, Diagnostic, Rule, Severity, all_rules, get_rule
-from .drc_bitstream import check_bitstream, check_placements
+from .drc_bitstream import check_placements
 from .drc_bus import (
     check_address_map,
     check_bridge_map,
@@ -27,29 +26,19 @@ from .drc_bus import (
     check_bus_topology,
     check_master_binding,
 )
-from .drc_dma import (
-    ChainDescriptor,
-    check_descriptor_chain,
-    check_dma_program,
-    program_from_descriptors,
-)
 from .drc_system import check_system
 from .lint import lint_package, lint_paths, lint_source
 
 __all__ = [
-    "ChainDescriptor",
     "CheckReport",
     "Diagnostic",
     "Rule",
     "Severity",
     "all_rules",
     "check_address_map",
-    "check_bitstream",
     "check_bridge_map",
     "check_bus",
     "check_bus_topology",
-    "check_descriptor_chain",
-    "check_dma_program",
     "check_master_binding",
     "check_placements",
     "check_system",
@@ -57,5 +46,4 @@ __all__ = [
     "lint_package",
     "lint_paths",
     "lint_source",
-    "program_from_descriptors",
 ]

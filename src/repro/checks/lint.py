@@ -245,7 +245,6 @@ _ENGINE_MUTATORS = {
     "elapse_ps",
     "request",
     "request_burst",
-    "request_concurrent",
     "take_interrupt",
     "return_from_interrupt",
     "charge_stream_read",

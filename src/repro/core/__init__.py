@@ -19,7 +19,6 @@ from .apps import (
     HwSha1,
 )
 from .floorplan import render_bus_macro, render_generic_architecture, render_system_floorplan
-from .hostlink import HostLink
 from .multiregion import RegionSlot, build_system64_dual
 from .reconfig import ReconfigManager, ReconfigResult
 from .system import ModuleEntry, System
@@ -36,7 +35,6 @@ __all__ = [
     "HwFadePio",
     "HwJenkinsHash",
     "HwPatternMatch",
-    "HostLink",
     "HwSha1",
     "ModuleEntry",
     "OverlapResult",

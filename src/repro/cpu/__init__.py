@@ -1,7 +1,6 @@
 """PowerPC 405 model: instruction costs, caches, core timing."""
 
 from .cache import Cache
-from .minippc import AssemblyError, MiniPpc, Program, RunStats
 from .isa import (
     CALL_OVERHEAD,
     CPI_ALU,
@@ -23,13 +22,9 @@ __all__ = [
     "CPI_LOAD_HIT",
     "CPI_MUL",
     "CPI_STORE_HIT",
-    "AssemblyError",
     "Cache",
     "CacheableWindow",
     "InstructionMix",
     "LOOP_OVERHEAD",
-    "MiniPpc",
     "Ppc405",
-    "Program",
-    "RunStats",
 ]

@@ -7,7 +7,6 @@ the partial-reconfiguration fit checks.
 """
 
 from .base import BaseKernel
-from .compose import STAGE_WINDOW, CompositeKernel, InvertKernel
 from .image_ops import (
     FLUSH_OFFSET,
     PARAM_OFFSET,
@@ -26,10 +25,7 @@ __all__ = [
     "BaseKernel",
     "BlendKernel",
     "BrightnessKernel",
-    "CompositeKernel",
     "CounterSourceKernel",
-    "InvertKernel",
-    "STAGE_WINDOW",
     "FLUSH_OFFSET",
     "FadeKernel",
     "GOLDEN_RATIO",

@@ -104,9 +104,6 @@ class BaseKernel:
     def read_register(self, offset: int) -> int:
         return 0
 
-    def flush(self, width_bits: int = 32) -> None:
-        """End of a sequence: emit what the datapath still holds (none here)."""
-
     # -- the datapath subclasses implement ------------------------------------
     def _absorb(self, data: bytes, width_bits: int) -> None:  # pragma: no cover
         """Take the little-endian bytes of whole ``width_bits`` data words."""
@@ -208,7 +205,7 @@ class PackingKernel(BaseKernel):
         else:
             super()._control(offset, value, width_bits)
 
-    def flush(self, width_bits: int = 32) -> None:
+    def flush(self) -> None:
         """Pad and emit a partially packed output word (at the width it was
         packed for)."""
         if self._pending:

@@ -137,7 +137,7 @@ class LoopbackKernel(BaseKernel):
             out = np.concatenate([pending, out])
         return out
 
-    def flush(self, width_bits: int = 32) -> None:
+    def flush(self) -> None:
         """Drain the pipeline (end of a sequence)."""
         while self._pipe:
             self._emit(self._pipe.pop(0))

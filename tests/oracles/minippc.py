@@ -1,7 +1,7 @@
 """MiniPPC: a small PowerPC-flavoured interpreter over the timing model.
 
 The software tasks charge time through counted instruction mixes; this
-module provides the ground truth those counts abstract: a register-machine
+oracle provides the ground truth those counts abstract: a register-machine
 interpreter for a PowerPC-like subset that executes *real* loops against
 the simulated memory system, charging the same per-class cycle costs and
 issuing real (cached or uncached) loads and stores through the
@@ -29,9 +29,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import SimulationError
-from .isa import CPI_ALU, CPI_BRANCH_NOT_TAKEN, CPI_BRANCH_TAKEN, CPI_MUL
-from .ppc405 import Ppc405
+from repro.cpu.isa import CPI_ALU, CPI_BRANCH_NOT_TAKEN, CPI_BRANCH_TAKEN, CPI_MUL
+from repro.cpu.ppc405 import Ppc405
+from repro.errors import SimulationError
 
 _MASK = 0xFFFFFFFF
 

@@ -1,13 +1,12 @@
-"""Tests for reconfiguration amortisation and episode planning."""
+"""Tests for reconfiguration amortisation: break-even run counts."""
 
 import math
 
 import pytest
 
-from repro.analysis import Episode, EpisodePlanner, break_even_runs, measure_episode
+from repro.analysis import break_even_runs, measure_episode
 from repro.core.apps import HwBrightnessPio
 from repro.errors import TransferError
-from repro.kernels import BrightnessKernel
 from repro.sw import SwBrightness
 from repro.workloads import grayscale_image
 
@@ -28,61 +27,6 @@ def test_break_even_validates():
         break_even_runs(1, 0, 5)
 
 
-def episode(kernel="k", runs=5, sw=100, hw=40, reconfig=200):
-    return Episode(kernel=kernel, runs=runs, sw_run_ps=sw, hw_run_ps=hw, reconfig_ps=reconfig)
-
-
-def test_episode_costs():
-    ep = episode()
-    assert ep.software_ps() == 500
-    assert ep.hardware_ps(resident=None) == 400
-    assert ep.hardware_ps(resident="k") == 200  # no swap needed
-
-
-def test_episode_validates_runs():
-    with pytest.raises(TransferError):
-        episode(runs=0)
-
-
-def test_planner_prefers_software_for_tiny_batches():
-    plan = EpisodePlanner().plan([episode(runs=1, sw=100, hw=40, reconfig=1000)])
-    assert not plan.steps[0].use_hardware
-    assert plan.total_ps == 100
-
-
-def test_planner_prefers_hardware_for_big_batches():
-    plan = EpisodePlanner().plan([episode(runs=100, sw=100, hw=40, reconfig=1000)])
-    assert plan.steps[0].use_hardware
-    assert plan.total_ps == 1000 + 100 * 40
-
-
-def test_planner_exploits_residency():
-    episodes = [
-        episode(kernel="a", runs=50, reconfig=1000),
-        episode(kernel="a", runs=2, reconfig=1000),  # resident: no swap, hw wins
-    ]
-    plan = EpisodePlanner().plan(episodes)
-    assert all(step.use_hardware for step in plan.steps)
-    assert plan.swaps == 1
-    assert plan.steps[1].elapsed_ps == 2 * 40
-
-
-def test_planner_alternating_kernels_pay_swaps():
-    episodes = [
-        episode(kernel="a", runs=50, reconfig=1000),
-        episode(kernel="b", runs=50, reconfig=1000),
-        episode(kernel="a", runs=50, reconfig=1000),
-    ]
-    plan = EpisodePlanner().plan(episodes)
-    assert plan.swaps == 3
-
-
-def test_plan_speedup_vs_software_only():
-    plan = EpisodePlanner().plan([episode(runs=100, sw=100, hw=10, reconfig=500)])
-    assert plan.speedup > 1
-    assert plan.software_only_ps() == 10_000
-
-
 def test_measure_episode_on_live_system(system32, manager32):
     image = grayscale_image(16, 16, seed=95)
     costs = measure_episode(
@@ -94,26 +38,7 @@ def test_measure_episode_on_live_system(system32, manager32):
     assert 1 < runs < 10_000
 
 
-def test_planner_matches_timeshared_example_logic(system32, manager32):
-    """End-to-end: plan with measured costs, then verify the decision."""
-    image = grayscale_image(32, 32, seed=96)
-    costs = measure_episode(
-        system32, manager32, "brightness", SwBrightness(32), HwBrightnessPio(), image
-    )
-    few = Episode("brightness", 2, costs["sw_run_ps"], costs["hw_run_ps"], costs["reconfig_ps"])
-    many_runs = int(break_even_runs(
-        costs["reconfig_ps"], costs["sw_run_ps"], costs["hw_run_ps"]
-    )) * 3
-    many = Episode(
-        "brightness", many_runs, costs["sw_run_ps"], costs["hw_run_ps"], costs["reconfig_ps"]
-    )
-    plan = EpisodePlanner().plan([few])
-    assert not plan.steps[0].use_hardware  # 2 runs never amortise ~28 ms
-    plan = EpisodePlanner().plan([many])
-    assert plan.steps[0].use_hardware
-
-
-# -- vectorized break-even table and amortized-cost helpers ------------------
+# -- vectorized break-even table ---------------------------------------------
 
 def test_break_even_table_matches_scalar():
     import numpy as np
@@ -155,23 +80,3 @@ def test_break_even_table_validates():
         break_even_table(10_000, 0, 100)
     with pytest.raises(TransferError):
         break_even_table(10_000, 300, 0)
-
-
-def test_amortized_reconfig_ps_halves_with_run_length():
-    import numpy as np
-
-    from repro.analysis import amortized_reconfig_ps
-
-    curve = amortized_reconfig_ps(1_000_000, np.array([1, 2, 4]))
-    assert curve[0] == 1_000_000.0
-    assert curve[1] == 500_000.0
-    assert curve[2] == 250_000.0
-
-
-def test_amortized_reconfig_ps_validates():
-    from repro.analysis import amortized_reconfig_ps
-
-    with pytest.raises(TransferError):
-        amortized_reconfig_ps(-1, [4])
-    with pytest.raises(TransferError):
-        amortized_reconfig_ps(1_000, [0])

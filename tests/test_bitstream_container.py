@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bitstream.bitstream import Bitstream, BitstreamKind, concatenate, device_idcode
+from repro.bitstream.bitstream import Bitstream, BitstreamKind, device_idcode
 from repro.errors import BitstreamError
 from repro.fabric.device import XC2VP4, XC2VP7
 from repro.fabric.frames import BlockType, FrameAddress
@@ -84,29 +84,3 @@ def test_from_words_unknown_idcode():
     words[idx] = 0x9999
     with pytest.raises(BitstreamError):
         Bitstream.from_words(words)
-
-
-def test_concatenate_last_write_wins():
-    a = make_stream(value=0x10)
-    b = make_stream(value=0x40)
-    merged = concatenate([a, b])
-    assert merged.frame_count == 2
-    assert merged.frame_data(a.addresses()[0])[0] == 0x40
-
-
-def test_concatenate_device_mismatch():
-    a = make_stream(XC2VP4)
-    b = make_stream(XC2VP7)
-    with pytest.raises(BitstreamError):
-        concatenate([a, b])
-
-
-def test_concatenate_empty_rejected():
-    with pytest.raises(BitstreamError):
-        concatenate([])
-
-
-def test_concatenate_differential_taints_kind():
-    a = make_stream()
-    d = Bitstream("XC2VP4", BitstreamKind.PARTIAL_DIFFERENTIAL, frames=list(a.frames))
-    assert concatenate([a, d]).kind is BitstreamKind.PARTIAL_DIFFERENTIAL

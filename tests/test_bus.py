@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.bus.arbiter import DMA_ENGINE
 from repro.bus.bus import Bus
 from repro.bus.opb import make_opb
 from repro.bus.plb import make_plb
-from repro.bus.transaction import AddressRange, Op, Transaction
+from repro.bus.transaction import AddressRange, Completion, Op, Transaction
 from repro.engine.clock import ClockDomain, mhz
+from repro.engine.trace import TraceRecorder
 from repro.errors import AddressDecodeError, BusError, BusWidthError
 from repro.mem.controllers import SramController
 from repro.mem.memory import MemoryArray
@@ -108,6 +110,40 @@ def test_long_burst_split_and_reassembled(plb):
     plb.request(0, Transaction(Op.WRITE, 0, size_bytes=8, beats=50, data=data))
     completion = plb.request(plb.busy_until, Transaction(Op.READ, 0, size_bytes=8, beats=50))
     assert completion.value == data
+
+
+@pytest.mark.parametrize("op", [Op.READ, Op.WRITE])
+@pytest.mark.parametrize("master", [None, DMA_ENGINE])
+def test_long_burst_matches_its_sub_bursts_issued_one_by_one(op, master):
+    """An over-long request is exactly its max-sized sub-bursts in a row:
+    same completion, value, statistics and trace events."""
+
+    def run(split):
+        bus = make_plb(ClockDomain("bus", mhz(100)))
+        memory = MemoryArray(8192, "m")
+        memory.load(0, bytes(range(256)) * 32)
+        bus.attach(SramController(memory, 0, "mem"), 0, 8192, name="mem", posted_writes=True)
+        bus.tracer = TraceRecorder()
+        beats = 2 * bus.max_burst_beats + 5
+        data = list(range(100, 100 + beats)) if op is Op.WRITE else None
+        if not split:
+            txn = Transaction(op, 0x40, size_bytes=8, beats=beats, data=data)
+            completion = bus.request(1_000, txn, master=master)
+        else:
+            cursor, values, offset = 1_000, [], 0
+            while offset < beats:
+                sub = min(bus.max_burst_beats, beats - offset)
+                part = data[offset : offset + sub] if data else None
+                txn = Transaction(op, 0x40 + 8 * offset, size_bytes=8, beats=sub, data=part)
+                completion = bus.request(cursor, txn, master=master)
+                if completion.value is not None:
+                    values.extend(completion.value)
+                cursor, offset = completion.done_ps, offset + sub
+            completion = Completion(cursor, values or None, completion.released_ps)
+        events = [event.as_dict() for event in bus.tracer.events]
+        return completion, bus.stats.snapshot(), events, memory.dump(0, 8192).tobytes()
+
+    assert run(split=False) == run(split=True)
 
 
 def test_posted_write_releases_early():

@@ -1,15 +1,8 @@
-"""Tests for bus masters and arbitration."""
+"""Tests for bus masters: priority encoding and per-master statistics."""
 
 import pytest
 
-from repro.bus.arbiter import (
-    CPU_DATA,
-    DMA_ENGINE,
-    FixedPriorityArbiter,
-    Master,
-    RoundRobinArbiter,
-)
-from repro.bus.opb import make_opb
+from repro.bus.arbiter import CPU_DATA, DMA_ENGINE, Master
 from repro.bus.plb import make_plb
 from repro.bus.transaction import Op, Transaction
 from repro.engine.clock import ClockDomain, mhz
@@ -35,54 +28,6 @@ def test_master_priority_range_checked():
         Master("bad", priority=4)
 
 
-def test_fixed_priority_orders_by_priority():
-    arbiter = FixedPriorityArbiter()
-    requests = [(DMA_ENGINE, txn()), (CPU_DATA, txn(8))]
-    assert arbiter.order(requests) == [1, 0]  # CPU (prio 0) first
-
-
-def test_fixed_priority_ties_broken_by_position():
-    arbiter = FixedPriorityArbiter()
-    a = Master("a", priority=2)
-    b = Master("b", priority=2)
-    assert arbiter.order([(a, txn()), (b, txn(8))]) == [0, 1]
-
-
-def test_round_robin_rotates_within_priority():
-    arbiter = RoundRobinArbiter()
-    a = Master("a", priority=2)
-    b = Master("b", priority=2)
-    requests = [(a, txn()), (b, txn(8))]
-    first = arbiter.order(requests)
-    second = arbiter.order(requests)
-    assert first[0] != second[0]  # last winner demoted
-
-
-def test_round_robin_respects_priority_classes():
-    arbiter = RoundRobinArbiter()
-    requests = [(DMA_ENGINE, txn()), (CPU_DATA, txn(8))]
-    assert arbiter.order(requests)[0] == 1
-    assert arbiter.order(requests)[0] == 1  # priority always beats rotation
-
-
-def test_request_concurrent_loser_waits(plb):
-    completions = plb.request_concurrent(
-        0, [(DMA_ENGINE, txn(0)), (CPU_DATA, txn(8))], FixedPriorityArbiter()
-    )
-    dma_done, cpu_done = completions[0].done_ps, completions[1].done_ps
-    assert cpu_done < dma_done  # the CPU won arbitration; the DMA queued
-
-
-def test_request_concurrent_returns_input_order(plb):
-    completions = plb.request_concurrent(
-        0,
-        [(DMA_ENGINE, Transaction(Op.WRITE, 0, data=7)), (CPU_DATA, txn(8))],
-        FixedPriorityArbiter(),
-    )
-    assert completions[0].value is None  # write
-    assert completions[1].value == 0  # read result
-
-
 def test_per_master_stats_recorded(plb):
     plb.request(0, txn(0), master=CPU_DATA)
     plb.request(0, txn(8), master=DMA_ENGINE)
@@ -92,9 +37,8 @@ def test_per_master_stats_recorded(plb):
 
 
 def test_contention_time_attributed_to_loser(plb):
-    plb.request_concurrent(
-        0, [(DMA_ENGINE, txn(0)), (CPU_DATA, txn(8))], FixedPriorityArbiter()
-    )
+    plb.request(0, txn(8), master=CPU_DATA)
+    plb.request(0, txn(0), master=DMA_ENGINE)  # same edge: queues behind the CPU
     assert plb.stats.get("master[dma].contention_ps") > 0
     assert plb.stats.get("master[cpu-data].contention_ps") == 0
 
@@ -106,14 +50,3 @@ def test_master_threads_through_split_bursts(plb):
         master=DMA_ENGINE,
     )
     assert plb.stats.get("master[dma].reads") >= 3  # 40 beats -> 3 sub-bursts
-
-
-def test_invalid_arbiter_order_rejected(plb):
-    class BrokenArbiter:
-        def order(self, requests):
-            return [0, 0]
-
-    with pytest.raises(BusError, match="invalid grant order"):
-        plb.request_concurrent(
-            0, [(CPU_DATA, txn(0)), (DMA_ENGINE, txn(8))], BrokenArbiter()
-        )

@@ -5,36 +5,26 @@ shipped example systems must produce zero diagnostics, so the DRC neither
 under- nor over-reports.
 """
 
-import numpy as np
 import pytest
 
 from repro.bitstream.bitlinker import BitLinker, Placement
-from repro.bitstream.bitstream import Bitstream, BitstreamKind
 from repro.bitstream.component import ComponentConfig
 from repro.bitstream.generator import initialize_static_configuration
 from repro.checks import (
-    ChainDescriptor,
     CheckReport,
     Severity,
     check_address_map,
-    check_bitstream,
     check_bridge_map,
-    check_descriptor_chain,
-    check_dma_program,
     check_master_binding,
     check_placements,
     check_system,
-    program_from_descriptors,
 )
 from repro.core import build_system32, build_system64, build_system64_dual
-from repro.core import memmap
-from repro.dock.dma import Descriptor
 from repro.dock.interface import dock_ports, kernel_ports
 from repro.dock.plb_dock import PlbDock
 from repro.errors import LinkError, PortMismatchError, ResourceError
 from repro.fabric.config_memory import ConfigMemory
 from repro.fabric.device import XC2VP7
-from repro.fabric.frames import FrameAddress
 from repro.fabric.region import find_region
 from repro.fabric.resources import ResourceVector
 
@@ -162,57 +152,6 @@ def test_link_raises_the_error_mapped_to_each_placement_rule(region, linker, rul
     assert str(raised.value) == first.message
 
 
-# -- bitstream DRC (BITS006..BITS008) ---------------------------------------
-
-def test_clean_bitstream_is_silent(region, linker):
-    bitstream = linker.link([Placement(component(), 0)])
-    report = check_bitstream(region, bitstream)
-    assert report.diagnostics == []
-
-
-def test_bits006_frame_outside_region(region, linker):
-    bitstream = linker.link([Placement(component(), 0)])
-    inside = bitstream.frames[0][0]
-    outside = FrameAddress(inside.block, inside.major + 1000, 0)
-    payload = np.zeros(region.device.words_per_frame, dtype=np.uint32)
-    tampered = Bitstream(
-        device_name=bitstream.device_name,
-        kind=BitstreamKind.PARTIAL_COMPLETE,
-        frames=list(bitstream.frames) + [(outside, payload)],
-    )
-    report = check_bitstream(region, tampered)
-    assert "BITS006" in rule_ids(report)
-    assert report.has_errors
-
-
-def test_bits007_differential_bitstream_warns(region, linker):
-    memory = ConfigMemory(XC2VP7)
-    initialize_static_configuration(memory, region, seed="drc-test-static")
-    diff = linker.link_differential([Placement(component(), 0)], memory)
-    report = check_bitstream(region, diff)
-    assert "BITS007" in rule_ids(report)
-    assert not report.has_errors  # hazard, not a hard failure
-    assert report.warnings
-
-
-def test_bits007_incomplete_partial_is_an_error(region, linker):
-    bitstream = linker.link([Placement(component(), 0)])
-    truncated = Bitstream(
-        device_name=bitstream.device_name,
-        kind=BitstreamKind.PARTIAL_COMPLETE,
-        frames=list(bitstream.frames[:-1]),
-    )
-    report = check_bitstream(region, truncated)
-    assert "BITS007" in rule_ids(report)
-    assert report.has_errors
-
-
-def test_bits008_device_mismatch(region):
-    alien = Bitstream(device_name="XC2VP30", kind=BitstreamKind.PARTIAL_COMPLETE)
-    report = check_bitstream(region, alien)
-    assert rule_ids(report) == {"BITS008"}
-
-
 # -- bus/address-map DRC (BUS001..BUS005) -----------------------------------
 
 def test_bus001_overlapping_windows():
@@ -248,86 +187,6 @@ def test_bus005_dma_master_on_wrong_bus():
     system.dock.dma.bus = system.opb  # mis-wire the master port
     report = check_master_binding(system.plb, system.dock)
     assert rule_ids(report) == {"BUS005"}
-
-
-# -- DMA-program DRC (DMA001..DMA006) ---------------------------------------
-
-DOCK = memmap.DOCK_BASE
-
-
-def test_clean_dma_program_is_silent():
-    chain = [
-        Descriptor(src=0x10_0000, dst=None, word_count=64),
-        Descriptor(src=None, dst=0x20_0000, word_count=64),
-    ]
-    report = check_descriptor_chain(chain, dock_base=DOCK)
-    assert report.diagnostics == []
-
-
-def test_dma001_cyclic_chain():
-    program = [
-        ChainDescriptor(src=0x10_0000, dst=None, word_count=8, next_index=1),
-        ChainDescriptor(src=0x20_0000, dst=None, word_count=8, next_index=0),
-    ]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA001" in rule_ids(report)
-
-
-def test_dma001_dangling_link():
-    program = [ChainDescriptor(src=0x10_0000, dst=None, word_count=8, next_index=5)]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA001" in rule_ids(report)
-
-
-def test_dma002_zero_length():
-    program = [ChainDescriptor(src=0x10_0000, dst=None, word_count=0)]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA002" in rule_ids(report)
-
-
-def test_dma003_misaligned_address():
-    program = [ChainDescriptor(src=0x10_0003, dst=None, word_count=8, size_bytes=8)]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA003" in rule_ids(report)
-
-
-def test_dma003_unsupported_beat_size():
-    program = [ChainDescriptor(src=0x10_0000, dst=None, word_count=8, size_bytes=3)]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA003" in rule_ids(report)
-
-
-def test_dma004_transfer_crosses_dock_window():
-    program = [ChainDescriptor(src=DOCK - 0x40, dst=0x20_0000, word_count=32)]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA004" in rule_ids(report)
-
-
-def test_dma004_dock_to_dock():
-    program = [ChainDescriptor(src=None, dst=None, word_count=8)]
-    report = check_dma_program(program, dock_base=DOCK)
-    assert "DMA004" in rule_ids(report)
-
-
-def test_dma005_drain_exceeds_fifo():
-    program = [ChainDescriptor(src=None, dst=0x20_0000, word_count=4096)]
-    report = check_dma_program(program, dock_base=DOCK, fifo_depth=2047)
-    assert "DMA005" in rule_ids(report)
-
-
-def test_dma006_beat_wider_than_bus():
-    program = [ChainDescriptor(src=0x10_0000, dst=None, word_count=8, size_bytes=8)]
-    report = check_dma_program(program, dock_base=DOCK, bus_width_bits=32)
-    assert "DMA006" in rule_ids(report)
-
-
-def test_program_from_descriptors_links_sequentially():
-    chain = [
-        Descriptor(src=0x10_0000, dst=None, word_count=4),
-        Descriptor(src=None, dst=0x20_0000, word_count=4),
-    ]
-    program = program_from_descriptors(chain)
-    assert [d.next_index for d in program] == [1, None]
 
 
 # -- system DRC (SYS001..SYS003) and seed silence ---------------------------
@@ -372,15 +231,11 @@ def test_bus005_via_check_system():
     assert "BUS005" in rule_ids(report)
 
 
-def test_reports_accumulate_across_checks():
+def test_reports_accumulate_across_checks(region):
     report = CheckReport()
     check_address_map([("a", 0x0, 0x100), ("b", 0x80, 0x100)], report=report)
-    check_dma_program(
-        [ChainDescriptor(src=None, dst=None, word_count=0)],
-        dock_base=DOCK,
-        report=report,
-    )
+    check_placements(region, bad_placements(region, "BITS001"), dock_ports(32), report=report)
     ids = rule_ids(report)
-    assert {"BUS001", "DMA002", "DMA004"} <= ids
+    assert {"BUS001", "BITS001"} <= ids
     assert report.summary()["error"] == len(report.errors)
     assert all(d.severity is Severity.ERROR for d in report.errors)

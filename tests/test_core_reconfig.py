@@ -122,6 +122,32 @@ def test_reconfig_result_reports_size(system32):
     assert result.elapsed_ms > 0
 
 
+def test_load_rejects_a_stream_that_writes_static_frames(system32):
+    # A load checks its effect, not the stream: a frame outside the region
+    # is caught after the ICAP commit, whatever wrote it.
+    from repro.bitstream.bitstream import Bitstream
+    from repro.fabric.frames import FrameGeometry
+
+    manager = ReconfigManager(system32)
+    manager.register(BrightnessKernel(5))
+    inside = set(system32.region.frame_addresses)
+    static = next(a for a in FrameGeometry(system32.device).all_frames() if a not in inside)
+    rogue = np.full(system32.device.words_per_frame, 0xDEADBEEF, dtype=np.uint32)
+    link = manager._link
+
+    def leaky_link(component, differential):
+        stream = link(component, differential)
+        return Bitstream(
+            device_name=stream.device_name,
+            kind=stream.kind,
+            frames=list(stream.frames) + [(static, rogue)],
+        )
+
+    manager._link = leaky_link
+    with pytest.raises(ReconfigurationError, match="disturbed configuration"):
+        manager.load("brightness")
+
+
 def test_clear_detects_disturbed_static_configuration():
     # Regression: clear() used to trust the linker's clear stream blindly;
     # a stream that also touches another dynamic region must be rejected.

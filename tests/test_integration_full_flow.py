@@ -1,30 +1,20 @@
 """Grand integration test: one session covering the whole system story.
 
-Boots the 64-bit platform, talks to it over the host link, makes a
-lower-bound assessment, reconfigures with readback verification, runs the
-workload in hardware and software, cross-checks bit-exactness, swaps
-kernels (paying the reconfiguration), and audits the run with the bus
-profiler and the floorplan/trace facilities — every public subsystem in
-one realistic flow.
+Boots the 64-bit platform, makes a lower-bound assessment, reconfigures
+with readback verification, runs the workload in hardware and software,
+cross-checks bit-exactness, swaps kernels (paying the reconfiguration),
+and audits the run with the bus profiler and the floorplan/trace
+facilities — every public subsystem in one realistic flow.
 """
 
 import numpy as np
 import pytest
 
 from repro import ReconfigManager, build_system64
-from repro.analysis import (
-    Episode,
-    EpisodePlanner,
-    Method,
-    TaskProfile,
-    assess,
-    break_even_runs,
-    profile_run,
-)
+from repro.analysis import Method, TaskProfile, assess, break_even_runs, profile_run
 from repro.core import memmap
 from repro.core.apps import HwBrightnessDma, HwJenkinsHash
 from repro.core.floorplan import render_system_floorplan
-from repro.core.hostlink import HostLink
 from repro.engine.trace import TraceRecorder
 from repro.kernels import BrightnessKernel, JenkinsHashKernel
 from repro.sw import SwBrightness, SwJenkinsHash
@@ -34,15 +24,9 @@ from repro.workloads import grayscale_image, random_key
 @pytest.mark.slow
 def test_full_session_story():
     system = build_system64()
-    timeline = []
+    timeline = [("boot", system.cpu.now_ps)]
 
-    # 1. The host checks the board is alive.
-    link = HostLink(system)
-    assert link.ping(b"hello") == b"hello"
-    assert link.active_kernel() == ""
-    timeline.append(("ping", system.cpu.now_ps))
-
-    # 2. First assessment: is a brightness kernel worth building?
+    # 1. First assessment: is a brightness kernel worth building?
     image = grayscale_image(64, 64, seed=100)
     sw_probe = SwBrightness(48).run(system, image)
     words = image.size // 4
@@ -54,16 +38,16 @@ def test_full_session_story():
     )
     assert verdict.worthwhile
 
-    # 3. Reconfigure with readback verification.
+    # 2. Reconfigure with readback verification.
     manager = ReconfigManager(system)
     manager.register(BrightnessKernel(48))
     manager.register(JenkinsHashKernel())
     load = manager.load("brightness", verify=True)
     assert load.frames_verified > 0
-    assert link.active_kernel() == "brightness"
+    assert manager.active == "brightness"
     timeline.append(("reconfig", system.cpu.now_ps))
 
-    # 4. Run hardware vs software, bit-exact, with bus profiling.
+    # 3. Run hardware vs software, bit-exact, with bus profiling.
     report = profile_run(system, lambda: HwBrightnessDma().run(system, image))
     hw = report.result
     sw = SwBrightness(48).run(system, image)
@@ -72,25 +56,17 @@ def test_full_session_story():
     assert speedup > 3
     assert "plb64" in report.buses
 
-    # 5. Plan a mixed workload with measured economics.
+    # 4. Weigh a kernel swap with measured economics.
     hash_load = manager.load("lookup2")
     key = random_key(2048, seed=101)
     hw_hash = HwJenkinsHash().run(system, key)
     sw_hash = SwJenkinsHash().run(system, key)
     assert hw_hash.result == sw_hash.result
-    amortise = break_even_runs(load.elapsed_ps, sw.elapsed_ps, hw.elapsed_ps)
-    big_batch = int(amortise * 2) + 1
-    episodes = [
-        Episode("brightness", big_batch, sw.elapsed_ps, hw.elapsed_ps, load.elapsed_ps),
-        Episode("lookup2", 3, sw_hash.elapsed_ps, hw_hash.elapsed_ps, hash_load.elapsed_ps),
-        Episode("brightness", big_batch, sw.elapsed_ps, hw.elapsed_ps, load.elapsed_ps),
-    ]
-    plan = EpisodePlanner(initial_resident="lookup2").plan(episodes)
-    assert plan.steps[0].use_hardware  # 2x break-even amortises the swap
-    assert not plan.steps[1].use_hardware  # 3 hash runs never do
-    assert plan.speedup > 1
+    assert 1 < break_even_runs(load.elapsed_ps, sw.elapsed_ps, hw.elapsed_ps) < 1_000
+    # 3 hash runs never amortise the swap.
+    assert break_even_runs(hash_load.elapsed_ps, sw_hash.elapsed_ps, hw_hash.elapsed_ps) > 3
 
-    # 6. The floorplan and trace facilities describe what just ran.
+    # 5. The floorplan and trace facilities describe what just ran.
     plan_text = render_system_floorplan(system)
     assert "XC2VP30" in plan_text
     recorder = TraceRecorder()
@@ -98,7 +74,7 @@ def test_full_session_story():
     system.cpu.io_read(memmap.STAGE_INPUT)
     assert recorder.summary()
 
-    # 7. Time flowed monotonically through the whole story.
+    # 6. Time flowed monotonically through the whole story.
     times = [t for _, t in timeline] + [system.cpu.now_ps]
     assert times == sorted(times)
     # A full session is tens of milliseconds of simulated time.

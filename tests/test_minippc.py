@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import memmap
-from repro.cpu.minippc import AssemblyError, MiniPpc, Program
+from .oracles.minippc import AssemblyError, MiniPpc, Program
 from repro.errors import SimulationError
 from repro.sw.image_ops import BRIGHTNESS_MIX, brightness_ref
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import memmap
-from repro.cpu.minippc import MiniPpc, Program
+from .oracles.minippc import MiniPpc, Program
 from repro.kernels.jenkins_hash import GOLDEN_RATIO
 from repro.sw.jenkins_hash import BLOCK_MIX
 from repro.sw.pattern_match import ROW_MIX
