@@ -1,6 +1,6 @@
 """Developer-facing analysis tools built on the measured transfer costs."""
 
-from .amortization import break_even_runs, break_even_table, measure_episode
+from .amortization import break_even_runs, measure_episode
 from .lower_bound import (
     Assessment,
     Method,
@@ -52,7 +52,6 @@ __all__ = [
     "BusUtilization",
     "Method",
     "break_even_runs",
-    "break_even_table",
     "measure_episode",
     "TaskProfile",
     "TransferCosts",

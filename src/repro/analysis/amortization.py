@@ -5,9 +5,10 @@ multiple (and mutually exclusive) tasks".  Each swap costs a full partial
 reconfiguration (tens of ms through the OPB HWICAP), so the decision per
 work episode is: reconfigure and run in hardware, or stay in software?
 
-:func:`break_even_runs` answers the unit question,
-:func:`break_even_table` answers it over kernel × size cost tables, and
+:func:`break_even_runs` answers that question, and
 :func:`measure_episode` calibrates the three timings on a live system.
+The serve scheduler applies the same rule to its cost tables in
+:func:`repro.serve.decisions.decide_segment`.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-import numpy as np
-
 from ..errors import TransferError
 
 
 def break_even_runs(reconfig_ps: int, sw_run_ps: int, hw_run_ps: int) -> float:
     """Runs of a task needed before reconfigure+hardware beats software.
 
-    Edge-case contract (shared with :func:`break_even_table`):
+    Edge-case contract:
 
     * ``reconfig_ps == 0`` and hardware faster → ``0.0`` (always swap);
     * hardware not faster per run (``sw_run_ps <= hw_run_ps``) → ``inf``
@@ -37,28 +36,6 @@ def break_even_runs(reconfig_ps: int, sw_run_ps: int, hw_run_ps: int) -> float:
     if gain <= 0:
         return math.inf
     return reconfig_ps / gain
-
-
-def break_even_table(reconfig_ps, sw_run_ps, hw_run_ps) -> np.ndarray:
-    """Vectorized :func:`break_even_runs` over kernel×size cost tables.
-
-    Broadcasts the three inputs and returns a float array of break-even
-    run counts with the same edge-case contract as the scalar form:
-    ``inf`` marks software-always entries, ``0.0`` marks free swaps, and
-    the division is masked so no divide-by-zero ever executes (the
-    historical bug this helper centralises away from callers).
-    """
-    reconfig = np.asarray(reconfig_ps, dtype=np.int64)
-    sw = np.asarray(sw_run_ps, dtype=np.int64)
-    hw = np.asarray(hw_run_ps, dtype=np.int64)
-    if np.any(reconfig < 0) or np.any(sw <= 0) or np.any(hw <= 0):
-        raise TransferError("times must be positive")
-    reconfig, sw, hw = np.broadcast_arrays(reconfig, sw, hw)
-    gain = sw - hw
-    out = np.full(gain.shape, np.inf, dtype=np.float64)
-    profitable = gain > 0
-    np.divide(reconfig, gain, out=out, where=profitable)
-    return out
 
 
 def measure_episode(system, manager, kernel_name: str, sw_task, hw_driver, *args) -> Dict[str, int]:

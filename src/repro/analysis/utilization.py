@@ -73,10 +73,10 @@ def profile_run(system: System, workload: Callable[[], object]) -> UtilizationRe
     ``system`` (its return value is attached to the report).  Existing
     tracers are preserved and restored.
 
-    Note: the batch-extrapolated fast paths (``io_read_batch``,
-    ``charge_stream_*``) charge time without issuing traced transactions,
-    so profile real per-word driver loops (the ``Hw*`` apps qualify) for
-    accurate occupancy numbers.
+    Note: the CPU's calibrate-and-multiply shortcuts (``io_read_batch``,
+    ``io_write_batch``, ``charge_stream_*``, the probe of
+    ``pio_interleaved_sequence`` and the RDATA drain of a frame readback)
+    charge bus counters without issuing requests, so no trace sees them.
     """
     recorder = TraceRecorder(capacity=500_000)
     saved = (system.plb.tracer, system.opb.tracer)
@@ -89,14 +89,13 @@ def profile_run(system: System, workload: Callable[[], object]) -> UtilizationRe
         system.plb.tracer, system.opb.tracer = saved
     window = max(1, system.cpu.now_ps - start)
 
-    buses: Dict[str, BusUtilization] = {}
-    for event in recorder.events:
-        if event.time_ps < start:
-            continue
-        entry = buses.setdefault(
-            event.source,
-            BusUtilization(name=event.source, busy_ps=0, transactions=0, window_ps=window),
+    buses = {
+        name: BusUtilization(
+            name=name,
+            busy_ps=totals["busy_ps"],
+            transactions=totals["reads"] + totals["writes"],
+            window_ps=window,
         )
-        entry.busy_ps += int(event.fields.get("duration_ps", 0))
-        entry.transactions += 1
+        for name, totals in recorder.totals().items()
+    }
     return UtilizationReport(window_ps=window, buses=buses, result=result)

@@ -68,7 +68,8 @@ class Bus:
         self._attachments: List[Attachment] = []
         self._busy_until = 0
         self.stats = StatsGroup(name)
-        #: Optional :class:`repro.engine.trace.TraceRecorder` hook.
+        #: Optional :class:`repro.engine.trace.TraceRecorder` hook.  It only
+        #: observes: a traced bus takes the same paths as an untraced one.
         self.tracer = None
 
     # -- topology ---------------------------------------------------------
@@ -172,15 +173,6 @@ class Bus:
             )
         return Completion(done_ps=done, value=value, released_ps=released)
 
-    def fast_path_active(self) -> bool:
-        """Whether the closed-form burst path may be used on this bus.
-
-        A trace hook forces the per-request path, because only that path
-        emits the per-transaction trace events (trace output must stay
-        byte-identical whether or not the fast path exists).
-        """
-        return self.tracer is None and fastpath.enabled()
-
     def request_burst(
         self,
         when_ps: int,
@@ -197,12 +189,16 @@ class Bus:
         Semantically identical to issuing the burst as max-burst-sized
         :meth:`request` calls (the reference path): same completion time,
         same aggregate statistics, same functional data movement.  When the
-        fast path is active and the decoded slave implements
+        fast path is enabled and the decoded slave implements
         ``access_burst``, arbitration + tenure timing for all sub-bursts is
         computed in one closed-form step and statistics are charged with
         pre-aggregated counts; otherwise it falls back to the per-request
         loop.  ``fixed_address`` keeps every sub-burst at ``address`` (dock
         data-window semantics) instead of walking the address upward.
+
+        A trace hook sees the closed form as one event for the whole burst:
+        ``beats`` and ``duration_ps`` are summed over the sub-bursts and
+        ``requests`` counts them (a per-request event stands for one).
         """
         if size_bytes * 8 > self.width_bits:
             raise BusWidthError(
@@ -218,7 +214,7 @@ class Bus:
         decode_len = chunk * size_bytes if fixed_address else beats * size_bytes
         attachment = self.decode(address, decode_len)
         access_burst = getattr(attachment.slave, "access_burst", None)
-        if not self.fast_path_active() or access_burst is None:
+        if not fastpath.enabled() or access_burst is None:
             return self._chunked_requests(
                 when_ps, op, address, size_bytes, beats, data, master, fixed_address
             )
@@ -273,6 +269,19 @@ class Bus:
             wait_for_bus = start - self.clock.next_edge(when_ps)
             if wait_for_bus > 0:
                 self.stats.record(f"master[{master.name}].contention_ps", wait_for_bus)
+        if self.tracer is not None:
+            self.tracer.record(
+                start,
+                self.name,
+                op.value,
+                address=address,
+                beats=beats,
+                size=size_bytes,
+                slave=attachment.name,
+                duration_ps=total,
+                posted=released is not None,
+                requests=n_requests,
+            )
         return Completion(done_ps=done, value=values, released_ps=released)
 
     def _chunked_requests(

@@ -14,10 +14,10 @@ module.  The rules encode the modelling contract documented in
 * **LINT004** — no float arithmetic flowing into picosecond values.
   Timestamps are integer ps; an unrounded division assigned to a
   ``*_ps`` name (or passed as a ``*_ps`` argument) drifts simulated time.
-* **LINT005** — fast-path discipline.  Code invoking the vectorized bus
-  burst primitives (``request_burst``/``access_burst``) must be guarded
-  through :mod:`repro.engine.fastpath` (or a local predicate over it),
-  and nothing outside that module may read the ``REPRO_NO_FAST_PATH``
+* **LINT005** — fast-path discipline.  Code calling a slave's block
+  primitive (``access_burst``) must be guarded through
+  :mod:`repro.engine.fastpath` (``Bus.request_burst`` gates itself), and
+  nothing outside that module may read the ``REPRO_NO_FAST_PATH``
   environment variable directly.
 * **LINT006** — scenario purity.  Functions registered with the
   ``@scenario(...)`` decorator are cached content-addressed by (source,
@@ -88,8 +88,8 @@ register_rule(
 register_rule(
     "LINT005",
     "unguarded-fastpath",
-    "Vectorized burst primitives must stay behind the repro.engine.fastpath "
-    "gate so traces and the reference path remain byte-identical.",
+    "Block burst primitives must stay behind the repro.engine.fastpath "
+    "gate so the per-request reference path stays reachable.",
 )
 register_rule(
     "LINT006",
@@ -140,10 +140,11 @@ _WALL_CLOCK = {
 }
 
 #: Names whose presence in a function counts as a fast-path guard.
-_FASTPATH_GUARDS = {"fastpath", "fast_path_active", "_fast_ok", "fast_ok"}
+_FASTPATH_GUARDS = {"fastpath"}
 
-#: Caller-side vectorized primitives that require a guard in scope.
-_FASTPATH_PRIMITIVES = {"request_burst", "access_burst"}
+#: Caller-side block primitives that require a guard in scope
+#: (``Bus.request_burst`` reads the gate itself).
+_FASTPATH_PRIMITIVES = {"access_burst"}
 
 #: Wrappers that coerce a float expression back to an integer.
 _INT_COERCIONS = {"int", "round", "floor", "ceil", "len", "max", "min", "divmod"}
@@ -763,7 +764,7 @@ class _Visitor(ast.NodeVisitor):
                 calls_primitive,
                 f"function {node.name!r} invokes a vectorized burst primitive "
                 "without a fast-path guard in scope",
-                hint="gate the call on Bus.fast_path_active() / repro.engine.fastpath",
+                hint="gate the call on repro.engine.fastpath.enabled(), or go through Bus.request_burst",
             )
         if _is_scenario_decorated(node):
             self._scan_scenario_purity(node)

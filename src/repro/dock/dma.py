@@ -5,9 +5,10 @@ using full-width 64-bit PLB bursts — the only way either system can
 actually exploit the 64-bit data path, since the CPU's load/store
 instructions top out at 32 bits.
 
-The engine is store-and-forward: each chunk is one burst read into the
-engine's buffer and one burst write out of it, so a memory-to-dock word
-costs two bus tenures (amortised over up to 16-beat bursts).
+The engine is store-and-forward: each descriptor is one burst read into
+the engine's buffer and one burst write out of it, which the bus splits
+into sub-bursts of up to 16 beats, so a memory-to-dock word costs two
+bus tenures (amortised over its sub-burst).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 from ..bus.arbiter import DMA_ENGINE
 from ..bus.bus import Bus
-from ..bus.transaction import Op, Transaction
+from ..bus.transaction import Op
 from ..engine.stats import StatsGroup
 from ..errors import InvariantError, TransferError
 
@@ -28,7 +29,9 @@ class Descriptor:
     """One scatter-gather element.
 
     ``src`` / ``dst`` are byte addresses; ``None`` designates the dock
-    (write channel as destination, output FIFO as source).
+    (write channel as destination, output FIFO as source).  A
+    memory-to-memory copy's two ranges must not overlap, or its result
+    would depend on the order in which its sub-bursts are read and written.
     """
 
     src: Optional[int]
@@ -41,8 +44,10 @@ class Descriptor:
             raise TransferError("descriptor must move at least one word")
         if self.src is None and self.dst is None:
             raise TransferError("descriptor cannot be dock-to-dock")
-        if self.src is not None and self.dst is not None and self.src == self.dst:
-            raise TransferError("descriptor source and destination coincide")
+        if self.src is not None and self.dst is not None:
+            length = self.word_count * self.size_bytes
+            if self.src < self.dst + length and self.dst < self.src + length:
+                raise TransferError("descriptor source and destination ranges overlap")
 
 
 class SgDmaEngine:
@@ -76,15 +81,6 @@ class SgDmaEngine:
             self.stats.count("descriptor_faults")
             raise TransferError(f"{self.name}: injected transfer error on descriptor")
 
-    def _chunk(self) -> int:
-        return self.bus.max_burst_beats
-
-    def _fast_ok(self) -> bool:
-        """Use the closed-form burst path?  Never when a trace hook is
-        installed (only the per-chunk path emits trace events) or the fast
-        path is globally disabled."""
-        return self.bus.fast_path_active()
-
     def run_chain(self, when_ps: int, descriptors: Sequence[Descriptor]) -> int:
         """Execute a descriptor chain starting at ``when_ps``.
 
@@ -96,154 +92,46 @@ class SgDmaEngine:
         for descriptor in descriptors:
             self._check_descriptor_fault()
             cursor += self.bus.clock.cycles_to_ps(self.DESCRIPTOR_FETCH_CYCLES)
-            if descriptor.dst is None:
-                cursor = self._memory_to_dock(cursor, descriptor)
-            elif descriptor.src is None:
-                cursor = self._fifo_to_memory(cursor, descriptor)
-            else:
-                cursor = self._memory_to_memory(cursor, descriptor)
+            cursor = self._move(cursor, descriptor)
             self.stats.count("descriptors")
         return cursor
 
-    # -- movement primitives ------------------------------------------------
-    #
-    # Each primitive has two implementations producing identical simulated
-    # timestamps, data movement and aggregate statistics: the per-chunk
-    # reference loop (ground truth, emits trace events) and a vectorized
-    # variant moving the whole descriptor as NumPy blocks through
-    # ``Bus.request_burst``.  The bus serialises this engine's tenures, so
-    # the read->write interleaving of the reference loop and the
-    # read-all-then-write-all order of the block variant sum to the same
-    # completion time (every sub-tenure starts exactly when the previous
-    # one ends, on a clock edge).
+    def _move(self, cursor: int, d: Descriptor) -> int:
+        """Store-and-forward one descriptor: one burst read into the
+        engine's buffer, then one burst write out of it.
 
-    def _memory_to_dock(self, cursor: int, d: Descriptor) -> int:
-        if self._fast_ok():
-            read = self.bus.request_burst(
-                cursor, Op.READ, d.src, d.size_bytes, d.word_count, master=DMA_ENGINE
-            )
-            write = self.bus.request_burst(
-                read.done_ps,
-                Op.WRITE,
-                self.dock_base,
-                d.size_bytes,
-                d.word_count,
-                data=read.value,
-                master=DMA_ENGINE,
-                fixed_address=True,
-            )
+        The dock side (``None``) stays at the data window; memory addresses
+        walk upward.  The bus serialises this engine's tenures and every
+        sub-tenure starts on the clock edge the previous one ends on, so
+        reading the whole descriptor before writing it completes at the
+        same time as alternating read and write per sub-burst
+        (``tests/oracles/dma.py`` keeps that loop as the reference).
+        """
+        if d.src is None and d.dst is None:
+            raise InvariantError(f"{self.name}: descriptor has neither a source nor a destination")
+        read = self.bus.request_burst(
+            cursor,
+            Op.READ,
+            self.dock_base if d.src is None else d.src,
+            d.size_bytes,
+            d.word_count,
+            master=DMA_ENGINE,
+            fixed_address=d.src is None,
+        )
+        write = self.bus.request_burst(
+            read.done_ps,
+            Op.WRITE,
+            self.dock_base if d.dst is None else d.dst,
+            d.size_bytes,
+            d.word_count,
+            data=read.value,
+            master=DMA_ENGINE,
+            fixed_address=d.dst is None,
+        )
+        if d.dst is None:
             self.stats.count("words_to_dock", d.word_count)
-            return write.done_ps
-        remaining = d.word_count
-        address = d.src
-        if address is None:
-            raise InvariantError(f"{self.name}: memory-to-dock descriptor without a source")
-        while remaining:
-            chunk = min(remaining, self._chunk())
-            read = self.bus.request(
-                cursor,
-                Transaction(op=Op.READ, address=address, size_bytes=d.size_bytes, beats=chunk),
-                master=DMA_ENGINE,
-            )
-            values = read.value if isinstance(read.value, list) else [read.value]
-            write = self.bus.request(
-                read.done_ps,
-                Transaction(
-                    op=Op.WRITE,
-                    address=self.dock_base,
-                    size_bytes=d.size_bytes,
-                    beats=chunk,
-                    data=values,
-                ),
-                master=DMA_ENGINE,
-            )
-            cursor = write.done_ps
-            address += chunk * d.size_bytes
-            remaining -= chunk
-            self.stats.count("words_to_dock", chunk)
-        return cursor
-
-    def _fifo_to_memory(self, cursor: int, d: Descriptor) -> int:
-        if self._fast_ok():
-            read = self.bus.request_burst(
-                cursor,
-                Op.READ,
-                self.dock_base,
-                d.size_bytes,
-                d.word_count,
-                master=DMA_ENGINE,
-                fixed_address=True,
-            )
-            write = self.bus.request_burst(
-                read.done_ps,
-                Op.WRITE,
-                d.dst,
-                d.size_bytes,
-                d.word_count,
-                data=read.value,
-                master=DMA_ENGINE,
-            )
+        elif d.src is None:
             self.stats.count("words_from_fifo", d.word_count)
-            return write.done_ps
-        remaining = d.word_count
-        address = d.dst
-        if address is None:
-            raise InvariantError(f"{self.name}: fifo-to-memory descriptor without a destination")
-        while remaining:
-            chunk = min(remaining, self._chunk())
-            read = self.bus.request(
-                cursor,
-                Transaction(op=Op.READ, address=self.dock_base, size_bytes=d.size_bytes, beats=chunk),
-                master=DMA_ENGINE,
-            )
-            values = read.value if isinstance(read.value, list) else [read.value]
-            write = self.bus.request(
-                read.done_ps,
-                Transaction(op=Op.WRITE, address=address, size_bytes=d.size_bytes, beats=chunk, data=values),
-                master=DMA_ENGINE,
-            )
-            cursor = write.done_ps
-            address += chunk * d.size_bytes
-            remaining -= chunk
-            self.stats.count("words_from_fifo", chunk)
-        return cursor
-
-    def _memory_to_memory(self, cursor: int, d: Descriptor) -> int:
-        if self._fast_ok():
-            read = self.bus.request_burst(
-                cursor, Op.READ, d.src, d.size_bytes, d.word_count, master=DMA_ENGINE
-            )
-            write = self.bus.request_burst(
-                read.done_ps,
-                Op.WRITE,
-                d.dst,
-                d.size_bytes,
-                d.word_count,
-                data=read.value,
-                master=DMA_ENGINE,
-            )
+        else:
             self.stats.count("words_copied", d.word_count)
-            return write.done_ps
-        remaining = d.word_count
-        src, dst = d.src, d.dst
-        if src is None or dst is None:
-            raise InvariantError(f"{self.name}: memory-to-memory descriptor missing an address")
-        while remaining:
-            chunk = min(remaining, self._chunk())
-            read = self.bus.request(
-                cursor,
-                Transaction(op=Op.READ, address=src, size_bytes=d.size_bytes, beats=chunk),
-                master=DMA_ENGINE,
-            )
-            values = read.value if isinstance(read.value, list) else [read.value]
-            write = self.bus.request(
-                read.done_ps,
-                Transaction(op=Op.WRITE, address=dst, size_bytes=d.size_bytes, beats=chunk, data=values),
-                master=DMA_ENGINE,
-            )
-            cursor = write.done_ps
-            src += chunk * d.size_bytes
-            dst += chunk * d.size_bytes
-            remaining -= chunk
-            self.stats.count("words_copied", chunk)
-        return cursor
+        return write.done_ps

@@ -27,10 +27,16 @@ by the same delta.
    :meth:`StatsGroup.record_many` charge per group, shifted bridge
    buffer — plus one vectorized ``bulk`` callback for the functional
    effects (data movement only, never time or statistics);
-3. anything irregular — a trace hook on a bus, the fast path disabled via
+3. anything irregular — the fast path disabled via
    ``REPRO_NO_FAST_PATH``, an undeclared phase, or signatures that never
    converge — falls back to per-iteration reference execution, which is
    always correct.
+
+A trace hook does not change which path runs.  When a compiled phase
+extrapolates, each watched bus with a tracer gets one ``steady`` event at
+the boundary whose ``reads``, ``writes``, ``beats`` and ``duration_ps``
+are ``remaining`` times what that bus traced during the last probe
+iteration, so the trace's totals equal the stepped run's.
 
 Equivalence is exact, not approximate: the extrapolated samples repeat
 the probe iteration's integer-valued figures, so the closed-form charges
@@ -57,7 +63,8 @@ Phases **nest**: a ``step`` may itself call :func:`run_steady` (the
 pattern-match strip loop runs a PIO write phase and a PIO read phase per
 strip).  Each call watches the whole system, so the outer phase sees
 what its inner phases charged, compiled or not, and once the outer phase
-extrapolates, its ``bulk`` stands in for the inner phases as well.
+extrapolates, its ``bulk`` stands in for the inner phases as well (and
+an inner phase's ``steady`` event is one more event of the outer probe).
 """
 
 from __future__ import annotations
@@ -196,12 +203,11 @@ class _Watch:
         if hwicap is not None and hasattr(hwicap, "stats"):
             groups.append(hwicap.stats)
         self.groups = groups
-
-    def traced(self) -> bool:
-        return any(getattr(bus, "tracer", None) is not None for bus in self.buses)
+        self.tracers = [(bus.name, bus.tracer) for bus in self.buses if bus.tracer is not None]
 
     def snapshot(self):
-        """Absolute state at an iteration boundary (cheap, no copies of data)."""
+        """Absolute state at an iteration boundary (cheap, no copies of data),
+        with each tracer's event count last."""
         now = self.cpu.now_ps
         cursor_vals = tuple(getattr(obj, attr) for obj, attr in self.cursors)
         inflight = tuple(self.bridge._inflight) if self.bridge is not None else ()
@@ -216,7 +222,8 @@ class _Watch:
                 for name, a in group._accumulators.items()
             }
             stats.append((counters, accs))
-        return (now, cursor_vals, inflight, caches, stats)
+        marks = tuple(len(tracer) for _, tracer in self.tracers)
+        return (now, cursor_vals, inflight, caches, stats, marks)
 
     def signature(self, prev, cur):
         """The iteration's timeline signature, or ``None`` if irregular.
@@ -228,8 +235,8 @@ class _Watch:
         iteration shifted by ``dt``.  Cache state is compared absolutely:
         an iteration that moved it has no signature.
         """
-        pnow, pcursors, pinflight, pcaches, pstats = prev
-        cnow, ccursors, cinflight, ccaches, cstats = cur
+        pnow, pcursors, pinflight, pcaches, pstats, _ = prev
+        cnow, ccursors, cinflight, ccaches, cstats, _ = cur
         dt = cnow - pnow
         if dt <= 0 or pcaches != ccaches:
             return None
@@ -272,8 +279,10 @@ class _Watch:
 
         return (dt, tuple(cursor_kinds), rel_cur, phases, tuple(stat_sigs))
 
-    def extrapolate(self, sig, remaining: int) -> None:
-        """Apply ``remaining`` iterations closed-form (time + statistics)."""
+    def extrapolate(self, sig, remaining: int, since) -> None:
+        """Apply ``remaining`` iterations closed-form (time + statistics),
+        and trace them as ``remaining`` copies of the probe iteration that
+        started at snapshot ``since``."""
         dt, cursor_kinds, _, _, stat_sigs = sig
         shift = dt * remaining
         boundary_now = self.cpu.now_ps
@@ -294,6 +303,18 @@ class _Watch:
                     group.record_many(
                         name, d_total * remaining, d_count * remaining, minimum, maximum
                     )
+        for (name, tracer), mark in zip(self.tracers, since[-1]):
+            probe = tracer.totals(mark).get(name)
+            if probe is not None:
+                tracer.record(
+                    boundary_now,
+                    name,
+                    "steady",
+                    reads=probe["reads"] * remaining,
+                    writes=probe["writes"] * remaining,
+                    beats=probe["beats"] * remaining,
+                    duration_ps=probe["busy_ps"] * remaining,
+                )
 
 
 def run_steady(
@@ -313,9 +334,10 @@ def run_steady(
 
     The phase compiles only when every gate passes: ``bulk`` provided,
     ``phase`` declared on ``system`` via :func:`declare_phases`, the
-    fast path enabled, no trace hook installed, and signatures that
-    converge within :data:`MAX_PROBES`.  Otherwise every iteration runs ``step`` — the
-    result is identical either way; only host time differs.
+    fast path enabled, and signatures that converge within
+    :data:`MAX_PROBES`.  Otherwise every iteration runs ``step`` — the
+    result is identical either way; only host time and the number of
+    trace events differ.
     """
     count = int(count)
     if count <= 0:
@@ -328,18 +350,13 @@ def run_steady(
         and phase_declared(system, phase)
         and fastpath.enabled()
     )
-    watch = None
-    if compilable:
-        watch = _Watch(system)
-        if watch.traced():
-            compilable = False
-
     if not compilable:
         for i in range(count):
             step(i)
         _TELEMETRY.reference_iterations += count
         return
 
+    watch = _Watch(system)
     prev_snap = watch.snapshot()
     prev_sig = None
     i = 0
@@ -348,16 +365,16 @@ def run_steady(
         i += 1
         snap = watch.snapshot()
         sig = watch.signature(prev_snap, snap)
-        prev_snap = snap
         if sig is not None and sig == prev_sig and i >= MIN_PROBES:
             remaining = count - i
             if remaining:
                 bulk(i, remaining)
-                watch.extrapolate(sig, remaining)
+                watch.extrapolate(sig, remaining, prev_snap)
             _TELEMETRY.compiled_phases += 1
             _TELEMETRY.probe_iterations += i
             _TELEMETRY.extrapolated_iterations += remaining
             return
+        prev_snap = snap
         prev_sig = sig
 
     # Irregular phase: finish through the reference path.

@@ -1,21 +1,20 @@
 """Global switch for the vectorized burst fast path.
 
-The bus transfer stack keeps two implementations of its hot loops: the
-per-beat reference path (ground truth, traceable) and a closed-form
-vectorized path that produces *identical* simulated timestamps, data and
-aggregate statistics while doing O(1) Python work per burst instead of
-O(beats).  The switch reaches bus bursts, the DMA engine and
-``run_steady`` compilation; the configuration-data path (BitLinker,
-packet codec, HWICAP) and the serve scheduler have one implementation
-and no switch.
+The bus transfer stack keeps two implementations of two hot loops: the
+per-request reference path (ground truth) and a closed-form vectorized
+path that produces *identical* simulated timestamps, data and aggregate
+statistics while doing O(1) Python work per burst instead of O(beats).
+The switch reaches two sites: ``Bus.request_burst`` (and through it the
+DMA engine) and ``run_steady`` compilation.  The configuration-data path
+(BitLinker, packet codec, HWICAP) and the serve scheduler have one
+implementation and no switch.  A trace hook selects nothing: both paths
+trace, the closed forms as aggregated events with equal totals.
 This module is the single gate the forked sites consult:
 
 * the ``REPRO_NO_FAST_PATH`` environment variable (any value other than
   ``""``/``"0"``/``"false"``) forces the reference path — used by the
   equivalence test-suite and available for debugging;
-* :func:`force` overrides the environment from code (tests, benchmarks);
-* components with a trace hook installed fall back on their own, because
-  only the per-beat path emits the per-transaction trace events.
+* :func:`force` overrides the environment from code (tests, benchmarks).
 """
 
 from __future__ import annotations

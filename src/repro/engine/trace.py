@@ -4,6 +4,12 @@ A :class:`TraceRecorder` collects timestamped events from instrumented
 components (the buses hook in via their ``tracer`` attribute).  Traces can
 be filtered, summarised, and exported as CSV or JSON-lines — the usual way
 to debug *why* a transfer sequence costs what it costs.
+
+A trace observes the program that runs untraced: a closed-form burst
+records one event for all its sub-bursts, and a compiled ``run_steady``
+phase records one ``steady`` event per traced bus for the iterations it
+extrapolated.  :meth:`TraceRecorder.totals` sums both kinds back into
+per-bus request, beat and busy-time totals.
 """
 
 from __future__ import annotations
@@ -88,6 +94,35 @@ class TraceRecorder:
             key = f"{event.source}:{event.kind}"
             counts[key] = counts.get(key, 0) + 1
         return counts
+
+    def totals(self, first: int = 0) -> Dict[str, Dict[str, int]]:
+        """Bus work per source: ``reads``, ``writes``, ``beats`` and ``busy_ps``.
+
+        A ``read``/``write`` event stands for its ``requests`` sub-bursts
+        (one when the field is absent); a ``steady`` event, which a compiled
+        phase records for the iterations it extrapolated, carries its own
+        ``reads`` and ``writes``.  Other kinds are not bus work.  ``first``
+        skips the events recorded before that index.
+        """
+        out: Dict[str, Dict[str, int]] = {}
+        for event in self._events[first:]:
+            fields = event.fields
+            if event.kind == "steady":
+                reads, writes = fields["reads"], fields["writes"]
+            elif event.kind == "read":
+                reads, writes = fields.get("requests", 1), 0
+            elif event.kind == "write":
+                reads, writes = 0, fields.get("requests", 1)
+            else:
+                continue
+            entry = out.setdefault(
+                event.source, {"reads": 0, "writes": 0, "beats": 0, "busy_ps": 0}
+            )
+            entry["reads"] += reads
+            entry["writes"] += writes
+            entry["beats"] += fields["beats"]
+            entry["busy_ps"] += fields["duration_ps"]
+        return out
 
     # -- export -----------------------------------------------------------------
     def to_jsonl(self) -> str:

@@ -19,11 +19,10 @@ one size axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from ..analysis.amortization import break_even_table
 from ..core.apps import (
     HwBlendPio,
     HwBrightnessPio,
@@ -83,14 +82,6 @@ class CostTable:
     def size_classes(self) -> int:
         return len(self.size_edges)
 
-    def break_even(self) -> np.ndarray:
-        """Break-even run counts per (kernel, size) — ``inf`` marks
-        software-always entries (see :func:`~repro.analysis.amortization
-        .break_even_table` for the edge-case contract)."""
-        return break_even_table(
-            self.reconfig_ps[:, None], self.sw_run_ps, self.hw_run_ps
-        )
-
     def mean_gap_for_utilization(self, target_util: float) -> int:
         """Mean inter-arrival (ps) that would load one server to
         ``target_util`` if every request ran in hardware."""
@@ -98,21 +89,6 @@ class CostTable:
             raise KernelError(f"target utilization {target_util} out of range")
         mean_hw = float(self.hw_run_ps.mean())
         return max(1, int(round(mean_hw / target_util)))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kernels": list(self.kernels),
-            "reconfig_ps": [int(v) for v in self.reconfig_ps],
-            "hw_run_ps": [[int(v) for v in row] for row in self.hw_run_ps],
-            "sw_run_ps": [[int(v) for v in row] for row in self.sw_run_ps],
-            "widths": [int(v) for v in self.widths],
-            "region_cols": int(self.region_cols),
-            "size_edges": list(self.size_edges),
-            "break_even_runs": [
-                [None if not np.isfinite(v) else float(v) for v in row]
-                for row in self.break_even()
-            ],
-        }
 
 
 def _measure_pair(system, name: str, edge: int, seed: int, pattern) -> Tuple[int, int]:

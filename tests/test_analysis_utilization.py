@@ -29,9 +29,9 @@ def test_profile_returns_workload_result(system32, manager32):
 
 
 def test_pio_transfer_run_is_bus_bound(system32):
-    # Per-word uncached reads keep the CPU's bus port saturated.  (Note:
-    # batch-extrapolated sequences bypass the tracer, so the profiler is
-    # meant for real driver loops like this one.)
+    # Per-word uncached reads keep the CPU's bus port saturated.  (The
+    # CPU's io_read_batch shortcut would charge the same time without
+    # issuing traced requests.)
     def workload():
         for i in range(100):
             system32.cpu.io_read(memmap.STAGE_INPUT + 4 * i)

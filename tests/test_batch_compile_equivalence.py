@@ -4,8 +4,9 @@ The batch compiler must be invisible in every simulated observable: for
 random workload shapes, each PIO driver is run with the compiler on and
 off and everything comparable is diffed — elapsed picoseconds, task
 results, CPU/cache/bus/bridge/dock/FIFO/DMA/HWICAP statistics including
-accumulator count/min/max tuples.  ``REPRO_NO_FAST_PATH`` and trace hooks
-must force the identical reference behaviour.
+accumulator count/min/max tuples.  ``REPRO_NO_FAST_PATH`` must force the
+identical reference behaviour; a trace hook changes no code path, and
+its totals match the reference trace.
 """
 
 import os
@@ -132,26 +133,37 @@ def test_hash_equivalence(builder, length):
     _run_both(builder, scenario)
 
 
-def test_driver_trace_is_byte_identical_under_compilation():
-    """With a trace hook the compiler steps aside; the emitted trace must
-    equal the reference trace byte for byte."""
+@pytest.mark.parametrize(
+    "kernel, driver, workload",
+    [
+        ("brightness", HwBrightnessPio, lambda: grayscale_image(16, 32, seed=9)),
+        ("patmatch", HwPatternMatch, lambda: binary_image(20, 40, seed=60)),
+    ],
+    ids=["brightness", "patmatch"],
+)
+def test_traced_driver_compiles_with_reference_totals(kernel, driver, workload):
+    """A trace hook does not stop compilation, nested phases included: the
+    compiled run's trace totals equal the stepped run's per-request trace."""
+    from repro.engine.batch import reset_telemetry
     from repro.engine.trace import TraceRecorder
 
-    def run(force_off):
-        ctx = fastpath.disabled() if force_off else fastpath.forced_on()
-        with ctx:
-            system, manager = build_rig64()
-            manager.load("brightness")
-            tracer = TraceRecorder(capacity=1_000_000)
-            system.plb.tracer = tracer
-            run_result = HwBrightnessPio().run(system, grayscale_image(16, 32, seed=9))
-            return run_result.elapsed_ps, tracer.to_jsonl()
+    traces = []
 
-    fast_ps, fast_trace = run(force_off=False)
-    slow_ps, slow_trace = run(force_off=True)
-    assert fast_ps == slow_ps
-    assert fast_trace == slow_trace
-    assert len(fast_trace) > 0
+    def scenario(system, manager):
+        manager.load(kernel)
+        tracer = TraceRecorder(capacity=1_000_000)
+        system.plb.tracer = system.opb.tracer = tracer
+        traces.append(tracer)
+        return driver().run(system, workload())
+
+    reset_telemetry()
+    _run_both(build_rig64, scenario)
+    fast, slow = traces
+    assert telemetry().compiled_phases > 0
+    assert fast.totals() == slow.totals()
+    assert fast.filter(kind="steady")
+    assert len(fast) < len(slow)
+    assert not any("requests" in event.fields for event in slow.events)
 
 
 def test_env_var_round_trip_disables_compilation():

@@ -154,27 +154,19 @@ def _raw_descriptor(src, dst):
     return d
 
 
-@pytest.fixture()
-def slow_dma(monkeypatch):
+def test_memory_to_dock_without_source_raises():
+    dma = build_system64().dock.dma
+    with pytest.raises(InvariantError, match="neither a source nor a destination"):
+        dma._move(0, _raw_descriptor(src=None, dst=None))
+
+
+def test_fifo_to_memory_without_destination_raises():
+    """The guard fires through the public chain entry before any bus work."""
     system = build_system64()
-    # Force the reference per-chunk path so the invariant guards execute.
-    monkeypatch.setattr(system.plb, "fast_path_active", lambda: False)
-    return system.dock.dma
-
-
-def test_memory_to_dock_without_source_raises(slow_dma):
-    with pytest.raises(InvariantError, match="without a source"):
-        slow_dma._memory_to_dock(0, _raw_descriptor(src=None, dst=None))
-
-
-def test_fifo_to_memory_without_destination_raises(slow_dma):
-    with pytest.raises(InvariantError, match="without a destination"):
-        slow_dma._fifo_to_memory(0, _raw_descriptor(src=None, dst=None))
-
-
-def test_memory_to_memory_missing_address_raises(slow_dma):
-    with pytest.raises(InvariantError, match="missing an address"):
-        slow_dma._memory_to_memory(0, _raw_descriptor(src=0x10_0000, dst=None))
+    before = system.plb.stats.snapshot()
+    with pytest.raises(InvariantError, match="neither a source nor a destination"):
+        system.dock.dma.run_chain(0, [_raw_descriptor(src=None, dst=None)])
+    assert system.plb.stats.snapshot() == before
 
 
 def test_demo_divergence_raises_check_error(monkeypatch):

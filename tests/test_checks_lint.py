@@ -279,8 +279,8 @@ def test_lint004_integer_arithmetic_is_clean():
 def test_lint005_unguarded_burst_primitive():
     found = lint(
         """
-        def move(self, cursor, d):
-            return self.bus.request_burst(cursor, d.src, d.word_count)
+        def move(self, op, address, beats, start):
+            return self.slave.access_burst(op, address, 8, beats, 16, None, start)
         """
     )
     assert ids(found) == {"LINT005"}
@@ -289,10 +289,22 @@ def test_lint005_unguarded_burst_primitive():
 def test_lint005_guarded_burst_is_clean():
     found = lint(
         """
+        from repro.engine import fastpath
+
+        def move(self, op, address, beats, start):
+            if fastpath.enabled():
+                return self.slave.access_burst(op, address, 8, beats, 16, None, start)
+            return self.slow(op, address, beats, start)
+        """
+    )
+    assert found == []
+
+
+def test_lint005_request_burst_gates_itself():
+    found = lint(
+        """
         def move(self, cursor, d):
-            if self.bus.fast_path_active():
-                return self.bus.request_burst(cursor, d.src, d.word_count)
-            return self.slow(cursor, d)
+            return self.bus.request_burst(cursor, d.src, d.word_count)
         """
     )
     assert found == []

@@ -175,6 +175,13 @@ def test_descriptor_validation():
         Descriptor(src=0, dst=None, word_count=0)
     with pytest.raises(TransferError):
         Descriptor(src=4, dst=4, word_count=1)
+    # Overlapping memory-to-memory ranges, forward and backward.
+    for dst in (0x1008, 0x1040, 0x1000 + 799 * 8, 0x1000 - 8):
+        with pytest.raises(TransferError, match="overlap"):
+            Descriptor(src=0x1000, dst=dst, word_count=800)
+    # Touching ranges do not overlap.
+    Descriptor(src=0x1000, dst=0x1000 + 800 * 8, word_count=800)
+    Descriptor(src=0x1000, dst=0x1000 - 800 * 8, word_count=800)
 
 
 def test_memory_to_memory_copy(rig):

@@ -1,9 +1,9 @@
 """Unit contract of the steady-state phase compiler (`repro.engine.batch`).
 
 `run_steady` must be a pure host-time optimization: for any mix of gates
-(declaration, fast-path switch, trace hooks, irregular timing) the
-simulated clock, per-component statistics and data contents must match
-the stepped reference exactly.
+(declaration, fast-path switch, irregular timing) the simulated clock,
+per-component statistics and data contents must match the stepped
+reference exactly, and so must the totals of a trace.
 """
 
 import numpy as np
@@ -135,7 +135,11 @@ def test_fastpath_off_forces_reference():
     assert telemetry().reference_iterations == N
 
 
-def test_trace_hook_forces_reference_and_equal_trace():
+def test_traced_phase_compiles_with_reference_totals():
+    """A trace hook does not stop compilation: the probes are traced per
+    request, the extrapolated iterations as one ``steady`` event, and the
+    totals equal the stepped run's per-request trace."""
+
     def run(force_off):
         ctx = fastpath.disabled() if force_off else fastpath.forced_on()
         with ctx:
@@ -143,14 +147,18 @@ def test_trace_hook_forces_reference_and_equal_trace():
             tracer = TraceRecorder(capacity=1_000_000)
             system.plb.tracer = tracer
             _drive(system)
-            return _observables(system), tracer.to_jsonl()
+            return _observables(system), tracer
 
     fast_obs, fast_trace = run(force_off=False)
     slow_obs, slow_trace = run(force_off=True)
     assert fast_obs == slow_obs
-    assert fast_trace == slow_trace
-    assert len(fast_trace) > 0
-    assert telemetry().compiled_phases == 0
+    assert fast_trace.totals() == slow_trace.totals()
+    assert telemetry().compiled_phases == 1
+    probes = telemetry().probe_iterations
+    (steady,) = fast_trace.filter(kind="steady")
+    assert steady.fields["writes"] == N - probes
+    assert len(fast_trace) == probes + 1
+    assert len(slow_trace) == N
 
 
 def test_irregular_phase_falls_back_and_stays_exact():

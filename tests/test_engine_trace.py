@@ -55,6 +55,23 @@ def test_summary_counts():
     assert trace.summary() == {"plb:read": 2, "opb:write": 1}
 
 
+def test_totals_count_requests_and_steady_events():
+    trace = TraceRecorder()
+    trace.record(1, "plb", "note")
+    trace.record(2, "plb", "read", beats=1, duration_ps=50)
+    trace.record(3, "plb", "write", beats=40, duration_ps=300, requests=3)
+    trace.record(4, "opb", "read", beats=2, duration_ps=70)
+    trace.record(5, "plb", "steady", reads=6, writes=2, beats=8, duration_ps=900)
+    assert trace.totals() == {
+        "plb": {"reads": 7, "writes": 5, "beats": 49, "busy_ps": 1250},
+        "opb": {"reads": 1, "writes": 0, "beats": 2, "busy_ps": 70},
+    }
+    assert trace.totals(first=3) == {
+        "opb": {"reads": 1, "writes": 0, "beats": 2, "busy_ps": 70},
+        "plb": {"reads": 6, "writes": 2, "beats": 8, "busy_ps": 900},
+    }
+
+
 def test_jsonl_export_parses():
     trace = TraceRecorder()
     trace.record(5, "plb", "read", address=0x20, beats=4)

@@ -514,28 +514,38 @@ def test_full_golden_scrub_compiles_the_readback_phase(name):
         reset_telemetry()
 
 
-def test_traced_scrub_takes_the_per_frame_path():
-    """A trace hook forces the reference loop: four PLB events per frame
-    (FAR write, CONTROL write, two RDATA reads), byte-identical traces."""
+def test_traced_scrub_compiles_with_reference_totals():
+    """A trace hook no longer forces the per-frame loop: the compiled scrub
+    traces its probed frames and one ``steady`` event per bus, and the
+    totals equal the per-frame trace's (FAR and CONTROL writes and two
+    RDATA reads per frame, on the PLB and again on the OPB)."""
 
     def run():
         system, manager = _fresh("system32")
         manager.mark_golden()
         tracer = TraceRecorder(capacity=1_000_000)
-        system.plb.tracer = tracer
+        system.plb.tracer = system.opb.tracer = tracer
         reset_telemetry()
         report = manager.scrub()
-        return report.frames_checked, system.cpu.now_ps, tracer.to_jsonl(), len(tracer)
+        observed = (
+            report.frames_checked,
+            system.cpu.now_ps,
+            system.plb.stats.snapshot(),
+            system.opb.stats.snapshot(),
+            system.hwicap.stats.snapshot(),
+        )
+        return observed, tracer
 
     try:
         with fastpath.forced_on():
-            fast = run()
-            assert telemetry().compiled_phases == 0
-            assert telemetry().reference_iterations == fast[0]
+            fast, fast_trace = run()
+            assert telemetry().compiled_phases >= 1
         with fastpath.disabled():
-            slow = run()
+            slow, slow_trace = run()
     finally:
         reset_telemetry()
     assert fast == slow
-    frames, _, _, events = fast
-    assert events == 4 * frames
+    assert fast_trace.totals() == slow_trace.totals()
+    frames = fast[0]
+    assert len(slow_trace) == 8 * frames
+    assert len(fast_trace) == 8 * MIN_PROBES + 2

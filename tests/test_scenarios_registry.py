@@ -226,6 +226,7 @@ sys.stdout.write(entry.source_fingerprint())
 
 
 def _dynamic_fingerprint(op):
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -235,7 +236,7 @@ def _dynamic_fingerprint(op):
         [sys.executable, "-c", _DYNAMIC_SNIPPET.replace("{op}", op)],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src, "PYTHONHASHSEED": "random"},
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "random"},
     )
     assert proc.returncode == 0, proc.stderr
     fingerprint = proc.stdout.strip()
