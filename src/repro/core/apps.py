@@ -355,20 +355,12 @@ class HwBrightnessDma(_HwImageBase):
         pad = (-pixels.size) % 8
         staged = np.concatenate([pixels, np.zeros(pad, dtype=np.uint8)]) if pad else pixels
         system.ext_mem.load(memmap.STAGE_INPUT, staged)
-        n_words = staged.size // 8
         cursor = cpu.now_ps
-        remaining = n_words
-        src = memmap.STAGE_INPUT
-        dst = memmap.STAGE_OUTPUT
         cpu.execute_cycles(80)  # descriptor chain setup
-        while remaining:
-            chunk = min(remaining, dock.fifo.depth)
-            cursor = dock.dma_write_block(cursor, src, chunk)
-            cursor, drained = dock.dma_drain_fifo(cursor, dst)
-            src += chunk * 8
-            dst += drained * 8
-            remaining -= chunk
-        cpu.take_interrupt(cursor)
+        done = dock.dma_stream(
+            cursor, memmap.STAGE_INPUT, memmap.STAGE_OUTPUT, staged.size // 8
+        )
+        cpu.take_interrupt(done)
         cpu.return_from_interrupt()
         out = system.ext_mem.dump(memmap.STAGE_OUTPUT, staged.size)
         result = out[: pixels.size].reshape(np.asarray(image).shape)
@@ -410,20 +402,12 @@ class _HwTwoSourceDma(_HwImageBase):
         system.ext_mem.load(memmap.STAGE_BITSTREAM, staged)
         prep_ps = cpu.now_ps - prep_start
 
-        n_words = staged.size // 8
         cursor = cpu.now_ps
-        remaining = n_words
-        src = memmap.STAGE_BITSTREAM
-        dst = memmap.STAGE_OUTPUT
         cpu.execute_cycles(80)
-        while remaining:
-            chunk = min(remaining, dock.fifo.depth)
-            cursor = dock.dma_write_block(cursor, src, chunk)
-            cursor, drained = dock.dma_drain_fifo(cursor, dst)
-            src += chunk * 8
-            dst += drained * 8
-            remaining -= chunk
-        cpu.take_interrupt(cursor)
+        done = dock.dma_stream(
+            cursor, memmap.STAGE_BITSTREAM, memmap.STAGE_OUTPUT, staged.size // 8
+        )
+        cpu.take_interrupt(done)
         cpu.return_from_interrupt()
         out = system.ext_mem.dump(memmap.STAGE_OUTPUT, a_flat.size + (-a_flat.size) % 8)
         result = out[: a_flat.size].reshape(np.asarray(a).shape)

@@ -95,6 +95,18 @@ class ScrubReport:
     elapsed_ps: int = 0
 
 
+def sample_indices(count: int, samples: Optional[int]) -> Sequence[int]:
+    """The frames a verified load reads back: evenly spaced indices,
+    clamped to ``min(samples, count)`` (``None`` = every frame).
+
+    Spacing ``(count-1)/(num-1) >= 1`` guarantees the floored indices
+    are distinct, so exactly ``num`` frames are checked.
+    """
+    if samples is None or samples >= count:
+        return range(count)
+    return [int(i) for i in np.linspace(0, count - 1, num=int(samples))]
+
+
 class ReconfigManager:
     """Kernel library + loader for one dynamic region.
 
@@ -504,16 +516,6 @@ class ReconfigManager:
         data = self._readback_frames(fars)
         return np.flatnonzero((data != expected).any(axis=1))
 
-    def _sample_indices(self, count: int, samples: Optional[int]) -> Sequence[int]:
-        """Evenly spaced frame indices, clamped to ``min(samples, count)``.
-
-        Spacing ``(count-1)/(num-1) >= 1`` guarantees the floored indices
-        are distinct, so exactly ``num`` frames are checked.
-        """
-        if samples is None or samples >= count:
-            return range(count)
-        return [int(i) for i in np.linspace(0, count - 1, num=int(samples))]
-
     def _verify_by_readback(self, bitstream: Bitstream, samples: int) -> Tuple[int, int]:
         """Read back evenly spaced frames via the ICAP; raise on the first mismatch.
 
@@ -525,7 +527,7 @@ class ReconfigManager:
         start = cpu.now_ps
         if not bitstream.frame_count:
             return 0, 0
-        sampled = self._sample_indices(bitstream.frame_count, samples)
+        sampled = sample_indices(bitstream.frame_count, samples)
         fars = bitstream.fars[sampled]
         expected = bitstream.block[sampled]
         memory = self.system.config_memory
@@ -561,7 +563,7 @@ class ReconfigManager:
         if only is not None:
             indices: Sequence[int] = only
         else:
-            indices = self._sample_indices(bitstream.frame_count, samples)
+            indices = sample_indices(bitstream.frame_count, samples)
         bad = self._mismatched(bitstream.fars[indices], bitstream.block[indices])
         return [indices[position] for position in bad], len(indices)
 

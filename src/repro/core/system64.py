@@ -17,9 +17,12 @@ Dynamic region: 32x24 CLBs = 768 CLBs = 3072 slices (22.4% of 13696) and
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..bus.bridge import PlbOpbBridge
 from ..bus.opb import make_opb
-from ..bus.plb import make_plb
+from ..bus.plb import PLB_MAX_BURST_BEATS, make_plb
+from ..dock.fifo import PAPER_FIFO_DEPTH
 from ..dock.plb_dock import PlbDock
 from ..engine.clock import ClockDomain, mhz
 from ..fabric.config_memory import ConfigMemory
@@ -41,19 +44,54 @@ from .system32 import BRIDGE_RESOURCES, OPB_INFRA, PLB_INFRA
 CPU_MHZ = 300
 BUS_MHZ = 100
 
+#: The paper's value of each platform axis the design-space explorer
+#: varies (:func:`repro.scenarios.dse.build_dse_rig`).
+PAPER_AXES = {
+    "bus_mhz": BUS_MHZ,
+    "bridge_cycles": PlbOpbBridge.FORWARD_CYCLES,
+    "fifo_depth": PAPER_FIFO_DEPTH,
+    "burst_beats": PLB_MAX_BURST_BEATS,
+    "region_cols": 32,
+    "region_rows": 24,
+}
+
 #: Interrupt line the PLB Dock drives.
 DOCK_IRQ_SOURCE = 0
 
 
 def build_system64() -> System:
     """Assemble the complete 64-bit system (figure 4)."""
+    return assemble_system64("64", region_brams=22, **PAPER_AXES)
+
+
+def assemble_system64(
+    tag: str,
+    region_brams: Optional[int],
+    *,
+    bus_mhz: int,
+    bridge_cycles: int,
+    fifo_depth: int,
+    burst_beats: int,
+    region_cols: int,
+    region_rows: int,
+) -> System:
+    """The 64-bit topology with the platform axes as values.
+
+    ``tag`` suffixes the region, bus and system names (``"64"`` gives
+    ``plb64``, ``system64``); ``region_brams`` is the BRAM count the
+    region placement must contain, or ``None`` for the first placement
+    that fits.
+    """
     device = XC2VP30
-    region = find_region(device, 32, 24, bram_blocks=22, name="dynamic64")
+    region = find_region(
+        device, region_cols, region_rows, bram_blocks=region_brams, name=f"dynamic{tag}"
+    )
 
     cpu_clock = ClockDomain("cpu", mhz(CPU_MHZ))
-    bus_clock = ClockDomain("bus", mhz(BUS_MHZ))
-    plb = make_plb(bus_clock, name="plb64")
-    opb = make_opb(bus_clock, name="opb64")
+    bus_clock = ClockDomain("bus", mhz(bus_mhz))
+    plb = make_plb(bus_clock, name=f"plb{tag}")
+    plb.max_burst_beats = burst_beats
+    opb = make_opb(bus_clock, name=f"opb{tag}")
 
     # Memories.
     ddr = MemoryArray(memmap.DDR_SIZE, name="ext_ddr")
@@ -66,7 +104,7 @@ def build_system64() -> System:
     hwicap = OpbHwIcap(config_memory, memmap.HWICAP_BASE)
     uart = Uart(memmap.UART_BASE)
     intc = InterruptController(memmap.INTC_BASE)
-    dock = PlbDock(memmap.DOCK_BASE)
+    dock = PlbDock(memmap.DOCK_BASE, fifo_depth=fifo_depth)
     jtag = JtagPpc()
     reset_block = ResetBlock()
 
@@ -78,6 +116,10 @@ def build_system64() -> System:
     # PLB attachments: DDR, BRAM, the dock, and a bridge window for the
     # OPB peripherals.
     bridge = PlbOpbBridge(plb, opb)
+    # Instance-level latency (the model reads it through ``self``),
+    # keeping the forward:return ratio.
+    bridge.FORWARD_CYCLES = bridge_cycles
+    bridge.RETURN_CYCLES = max(1, bridge_cycles // 2)
     plb.attach(ddr_ctrl, memmap.EXT_MEM_BASE, memmap.DDR_SIZE, name="plb_ddr", posted_writes=True)
     plb.attach(bram_ctrl, memmap.BRAM_BASE, memmap.BRAM_SIZE, name="plb_bram")
     plb.attach(dock, memmap.DOCK_BASE, memmap.DOCK_SIZE, name="plb_dock", posted_writes=True)
@@ -92,7 +134,7 @@ def build_system64() -> System:
     dock.connect_interrupts(intc, DOCK_IRQ_SOURCE)
 
     system = System(
-        name="system64",
+        name=f"system{tag}",
         device=device,
         region=region,
         cpu_clock=cpu_clock,

@@ -253,17 +253,7 @@ class TransferBench:
         dock.attach_kernel(LoopbackKernel(pipeline_depth=1))
         cpu = self.system.cpu
         start = cpu.now_ps
-        remaining = n
-        src = memmap.STAGE_INPUT
-        dst = memmap.STAGE_OUTPUT
-        cursor = cpu.now_ps
-        while remaining:
-            chunk = min(remaining, dock.fifo.depth)
-            cursor = dock.dma_write_block(cursor, src, chunk)
-            cursor, drained = dock.dma_drain_fifo(cursor, dst)
-            src += chunk * 8
-            dst += drained * 8
-            remaining -= chunk
-        cpu.take_interrupt(cursor)
+        done = dock.dma_stream(start, memmap.STAGE_INPUT, memmap.STAGE_OUTPUT, n)
+        cpu.take_interrupt(done)
         cpu.return_from_interrupt()
         return TransferResult("dma-write/read", n, 64, cpu.now_ps - start)

@@ -342,3 +342,20 @@ class PlbDock:
         if self.intc is not None:
             self.intc.raise_irq(self.irq_source, done)
         return done, count
+
+    def dma_stream(self, when_ps: int, src: int, dst: int, words: int) -> int:
+        """Memory -> kernel -> memory, ``words`` 64-bit words from ``src``.
+
+        Block-interleaved through the output FIFO: write a FIFO-sized
+        chunk to the dock, drain the FIFO to ``dst``, repeat.  Returns the
+        done time of the last drain.
+        """
+        cursor = when_ps
+        while words:
+            chunk = min(words, self.fifo.depth)
+            cursor = self.dma_write_block(cursor, src, chunk)
+            cursor, drained = self.dma_drain_fifo(cursor, dst)
+            src += chunk * 8
+            dst += drained * 8
+            words -= chunk
+        return cursor

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InvariantError, ReproError
-from ..scenarios.dse import build_dse_rig
+from ..scenarios.dse import BASELINE, build_dse_rig
 
 #: Axes that parameterize the rig itself (the DRC gate's projection);
 #: the remaining axes (scrubbing, verify sampling) are operational
@@ -174,20 +174,25 @@ class PlatformSpace:
 def default_space() -> PlatformSpace:
     """The shipped 8-axis space around the paper's 64-bit platform.
 
-    Baselines reproduce the paper's system exactly; levels bracket each
-    knob with realistic alternatives (e.g. 66/100/133 MHz CoreConnect
-    clocks, power-of-two FIFO cuts, the legal region geometries of the
-    XC2VP30 — a 64-bit dock interface needs 17 CLB rows, so 16-row
-    regions are *intentionally* absent and would fail the DRC gate).
+    The six rig-axis baselines are the paper's values
+    (:data:`repro.core.system64.PAPER_AXES`).  The baseline rig is not
+    the paper's system cell for cell: it places its 32x24 region at the
+    first fit, cols 0-31 and rows 0-23 with 25 BRAMs, where the paper's
+    system asks for exactly 22 BRAMs and lands on cols 1-32, rows 1-24.
+    Levels bracket each knob with realistic alternatives (e.g.
+    66/100/133 MHz CoreConnect clocks, power-of-two FIFO cuts, the legal
+    region geometries of the XC2VP30 — a 64-bit dock interface needs 17
+    CLB rows, so 16-row regions are *intentionally* absent and would
+    fail the DRC gate).
     """
     return PlatformSpace(
         [
-            Axis("bus_mhz", (66, 100, 133), 100, "MHz", "PLB/OPB clock rate"),
-            Axis("bridge_cycles", (1, 2, 4), 2, "cycles", "PLB->OPB bridge forward latency"),
-            Axis("fifo_depth", (8, 256, 1023, 2047), 2047, "words", "dock output FIFO depth"),
-            Axis("burst_beats", (4, 8, 16), 16, "beats", "PLB maximum burst length"),
-            Axis("region_cols", (24, 32, 40), 32, "CLBs", "dynamic region width"),
-            Axis("region_rows", (18, 24), 24, "CLBs", "dynamic region height"),
+            Axis("bus_mhz", (66, 100, 133), BASELINE["bus_mhz"], "MHz", "PLB/OPB clock rate"),
+            Axis("bridge_cycles", (1, 2, 4), BASELINE["bridge_cycles"], "cycles", "PLB->OPB bridge forward latency"),
+            Axis("fifo_depth", (8, 256, 1023, 2047), BASELINE["fifo_depth"], "words", "dock output FIFO depth"),
+            Axis("burst_beats", (4, 8, 16), BASELINE["burst_beats"], "beats", "PLB maximum burst length"),
+            Axis("region_cols", (24, 32, 40), BASELINE["region_cols"], "CLBs", "dynamic region width"),
+            Axis("region_rows", (18, 24), BASELINE["region_rows"], "CLBs", "dynamic region height"),
             Axis("scrub_period_us", (50, 200, 800), 200, "us", "periodic scrub interval"),
             Axis("verify_samples", (4, 16, 64, 256), 16, "frames", "readback verify sample size"),
         ]

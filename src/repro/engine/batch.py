@@ -47,7 +47,8 @@ the contract under hypothesis.
 
 **Division of labour** — the compiler owns simulated time and every
 watched statistics group (CPU, CPU data and instruction caches, buses,
-bridge, dock, DMA engine, HWICAP);
+every slave attached to a bus — memory controllers, bridge, dock,
+peripherals — and the dock's DMA engine);
 ``bulk`` callbacks own data movement and functional counters (FIFO
 statistics via ``push_many``/``pop_array``, ICAP readback counts via
 ``bulk_readback``), matching the per-word reference exactly.  A ``bulk``
@@ -168,13 +169,16 @@ class _Watch:
 
     Watches the CPU cursor, each bus's busy watermark and clock phase, the
     bridge's posted-write buffer, the PLB dock's DMA watermark, the CPU
-    caches' tag and dirty state, and the statistics groups of every timed
-    component, the two caches included.  The cache state is not
-    extrapolated: an iteration that leaves it changed has no signature,
-    so only phases whose cache footprint is already settled compile.
-    The dock FIFO's group is deliberately *not* watched: its statistics
-    are functional (charged by ``push_many``/``pop_array`` inside the
-    reference path and the ``bulk`` callbacks alike).
+    caches' tag and dirty state, and the statistics groups of the CPU,
+    its two caches, each bus, the dock's DMA engine and every slave
+    attached to a bus.  The slave groups come from the buses'
+    attachments, not from names, so a memory controller or peripheral is
+    watched wherever it sits.  The cache state is not extrapolated: an
+    iteration that leaves it changed has no signature, so only phases
+    whose cache footprint is already settled compile.  The dock FIFO is
+    no bus slave, and its group is deliberately *not* watched: its
+    statistics are functional (charged by ``push_many``/``pop_array``
+    inside the reference path and the ``bulk`` callbacks alike).
     """
 
     def __init__(self, system) -> None:
@@ -190,18 +194,16 @@ class _Watch:
         self.cursors: List[Tuple[object, str]] = [(bus, "_busy_until") for bus in self.buses]
         if dock is not None and hasattr(dock, "dma_busy_until_ps"):
             self.cursors.append((dock, "dma_busy_until_ps"))
+        # Every slave on a bus, once (the 32-bit bridge has two windows).
+        slaves = {
+            id(att.slave): att.slave for bus in self.buses for att in bus.attachments
+        }
         groups = [self.cpu.stats] + [cache.stats for cache in self.caches]
         groups += [bus.stats for bus in self.buses]
-        if self.bridge is not None:
-            groups.append(self.bridge.stats)
-        if dock is not None:
-            groups.append(dock.stats)
-            dma = getattr(dock, "dma", None)
-            if dma is not None:
-                groups.append(dma.stats)
-        hwicap = getattr(system, "hwicap", None)
-        if hwicap is not None and hasattr(hwicap, "stats"):
-            groups.append(hwicap.stats)
+        groups += [slave.stats for slave in slaves.values()]
+        dma = getattr(dock, "dma", None)
+        if dma is not None:
+            groups.append(dma.stats)
         self.groups = groups
         self.tracers = [(bus.name, bus.tracer) for bus in self.buses if bus.tracer is not None]
 

@@ -298,17 +298,8 @@ def _fifo_ns_per_word(depth: int, words: int) -> float:
     plb.attach(dock, DOCK_BASE, 0x1_0000, name="dock", posted_writes=True)
     dock.connect_bus(plb)
     dock.attach_kernel(LoopbackKernel())
-    cursor = 0
-    remaining = words
-    src, dst = 0x0, 0x8_0000
-    while remaining:
-        chunk = min(remaining, depth)
-        cursor = dock.dma_write_block(cursor, src, chunk)
-        cursor, drained = dock.dma_drain_fifo(cursor, dst)
-        src += chunk * 8
-        dst += drained * 8
-        remaining -= chunk
-    return cursor / words / 1000.0  # ns per 64-bit word round trip
+    done = dock.dma_stream(0, 0x0, 0x8_0000, words)
+    return done / words / 1000.0  # ns per 64-bit word round trip  # ns per 64-bit word round trip
 
 
 @scenario(

@@ -19,46 +19,19 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..bus.bridge import PlbOpbBridge
-from ..bus.opb import make_opb
-from ..bus.plb import make_plb
-from ..core import memmap
-from ..core.reconfig import ReconfigManager
+from ..core.reconfig import ReconfigManager, sample_indices
 from ..core.system import System
-from ..core.system32 import BRIDGE_RESOURCES, OPB_INFRA, PLB_INFRA
+from ..core.system64 import PAPER_AXES, assemble_system64
 from ..core.transfer import TransferBench
-from ..dock.plb_dock import PlbDock
-from ..engine.clock import ClockDomain, mhz
-from ..fabric.config_memory import ConfigMemory
-from ..fabric.device import XC2VP30
-from ..fabric.region import find_region
-from ..fabric.resources import ResourceVector
 from ..kernels import BrightnessKernel, JenkinsHashKernel
-from ..mem.controllers import BramController, DdrController
-from ..mem.memory import MemoryArray
-from ..periph.hwicap import OpbHwIcap
-from ..periph.intc import InterruptController
-from ..periph.jtagppc import JtagPpc
-from ..periph.reset import ResetBlock
-from ..periph.uart import Uart
 from .registry import derive_seed, scenario
 from .result import ScenarioResult, require, system_stats
 
 #: Paper baseline values for every platform axis (the 64-bit system).
-BASELINE = {
-    "bus_mhz": 100,
-    "bridge_cycles": 2,
-    "fifo_depth": 2047,
-    "burst_beats": 16,
-    "region_cols": 32,
-    "region_rows": 24,
-}
+BASELINE = dict(PAPER_AXES)
 
 #: Image-task constant shared with the table scenarios.
 BRIGHTNESS_CONSTANT = 48
-
-#: Interrupt line the PLB Dock drives (as in the paper system).
-DOCK_IRQ_SOURCE = 0
 
 
 def build_dse_rig(
@@ -71,99 +44,28 @@ def build_dse_rig(
 ) -> Tuple[System, ReconfigManager]:
     """A parameterized variant of the paper's 64-bit system.
 
-    Same topology as :func:`repro.core.build_system64` — DDR and the PLB
+    The topology of :func:`repro.core.build_system64` — DDR and the PLB
     Dock on the 64-bit PLB, peripherals behind the bridge on the OPB —
-    but with the platform knobs exposed.  Registers the two kernels that
-    fit every legal region geometry (brightness and lookup2), so all
-    candidates run the identical workload.
+    assembled with the platform knobs as given, and the region placed
+    wherever it first fits (no BRAM-count constraint).  Registers the two
+    kernels that fit every legal region geometry (brightness and
+    lookup2), so all candidates run the identical workload.
     """
     require(bus_mhz > 0, f"bus_mhz must be positive, got {bus_mhz}")
     require(bridge_cycles >= 1, f"bridge_cycles must be >= 1, got {bridge_cycles}")
     require(fifo_depth >= 1, f"fifo_depth must be >= 1, got {fifo_depth}")
     require(burst_beats >= 1, f"burst_beats must be >= 1, got {burst_beats}")
 
-    device = XC2VP30
-    region = find_region(device, region_cols, region_rows, name="dynamic_dse")
-
-    cpu_clock = ClockDomain("cpu", mhz(300))
-    bus_clock = ClockDomain("bus", mhz(bus_mhz))
-    plb = make_plb(bus_clock, name="plb_dse")
-    plb.max_burst_beats = burst_beats
-    opb = make_opb(bus_clock, name="opb_dse")
-
-    ddr = MemoryArray(memmap.DDR_SIZE, name="ext_ddr")
-    bram = MemoryArray(memmap.BRAM_SIZE, name="ocm_bram")
-    ddr_ctrl = DdrController(ddr, memmap.EXT_MEM_BASE, name="plb_ddr")
-    bram_ctrl = BramController(bram, memmap.BRAM_BASE, name="plb_bram")
-
-    config_memory = ConfigMemory(device)  # replaced by System.__init__
-    hwicap = OpbHwIcap(config_memory, memmap.HWICAP_BASE)
-    uart = Uart(memmap.UART_BASE)
-    intc = InterruptController(memmap.INTC_BASE)
-    dock = PlbDock(memmap.DOCK_BASE, fifo_depth=fifo_depth)
-    jtag = JtagPpc()
-    reset_block = ResetBlock()
-
-    opb.attach(hwicap, memmap.HWICAP_BASE, memmap.HWICAP_SIZE, name="opb_hwicap")
-    opb.attach(uart, memmap.UART_BASE, memmap.UART_SIZE, name="opb_uart")
-    opb.attach(intc, memmap.INTC_BASE, memmap.INTC_SIZE, name="opb_intc")
-
-    bridge = PlbOpbBridge(plb, opb)
-    # Instance-level override of the class-attribute latency (the model
-    # reads them through ``self``), keeping the forward:return ratio.
-    bridge.FORWARD_CYCLES = bridge_cycles
-    bridge.RETURN_CYCLES = max(1, bridge_cycles // 2)
-    plb.attach(ddr_ctrl, memmap.EXT_MEM_BASE, memmap.DDR_SIZE, name="plb_ddr", posted_writes=True)
-    plb.attach(bram_ctrl, memmap.BRAM_BASE, memmap.BRAM_SIZE, name="plb_bram")
-    plb.attach(dock, memmap.DOCK_BASE, memmap.DOCK_SIZE, name="plb_dock", posted_writes=True)
-    plb.attach(
-        bridge,
-        memmap.BRIDGE64_IO_BASE,
-        memmap.BRIDGE64_IO_SIZE,
-        name="bridge[io]",
-        posted_writes=True,
+    system = assemble_system64(
+        "_dse",
+        region_brams=None,
+        bus_mhz=bus_mhz,
+        bridge_cycles=bridge_cycles,
+        fifo_depth=fifo_depth,
+        burst_beats=burst_beats,
+        region_cols=region_cols,
+        region_rows=region_rows,
     )
-    dock.connect_bus(plb)
-    dock.connect_interrupts(intc, DOCK_IRQ_SOURCE)
-
-    system = System(
-        name="system_dse",
-        device=device,
-        region=region,
-        cpu_clock=cpu_clock,
-        plb=plb,
-        opb=opb,
-        bridge=bridge,
-        ext_mem=ddr,
-        ext_mem_base=memmap.EXT_MEM_BASE,
-        ext_mem_cacheable=True,
-        bram_mem=bram,
-        dock=dock,
-        hwicap=hwicap,
-        uart=uart,
-        jtag=jtag,
-        reset_block=reset_block,
-        bus_width=64,
-    )
-    system.cpu.add_cacheable(memmap.EXT_MEM_BASE, memmap.DDR_SIZE, ddr)
-    system.cpu.add_cacheable(memmap.BRAM_BASE, memmap.BRAM_SIZE, bram)
-    system.extras["intc"] = intc
-    intc.enabled = 1 << DOCK_IRQ_SOURCE
-
-    system.add_module("PPC405 core (1 of 2)", ResourceVector(), "hard", "second core unused")
-    system.add_module("JTAGPPC", jtag.RESOURCES, "hard", "debug/data channel")
-    system.add_module("PLB infrastructure", PLB_INFRA, "plb", "64-bit bus + arbiter")
-    system.add_module("PLB DDR controller", DdrController.RESOURCES, "plb", "external DDR")
-    system.add_module("PLB BRAM controller", BramController.RESOURCES, "plb", "on-chip memory")
-    system.add_module("PLB Dock", PlbDock.RESOURCES, "plb", "DMA + FIFO + interrupts")
-    system.add_module("PLB-OPB bridge", BRIDGE_RESOURCES, "plb", "peripheral access")
-    system.add_module("OPB infrastructure", OPB_INFRA, "opb", "32-bit bus + arbiter")
-    system.add_module("OPB UART", Uart.RESOURCES, "opb", "external communication")
-    system.add_module("OPB INTC", InterruptController.RESOURCES, "opb", "DMA completion IRQs")
-    system.add_module("OPB HWICAP", OpbHwIcap.RESOURCES, "opb", "configuration control")
-    system.add_module("Reset block", ResetBlock.RESOURCES, "-", "CPU/peripheral reset")
-    system.validate()
-
     manager = ReconfigManager(system)
     manager.register(BrightnessKernel(BRIGHTNESS_CONSTANT))
     manager.register(JenkinsHashKernel())
@@ -281,18 +183,6 @@ def dse_reconfig(
     )
 
 
-def _verify_indices(count: int, samples: int) -> List[int]:
-    """The loader's evenly spaced verify sample, mirrored locally.
-
-    Must match :meth:`ReconfigManager._sample_indices` — the recovery
-    model below asks "would a verified reload have touched the struck
-    frame?", and that is exactly the loader's sampling pattern.
-    """
-    if samples >= count:
-        return list(range(count))
-    return [int(i) for i in np.linspace(0, count - 1, num=int(samples))]
-
-
 @scenario(
     "dse_recovery",
     title="DSE probe: upset recovery rate of one platform candidate",
@@ -341,7 +231,7 @@ def dse_recovery(
     addresses = list(golden)
     written = golden.written_rows()
     require(bool(addresses), "loaded kernel wrote no frames")
-    sampled = set(_verify_indices(len(addresses), verify_samples))
+    sampled = set(sample_indices(len(addresses), verify_samples))
 
     rows: List[List[object]] = []
     outcomes = {"scrub": 0, "verify": 0, "undetected": 0}

@@ -32,11 +32,10 @@ from repro.workloads import binary_image, grayscale_image, random_key
 
 def _full_stats(system):
     cpu = system.cpu
-    groups = [cpu.stats, cpu.dcache.stats, cpu.icache.stats, system.plb.stats, system.dock.stats]
-    for attr in ("opb", "bridge", "hwicap"):
-        component = getattr(system, attr, None)
-        if component is not None and hasattr(component, "stats"):
-            groups.append(component.stats)
+    buses = (system.plb, system.opb)
+    slaves = {id(att.slave): att.slave for bus in buses for att in bus.attachments}
+    groups = [cpu.stats, cpu.dcache.stats, cpu.icache.stats]
+    groups += [bus.stats for bus in buses] + [slave.stats for slave in slaves.values()]
     fifo = getattr(system.dock, "fifo", None)
     if fifo is not None:
         groups.append(fifo.stats)

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core import TransferBench, build_system64
 from repro.dse import (
     Axis,
     Evaluator,
@@ -22,6 +23,7 @@ from repro.dse import (
 )
 from repro.dse.space import RIG_AXES
 from repro.errors import InvariantError
+from repro.scenarios.dse import build_dse_rig
 from repro.sweep import ResultCache
 
 
@@ -69,6 +71,37 @@ def deterministic_sections(report):
     between a cold and a warm run of the *same* exploration)."""
     keys = ("evaluations", "front", "front_points", "slopes", "search")
     return json.dumps({key: report[key] for key in keys}, sort_keys=True)
+
+
+# -- one 64-bit builder ---------------------------------------------------------
+
+def _transfer_timings(system):
+    bench = TransferBench(system)
+    results = (
+        bench.dma_write_sequence(512),
+        bench.dma_read_sequence(512),
+        bench.dma_interleaved_sequence(3000),
+        bench.pio_write_sequence(256),
+        bench.pio_read_sequence(256),
+    )
+    return [result.total_ps for result in results]
+
+
+def test_baseline_dse_rig_is_the_paper_system_renamed():
+    """At the paper's axis values the DSE rig times every transfer method
+    like ``build_system64`` and costs the same static fabric; only the
+    name tag (and the unconstrained region placement) tells them apart."""
+    paper = build_system64()
+    rig, _ = build_dse_rig()
+    assert _transfer_timings(rig) == _transfer_timings(paper)
+    assert rig.static_resources() == paper.static_resources()
+    assert rig.modules == paper.modules
+
+    def names(system):
+        return [system.name, system.plb.name, system.opb.name, system.region.name]
+
+    assert names(paper) == ["system64", "plb64", "opb64", "dynamic64"]
+    assert names(rig) == [name.replace("64", "_dse") for name in names(paper)]
 
 
 # -- axes and space validation -------------------------------------------------

@@ -9,7 +9,7 @@ reference exactly, and so must the totals of a trace.
 import numpy as np
 import pytest
 
-from repro.core import memmap
+from repro.core import HwPatternMatch, memmap
 from repro.engine import fastpath
 from repro.engine.batch import (
     MAX_PROBES,
@@ -25,6 +25,7 @@ from repro.engine.trace import TraceRecorder
 from repro.kernels.streams import LoopbackKernel
 from repro.scenarios.rigs import build_rig32, build_rig64
 from repro.sw.costmodel import charge_word_reads, charge_word_writes
+from repro.workloads import binary_image
 
 N = 64
 PHASE = "unit-phase"
@@ -245,3 +246,30 @@ def test_phase_that_fills_the_data_cache_stays_exact(charge):
 
     assert run(fastpath.forced_on) == run(fastpath.disabled)
     assert telemetry().compiled_phases == 0
+
+
+def _slave_snapshots(system):
+    """``StatsGroup.snapshot()`` of every slave attached to a bus."""
+    slaves = {
+        id(att.slave): att.slave
+        for bus in (system.plb, system.opb)
+        for att in bus.attachments
+    }
+    return [slave.stats.snapshot() for slave in slaves.values()]
+
+
+def test_compiled_strip_loop_charges_every_bus_slave():
+    """The pattern-match strip loop on the 32-bit system reads and writes
+    the OPB SRAM through the data cache; a compiled run must charge the
+    memory controller (and every other slave) what the stepped run does."""
+    image = binary_image(20, 40)
+
+    def run(ctx_factory):
+        with ctx_factory():
+            system, manager = build_rig32()
+            manager.load("patmatch")
+            HwPatternMatch().run(system, image)
+            return system.cpu.now_ps, _slave_snapshots(system)
+
+    assert run(fastpath.forced_on) == run(fastpath.disabled)
+    assert telemetry().compiled_phases > 0

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.bitstream.bitstream import Bitstream
 from repro.core import build_system32, build_system64
-from repro.core.reconfig import ReconfigManager
+from repro.core.reconfig import ReconfigManager, sample_indices
 from repro.engine import fastpath
 from repro.engine.batch import MIN_PROBES, reset_telemetry, telemetry
 from repro.engine.trace import TraceRecorder
@@ -256,7 +256,7 @@ def _corrupt_feeds(system, manager, samples, sites, word, sticky=False):
         result = original(bitstream)
         frames = bitstream.frames
         if not targets and frames:
-            sampled = manager._sample_indices(len(frames), samples)
+            sampled = sample_indices(len(frames), samples)
             targets.extend(frames[sampled[p]][0] for p in _positions(sites, len(sampled)))
             hit = targets
         elif sticky:
@@ -448,7 +448,7 @@ def _per_frame_verify(manager):
 
     def verify(bitstream, samples):
         start = manager.system.cpu.now_ps
-        indices = manager._sample_indices(len(bitstream.frames), samples)
+        indices = sample_indices(len(bitstream.frames), samples)
         for index in indices:
             address, expected = bitstream.frames[index]
             data = manager._readback_frame(address)
