@@ -39,6 +39,10 @@ class PlbOpbBridge:
     RETURN_CYCLES = 1
     #: Posted-write buffer depth (transactions).
     WRITE_BUFFER_DEPTH = 4
+    #: Pending completions the steady-state compiler
+    #: (:mod:`repro.engine.batch`) carries across a phase: the posted
+    #: writes still in flight on the OPB.
+    PENDING = ("_inflight",)
 
     def __init__(self, plb: Bus, opb: Bus, name: str = "plb2opb") -> None:
         self.plb = plb

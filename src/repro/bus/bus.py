@@ -42,6 +42,12 @@ class Attachment:
 class Bus:
     """A synchronous, arbitrated, transaction-level bus."""
 
+    #: Timing state the steady-state compiler (:mod:`repro.engine.batch`)
+    #: carries across a phase: the busy watermark, and the clock whose
+    #: phase at an iteration boundary decides where the next tenure starts.
+    WATERMARKS = ("_busy_until",)
+    PHASE_CLOCKS = ("clock",)
+
     def __init__(
         self,
         name: str,
@@ -105,16 +111,14 @@ class Bus:
         return self._busy_until
 
     # -- timing core ---------------------------------------------------------
-    def _tenure_cycles(self, txn: Transaction, wait_cycles: int) -> int:
-        """Bus-clock cycles the transaction occupies the bus."""
-        beats = txn.beats
+    def _tenure_cycles(self, op: Op, beats: int, wait_cycles: int) -> int:
+        """Bus-clock cycles one request of ``beats`` beats occupies the bus."""
         if self.pipelined_bursts:
-            data_cycles = beats * self.beat_cycles
-            cycles = self.arb_cycles + max(self.addr_cycles, 0) + data_cycles
+            cycles = self.arb_cycles + max(self.addr_cycles, 0) + beats * self.beat_cycles
         else:
             cycles = self.arb_cycles + (self.addr_cycles + self.beat_cycles) * beats
         cycles += wait_cycles
-        if txn.op is Op.READ:
+        if op is Op.READ:
             cycles += self.read_turnaround_cycles
         return cycles
 
@@ -142,7 +146,7 @@ class Bus:
         wait_cycles, value = attachment.slave.access(txn, start)
         if wait_cycles < 0:
             raise BusError(f"slave {attachment.name} returned negative wait states")
-        tenure = self._tenure_cycles(txn, wait_cycles)
+        tenure = self._tenure_cycles(txn.op, txn.beats, wait_cycles)
         done = start + self.clock.cycles_to_ps(tenure)
         self._busy_until = done
 
@@ -230,23 +234,13 @@ class Bus:
         if wait_full < 0 or wait_rem < 0:
             raise BusError(f"slave {attachment.name} returned negative wait states")
 
-        def tenure_ps(sub_beats: int, wait_cycles: int) -> int:
-            if self.pipelined_bursts:
-                cycles = self.arb_cycles + max(self.addr_cycles, 0) + sub_beats * self.beat_cycles
-            else:
-                cycles = self.arb_cycles + (self.addr_cycles + self.beat_cycles) * sub_beats
-            cycles += wait_cycles
-            if op is Op.READ:
-                cycles += self.read_turnaround_cycles
-            return self.clock.cycles_to_ps(cycles)
-
-        t_full = tenure_ps(chunk, wait_full)
+        t_full = self.clock.cycles_to_ps(self._tenure_cycles(op, chunk, wait_full))
         total = full * t_full
         n_requests = full
         t_last = t_full
         tenures_min, tenures_max = t_full, t_full
         if rem:
-            t_rem = tenure_ps(rem, wait_rem)
+            t_rem = self.clock.cycles_to_ps(self._tenure_cycles(op, rem, wait_rem))
             total += t_rem
             n_requests += 1
             t_last = t_rem

@@ -95,8 +95,9 @@ register_rule(
     "LINT006",
     "impure-scenario",
     "Registered sweep scenarios must be deterministic-pure: the result "
-    "cache keys on (source, params, version) only, so wall-clock reads or "
-    "module-level mutable state would make cached results wrong.",
+    "cache keys only on the package digest, the scenario source, the "
+    "params and the cache schema, so wall-clock reads or module-level "
+    "mutable state would make cached results wrong.",
 )
 register_rule(
     "LINT007",
@@ -257,9 +258,10 @@ _ENGINE_MUTATORS = {
 }
 
 #: Attribute names whose assignment inside a bulk body rewrites a timing
-#: cursor behind the compiler's back (LINT008).
+#: cursor behind the compiler's back (LINT008): ``now_ps``, and any name
+#: containing ``busy_until`` (``_busy_until``, ``dma_busy_until_ps``, ...).
 _TIMING_CURSORS = {"now_ps"}
-_TIMING_CURSOR_SUFFIX = "busy_until"
+_TIMING_CURSOR_PART = "busy_until"
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\s+(?P<rules>[A-Z0-9,\s-]+))?", re.IGNORECASE)
 
@@ -557,7 +559,7 @@ def _scan_bulk_purity(tree: ast.Module, report: CheckReport, path: str) -> None:
                 for target in targets:
                     if isinstance(target, ast.Attribute) and (
                         target.attr in _TIMING_CURSORS
-                        or target.attr.endswith(_TIMING_CURSOR_SUFFIX)
+                        or _TIMING_CURSOR_PART in target.attr
                     ):
                         report.add(
                             "LINT008",
@@ -787,8 +789,8 @@ class _Visitor(ast.NodeVisitor):
         """
         shared = self.module_names - _local_bindings(node)
         hint = (
-            "scenarios are cached by (source, params, version); keep all "
-            "state local and all time simulated"
+            "scenarios are cached by package digest, scenario source, params "
+            "and cache schema; keep all state local and all time simulated"
         )
         for child in ast.walk(node):
             if isinstance(child, ast.Global):

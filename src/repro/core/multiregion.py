@@ -77,6 +77,7 @@ def build_system64_dual() -> tuple[System, RegionSlot]:
     dock_b = PlbDock(DOCK_B_BASE, name="plb_dock_b")
     system.plb.attach(dock_b, DOCK_B_BASE, memmap.DOCK_SIZE, name="plb_dock_b", posted_writes=True)
     dock_b.connect_bus(system.plb)
+    system.register(dock_b)
     intc = system.extras.get("intc")
     if intc is not None:
         dock_b.connect_interrupts(intc, DOCK_B_IRQ_SOURCE)

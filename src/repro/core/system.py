@@ -85,6 +85,9 @@ class System:
         self.bus_width = bus_width
         self.cpu = Ppc405(cpu_clock, plb)
         self.reset_block.register(self.cpu.reset)
+        self._components: Dict[int, object] = {}
+        self.register(self.cpu, plb, opb, bridge, dock, hwicap, uart, jtag, reset_block)
+        self.register(*(att.slave for bus in (plb, opb) for att in bus.attachments))
         self._modules: List[ModuleEntry] = []
         self.extras: Dict[str, object] = {}
         #: Armed :class:`~repro.faults.plan.FaultPlan`, or None.  Arm/disarm
@@ -97,6 +100,27 @@ class System:
         self.baseline = self.config_memory.snapshot()
         self.bitlinker = BitLinker(region, self.baseline, dock_ports=dock.ports)
         self.hwicap.config_memory = self.config_memory
+
+    # -- component inventory ------------------------------------------------
+    def register(self, *components) -> None:
+        """Add simulated components to :attr:`components`, each once.
+
+        A component's declared ``parts`` (the CPU's caches, a PLB Dock's
+        DMA engine and FIFO) come along.  A component added to the
+        platform after construction must be registered here, or the
+        steady-state compiler does not see its timing state.
+        """
+        for component in components:
+            if id(component) not in self._components:
+                self._components[id(component)] = component
+                self.register(*getattr(component, "parts", ()))
+
+    @property
+    def components(self) -> Tuple[object, ...]:
+        """Every registered component, in registration order: what
+        :func:`~repro.engine.batch.run_steady` watches, through the timing
+        state each component's class declares."""
+        return tuple(self._components.values())
 
     # -- module inventory ---------------------------------------------------
     def add_module(self, name: str, resources: ResourceVector, bus: str, note: str = "") -> None:

@@ -36,6 +36,11 @@ from ..errors import SimulationError
 class Cache:
     """Tag-only set-associative cache."""
 
+    #: State the steady-state compiler (:mod:`repro.engine.batch`) never
+    #: extrapolates: a phase compiles only once an iteration leaves it
+    #: unchanged.
+    SETTLED = ("_tags", "_dirty")
+
     def __init__(
         self,
         name: str = "dcache",
@@ -170,7 +175,7 @@ class Cache:
         for lo, hi, tag in self._runs(last_line - window + 1, window):
             self._reference(lo, hi, tag, write)
         for name in ("hits", "misses", "dirty_evictions"):
-            self.stats.counter(name)
+            self.stats.count(name, 0)
         self.stats.count("misses", misses)
         self.stats.count("dirty_evictions", evictions)
         self.stats.count("stream_bytes", nbytes)

@@ -60,10 +60,11 @@ class Ppc405:
         self.now_ps = 0
         self.icache = Cache(name=f"{name}.icache")
         self.dcache = Cache(name=f"{name}.dcache")
+        #: Registered with the CPU on a :class:`~repro.core.system.System`.
+        self.parts = (self.dcache, self.icache)
         self.stats = StatsGroup(name)
         self._windows: List[CacheableWindow] = []
         self._line_fill_cost: Dict[Tuple[int, Op], int] = {}
-        self.interrupts_taken = 0
 
     # -- configuration ------------------------------------------------------
     def add_cacheable(self, base: int, size: int, memory: MemoryArray) -> None:
@@ -306,7 +307,6 @@ class Ppc405:
         """Enter the interrupt handler raised at ``when_ps``."""
         self.now_ps = max(self.now_ps, when_ps)
         self.elapse_cycles(self.INTERRUPT_ENTRY_CYCLES)
-        self.interrupts_taken += 1
         self.stats.count("interrupts")
 
     def return_from_interrupt(self) -> None:

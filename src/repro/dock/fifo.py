@@ -27,6 +27,11 @@ PAPER_FIFO_DEPTH = 2047
 class OutputFifo:
     """Bounded FIFO of ``width_bits``-wide words (NumPy ring buffer)."""
 
+    #: The steady-state compiler (:mod:`repro.engine.batch`) leaves this
+    #: group alone: FIFO statistics are charged by the data movement
+    #: itself, in the reference path and in ``bulk`` callbacks alike.
+    FUNCTIONAL_STATS = True
+
     def __init__(self, depth: int = PAPER_FIFO_DEPTH, width_bits: int = 64, name: str = "out_fifo") -> None:
         if depth <= 0:
             raise TransferError("FIFO depth must be positive")

@@ -66,6 +66,9 @@ class PlbDock:
     #: Fabric cost (Table 6 line item): larger than the OPB Dock because of
     #: the DMA controller, FIFO and interrupt generator.
     RESOURCES = ResourceVector(slices=487, bram_blocks=4)
+    #: Timing state the steady-state compiler (:mod:`repro.engine.batch`)
+    #: carries across a phase: when the DMA engine's last chain finishes.
+    WATERMARKS = ("dma_busy_until_ps",)
 
     def __init__(
         self,
@@ -101,6 +104,12 @@ class PlbDock:
     def ports(self):
         """Dock-side bus-macro ports (for BitLinker validation)."""
         return dock_ports(self.WIDTH_BITS)
+
+    @property
+    def parts(self):
+        """The output FIFO and, once connected, the DMA engine (registered
+        with the dock on a :class:`~repro.core.system.System`)."""
+        return (self.fifo,) if self.dma is None else (self.dma, self.fifo)
 
     def attach_kernel(self, kernel: StreamingKernel) -> None:
         self.kernel = kernel

@@ -8,7 +8,7 @@ queue.
 
 from .batch import declare_phases, declared_phases, phase_declared, run_steady
 from .clock import ClockDomain, mhz
-from .stats import Accumulator, Counter, StatsGroup
+from .stats import StatsGroup
 from .time import (
     PS_PER_MS,
     PS_PER_NS,
@@ -24,9 +24,7 @@ from .time import (
 )
 
 __all__ = [
-    "Accumulator",
     "ClockDomain",
-    "Counter",
     "PS_PER_MS",
     "PS_PER_NS",
     "PS_PER_S",

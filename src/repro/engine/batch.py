@@ -14,18 +14,19 @@ by the same delta.
 
 1. run a few iterations through the untouched reference path, capturing a
    **timeline signature** at every iteration boundary — cursor deltas
-   (CPU time, per-bus busy watermarks, the bridge's posted-write buffer
-   relative to *now*), bus clock-phase offsets, and exact per-group
-   statistics deltas (counters plus accumulator total/count with
-   unchanged min/max); the CPU caches' tags and dirty bits must also be
-   identical at consecutive boundaries, since a cache that still fills
-   or evicts makes the next iteration cost something else;
+   (CPU time, every declared watermark, pending completions such as the
+   bridge's posted-write buffer relative to *now*), bus clock-phase
+   offsets, and exact per-group statistics deltas (counters plus
+   accumulator total/count with unchanged min/max); settled state such
+   as the CPU caches' tags and dirty bits must also be identical at
+   consecutive boundaries, since a cache that still fills or evicts
+   makes the next iteration cost something else;
 2. once two consecutive signatures are identical, the phase is provably
    periodic: every further iteration is a time-shifted copy, so the
    remaining iterations are applied **closed-form** — one clock jump
    (``dt x remaining``), one :meth:`StatsGroup.count_many` /
-   :meth:`StatsGroup.record_many` charge per group, shifted bridge
-   buffer — plus one vectorized ``bulk`` callback for the functional
+   :meth:`StatsGroup.record_many` charge per group, shifted pending
+   completions — plus one vectorized ``bulk`` callback for the functional
    effects (data movement only, never time or statistics);
 3. anything irregular — the fast path disabled via
    ``REPRO_NO_FAST_PATH``, an undeclared phase, or signatures that never
@@ -45,12 +46,18 @@ below 2**53 are exact in doubles), and the cursor jumps reproduce its
 timestamps exactly.  ``tests/test_batch_compile_equivalence.py`` holds
 the contract under hypothesis.
 
+**What is watched** is declared, not listed here: the
+:class:`~repro.core.system.System` registers each of its components
+once, and each component class declares its own timing state (see
+:class:`_Watch`).  A component added to the platform is watched once it
+is registered; ``tests/test_engine_batch.py`` walks each system's object
+graph to hold that.
+
 **Division of labour** — the compiler owns simulated time and every
-watched statistics group (CPU, CPU data and instruction caches, buses,
-every slave attached to a bus — memory controllers, bridge, dock,
-peripherals — and the dock's DMA engine);
-``bulk`` callbacks own data movement and functional counters (FIFO
-statistics via ``push_many``/``pop_array``, ICAP readback counts via
+watched statistics group (all registered components but those that
+declare their statistics functional); ``bulk`` callbacks own data
+movement and functional counters (FIFO statistics via
+``push_many``/``pop_array``, ICAP readback counts via
 ``bulk_readback``), matching the per-word reference exactly.  A ``bulk``
 callback must therefore never touch engine state — LINT008 flags
 violations (see ``docs/CHECKS.md``).
@@ -152,10 +159,7 @@ def declare_phases(system, *names: str) -> None:
 
 def declared_phases(system) -> frozenset:
     """The batchable phase names declared on ``system``."""
-    extras = getattr(system, "extras", None)
-    if not extras:
-        return frozenset()
-    return frozenset(extras.get(EXTRAS_KEY, ()))
+    return frozenset(system.extras.get(EXTRAS_KEY, ()))
 
 
 def phase_declared(system, name: str) -> bool:
@@ -167,65 +171,59 @@ def phase_declared(system, name: str) -> bool:
 class _Watch:
     """Snapshot/extrapolate view over everything timing-relevant.
 
-    Watches the CPU cursor, each bus's busy watermark and clock phase, the
-    bridge's posted-write buffer, the PLB dock's DMA watermark, the CPU
-    caches' tag and dirty state, and the statistics groups of the CPU,
-    its two caches, each bus, the dock's DMA engine and every slave
-    attached to a bus.  The slave groups come from the buses'
-    attachments, not from names, so a memory controller or peripheral is
-    watched wherever it sits.  The cache state is not extrapolated: an
-    iteration that leaves it changed has no signature, so only phases
-    whose cache footprint is already settled compile.  The dock FIFO is
-    no bus slave, and its group is deliberately *not* watched: its
-    statistics are functional (charged by ``push_many``/``pop_array``
-    inside the reference path and the ``bulk`` callbacks alike).
+    Reads the system's component inventory (``system.components``) and
+    the timing state each component class declares in its own module:
+
+    * ``WATERMARKS`` — integer timestamps (bus busy watermarks, the PLB
+      Dock's DMA watermark, the UART transmitter), each of which must
+      either track *now* or sit idle behind it;
+    * ``PENDING`` — queues of completion timestamps (the bridge's posted
+      writes), whose entries still pending must repeat relative to *now*;
+    * ``SETTLED`` — arrays that must be identical at consecutive
+      boundaries (the CPU caches' tags and dirty bits): they are never
+      extrapolated, so only phases whose cache footprint is already
+      settled compile;
+    * ``PHASE_CLOCKS`` — clocks whose phase at a boundary must repeat (the
+      buses' clocks);
+    * ``FUNCTIONAL_STATS`` — the component's statistics group belongs to
+      the functional layer (the dock FIFO's, charged by
+      ``push_many``/``pop_array`` inside the reference path and the
+      ``bulk`` callbacks alike) and is not watched.
+
+    Every other component's statistics group is watched, and the CPU's
+    time cursor is the phase's *now*.  A component is covered by being
+    registered on the :class:`~repro.core.system.System`, not by being
+    named here.
     """
 
     def __init__(self, system) -> None:
         self.cpu = system.cpu
-        self.caches = [self.cpu.dcache, self.cpu.icache]
-        self.buses = [
-            bus
-            for bus in (getattr(system, "plb", None), getattr(system, "opb", None))
-            if bus is not None
+        components = system.components
+
+        def declared(kind: str) -> List[Tuple[object, str]]:
+            return [(c, attr) for c in components for attr in getattr(c, kind, ())]
+
+        self.cursors = declared("WATERMARKS")
+        self.pending = declared("PENDING")
+        self.settled = declared("SETTLED")
+        self.clocks = [getattr(c, attr) for c, attr in declared("PHASE_CLOCKS")]
+        self.groups = [
+            c.stats for c in components if not getattr(c, "FUNCTIONAL_STATS", False)
         ]
-        self.bridge = getattr(system, "bridge", None)
-        dock = getattr(system, "dock", None)
-        self.cursors: List[Tuple[object, str]] = [(bus, "_busy_until") for bus in self.buses]
-        if dock is not None and hasattr(dock, "dma_busy_until_ps"):
-            self.cursors.append((dock, "dma_busy_until_ps"))
-        # Every slave on a bus, once (the 32-bit bridge has two windows).
-        slaves = {
-            id(att.slave): att.slave for bus in self.buses for att in bus.attachments
-        }
-        groups = [self.cpu.stats] + [cache.stats for cache in self.caches]
-        groups += [bus.stats for bus in self.buses]
-        groups += [slave.stats for slave in slaves.values()]
-        dma = getattr(dock, "dma", None)
-        if dma is not None:
-            groups.append(dma.stats)
-        self.groups = groups
-        self.tracers = [(bus.name, bus.tracer) for bus in self.buses if bus.tracer is not None]
+        self.tracers = [
+            (c.name, c.tracer) for c in components if getattr(c, "tracer", None) is not None
+        ]
 
     def snapshot(self):
         """Absolute state at an iteration boundary (cheap, no copies of data),
         with each tracer's event count last."""
         now = self.cpu.now_ps
         cursor_vals = tuple(getattr(obj, attr) for obj, attr in self.cursors)
-        inflight = tuple(self.bridge._inflight) if self.bridge is not None else ()
-        caches = tuple(
-            (cache._tags.tobytes(), cache._dirty.tobytes()) for cache in self.caches
-        )
-        stats = []
-        for group in self.groups:
-            counters = {name: c.value for name, c in group._counters.items()}
-            accs = {
-                name: (a.total, a.count, a.minimum, a.maximum)
-                for name, a in group._accumulators.items()
-            }
-            stats.append((counters, accs))
+        pending = tuple(tuple(getattr(obj, attr)) for obj, attr in self.pending)
+        settled = tuple(getattr(obj, attr).tobytes() for obj, attr in self.settled)
+        stats = [group.state() for group in self.groups]
         marks = tuple(len(tracer) for _, tracer in self.tracers)
-        return (now, cursor_vals, inflight, caches, stats, marks)
+        return (now, cursor_vals, pending, settled, stats, marks)
 
     def signature(self, prev, cur):
         """The iteration's timeline signature, or ``None`` if irregular.
@@ -234,13 +232,13 @@ class _Watch:
         cursor state is reproduced at the boundary, clock phases repeat,
         and the statistics deltas are constant with untouched accumulator
         extremes — so by induction every further iteration is the same
-        iteration shifted by ``dt``.  Cache state is compared absolutely:
+        iteration shifted by ``dt``.  Settled state is compared absolutely:
         an iteration that moved it has no signature.
         """
-        pnow, pcursors, pinflight, pcaches, pstats, _ = prev
-        cnow, ccursors, cinflight, ccaches, cstats, _ = cur
+        pnow, pcursors, ppending, psettled, pstats, _ = prev
+        cnow, ccursors, cpending, csettled, cstats, _ = cur
         dt = cnow - pnow
-        if dt <= 0 or pcaches != ccaches:
+        if dt <= 0 or psettled != csettled:
             return None
 
         cursor_kinds = []
@@ -253,15 +251,17 @@ class _Watch:
                 return None
             cursor_kinds.append(kind)
 
-        # Posted writes still pending at the boundary must form the same
+        # Completions still pending at the boundary must form the same
         # pattern relative to *now*; drained entries are semantically gone.
-        rel_prev = tuple(t - pnow for t in pinflight if t > pnow)
-        rel_cur = tuple(t - cnow for t in cinflight if t > cnow)
-        if rel_prev != rel_cur:
-            return None
+        rel_cur = []
+        for pqueue, cqueue in zip(ppending, cpending):
+            rel = tuple(t - cnow for t in cqueue if t > cnow)
+            if tuple(t - pnow for t in pqueue if t > pnow) != rel:
+                return None
+            rel_cur.append(rel)
 
-        phases = tuple(bus.clock.next_edge(cnow) - cnow for bus in self.buses)
-        prev_phases = tuple(bus.clock.next_edge(pnow) - pnow for bus in self.buses)
+        phases = tuple(clock.next_edge(cnow) - cnow for clock in self.clocks)
+        prev_phases = tuple(clock.next_edge(pnow) - pnow for clock in self.clocks)
         if phases != prev_phases:
             return None
 
@@ -279,7 +279,7 @@ class _Watch:
                 acc_delta.append((name, total - ptotal, count - pcount, minimum, maximum))
             stat_sigs.append((counter_delta, tuple(acc_delta)))
 
-        return (dt, tuple(cursor_kinds), rel_cur, phases, tuple(stat_sigs))
+        return (dt, tuple(cursor_kinds), tuple(rel_cur), phases, tuple(stat_sigs))
 
     def extrapolate(self, sig, remaining: int, since) -> None:
         """Apply ``remaining`` iterations closed-form (time + statistics),
@@ -292,9 +292,9 @@ class _Watch:
         for (obj, attr), kind in zip(self.cursors, cursor_kinds):
             if kind == "track":
                 setattr(obj, attr, getattr(obj, attr) + shift)
-        if self.bridge is not None:
-            self.bridge._inflight = deque(
-                t + shift for t in self.bridge._inflight if t > boundary_now
+        for obj, attr in self.pending:
+            setattr(
+                obj, attr, deque(t + shift for t in getattr(obj, attr) if t > boundary_now)
             )
         for group, (counter_delta, acc_delta) in zip(self.groups, stat_sigs):
             increments = {name: d * remaining for name, d in counter_delta if d}

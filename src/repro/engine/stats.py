@@ -7,161 +7,103 @@ and per-operation averages next to simulated wall-clock times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
+
+_INF = float("inf")
 
 
-@dataclass
-class Counter:
-    """A monotonically increasing event counter."""
-
-    name: str
-    value: int = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("Counter.add amount must be non-negative")
-        self.value += amount
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's events into this one.
-
-        Equivalent to replaying every ``add`` the other counter saw;
-        the sweep orchestrator uses this to aggregate statistics gathered
-        in worker processes back into one group.
-        """
-        if other.name != self.name:
-            raise ValueError(
-                f"cannot merge counter {other.name!r} into {self.name!r}"
-            )
-        self.value += other.value
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-@dataclass
-class Accumulator:
-    """Accumulates a numeric quantity and tracks count/min/max for averages."""
-
-    name: str
-    total: float = 0.0
-    count: int = 0
-    minimum: float = field(default=float("inf"))
-    maximum: float = field(default=float("-inf"))
-
-    def add(self, amount: float) -> None:
-        self.total += amount
-        self.count += 1
-        if amount < self.minimum:
-            self.minimum = amount
-        if amount > self.maximum:
-            self.maximum = amount
-
-    def add_aggregate(self, total: float, count: int, minimum: float, maximum: float) -> None:
-        """Fold in ``count`` samples at once (pre-aggregated).
-
-        Equivalent to ``count`` individual :meth:`add` calls whose sum,
-        minimum and maximum are the given values — the batched fast paths
-        use this to charge a whole burst in O(1).
-        """
-        if count < 0:
-            raise ValueError("Accumulator.add_aggregate count must be non-negative")
-        if count == 0:
-            return
-        self.total += total
-        self.count += count
-        if minimum < self.minimum:
-            self.minimum = minimum
-        if maximum > self.maximum:
-            self.maximum = maximum
-
-    def merge(self, other: "Accumulator") -> None:
-        """Fold another accumulator's samples into this one.
-
-        Equivalent to replaying every sample the other accumulator saw,
-        so ``a.merge(b)`` after disjoint runs matches one accumulator
-        that observed both sample streams.
-        """
-        if other.name != self.name:
-            raise ValueError(
-                f"cannot merge accumulator {other.name!r} into {self.name!r}"
-            )
-        self.add_aggregate(other.total, other.count, other.minimum, other.maximum)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
+def _empty() -> List[float]:
+    """A fresh accumulator: ``[total, count, min, max]``."""
+    return [0.0, 0, _INF, -_INF]
 
 
 class StatsGroup:
-    """A named collection of counters and accumulators.
+    """A named collection of counters and accumulators, kept as plain values.
 
+    :attr:`counters` maps a name to an int event count.
+    :attr:`accumulators` maps a name to ``[total, count, min, max]`` of a
+    sampled quantity (``count`` 0 with ±inf extremes when never sampled).
     Members are created on first use, so instrumentation sites can simply
     call ``stats.count("reads")`` without declaring anything up front.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._accumulators: Dict[str, Accumulator] = {}
-
-    def counter(self, name: str) -> Counter:
-        """Get (creating if needed) the counter called ``name``."""
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def accumulator(self, name: str) -> Accumulator:
-        """Get (creating if needed) the accumulator called ``name``."""
-        if name not in self._accumulators:
-            self._accumulators[name] = Accumulator(name)
-        return self._accumulators[name]
+        self.counters: Dict[str, int] = {}
+        self.accumulators: Dict[str, List[float]] = {}
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` by ``amount``."""
-        self.counter(name).add(amount)
+        """Increment counter ``name`` by ``amount`` (never negative)."""
+        if amount < 0:
+            raise ValueError(f"counter {name!r} cannot be decremented")
+        counters = self.counters
+        counters[name] = counters.get(name, 0) + amount
 
     def record(self, name: str, amount: float) -> None:
         """Add a sample to accumulator ``name``."""
-        self.accumulator(name).add(amount)
+        acc = self.accumulators.get(name)
+        if acc is None:
+            acc = self.accumulators[name] = _empty()
+        acc[0] += amount
+        acc[1] += 1
+        if amount < acc[2]:
+            acc[2] = amount
+        if amount > acc[3]:
+            acc[3] = amount
 
     def count_many(self, increments: Dict[str, int]) -> None:
         """Apply several counter increments at once (``{name: amount}``)."""
         for name, amount in increments.items():
-            self.counter(name).add(amount)
+            self.count(name, amount)
 
     def record_many(
         self, name: str, total: float, count: int, minimum: float, maximum: float
     ) -> None:
         """Fold ``count`` pre-aggregated samples into accumulator ``name``.
 
-        Aggregate-equivalent to ``count`` :meth:`record` calls; the burst
-        fast paths use it to keep statistics identical to the per-beat
-        path without per-beat Python calls.
+        Aggregate-equivalent to ``count`` :meth:`record` calls whose sum,
+        minimum and maximum are the given values; the burst fast paths use
+        it to keep statistics identical to the per-beat path without
+        per-beat Python calls.
         """
-        self.accumulator(name).add_aggregate(total, count, minimum, maximum)
+        if count < 0:
+            raise ValueError(f"accumulator {name!r} cannot fold {count} samples")
+        acc = self.accumulators.get(name)
+        if acc is None:
+            acc = self.accumulators[name] = _empty()
+        if count == 0:
+            return
+        acc[0] += total
+        acc[1] += count
+        if minimum < acc[2]:
+            acc[2] = minimum
+        if maximum > acc[3]:
+            acc[3] = maximum
 
     def merge(self, other: "StatsGroup") -> "StatsGroup":
         """Fold another group's members into this one (member-wise merge).
 
-        Members missing on either side are created on demand, so merging a
-        group gathered in a worker process into a fresh parent-side group
-        reproduces exactly the statistics the worker collected.  Group
-        names need not match — a sweep aggregates same-named component
-        groups from many independently built systems.
+        Equivalent to replaying every event and sample the other group
+        saw.  Members missing on either side are created on demand, so
+        merging a group gathered in a worker process into a fresh
+        parent-side group reproduces exactly the statistics the worker
+        collected.  Group names need not match — a sweep aggregates
+        same-named component groups from many independently built systems.
         """
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, acc in other._accumulators.items():
-            self.accumulator(name).merge(acc)
+        for name, value in other.counters.items():
+            self.count(name, value)
+        for name, (total, count, minimum, maximum) in other.accumulators.items():
+            self.record_many(name, total, count, minimum, maximum)
         return self
+
+    def state(self) -> Tuple[Dict[str, int], Dict[str, Tuple[float, int, float, float]]]:
+        """Every member exactly, as fresh containers: ``(counters,
+        accumulators)`` with each accumulator a ``(total, count, min, max)``
+        tuple.  Two groups with equal states hold the same statistics."""
+        return (
+            dict(self.counters),
+            {name: tuple(acc) for name, acc in self.accumulators.items()},
+        )
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe structural snapshot (for cross-process transport).
@@ -169,13 +111,13 @@ class StatsGroup:
         Min/max are omitted for empty accumulators (they are ±inf, which
         plain JSON cannot carry); :meth:`from_snapshot` restores them.
         """
-        counters = {n: c.value for n, c in sorted(self._counters.items())}
+        counters = dict(sorted(self.counters.items()))
         accumulators: Dict[str, Dict[str, float]] = {}
-        for name, acc in sorted(self._accumulators.items()):
-            entry: Dict[str, float] = {"total": acc.total, "count": acc.count}
-            if acc.count:
-                entry["min"] = acc.minimum
-                entry["max"] = acc.maximum
+        for name, (total, count, minimum, maximum) in sorted(self.accumulators.items()):
+            entry: Dict[str, float] = {"total": total, "count": count}
+            if count:
+                entry["min"] = minimum
+                entry["max"] = maximum
             accumulators[name] = entry
         return {"name": self.name, "counters": counters, "accumulators": accumulators}
 
@@ -184,37 +126,37 @@ class StatsGroup:
         """Rebuild a group from :meth:`snapshot` output."""
         group = cls(str(data.get("name", "snapshot")))
         for name, value in dict(data.get("counters", {})).items():
-            group.counter(name).add(int(value))
+            group.count(name, int(value))
         for name, entry in dict(data.get("accumulators", {})).items():
-            acc = group.accumulator(name)
-            count = int(entry.get("count", 0))
-            if count:
-                acc.add_aggregate(
-                    float(entry["total"]), count, float(entry["min"]), float(entry["max"])
-                )
+            group.record_many(
+                name,
+                float(entry.get("total", 0.0)),
+                int(entry.get("count", 0)),
+                float(entry.get("min", _INF)),
+                float(entry.get("max", -_INF)),
+            )
         return group
 
     def get(self, name: str) -> float:
         """Read a counter (or accumulator total) by name; 0 if absent."""
-        if name in self._counters:
-            return self._counters[name].value
-        if name in self._accumulators:
-            return self._accumulators[name].total
+        if name in self.counters:
+            return self.counters[name]
+        if name in self.accumulators:
+            return self.accumulators[name][0]
         return 0
 
     def reset(self) -> None:
         """Reset every member to zero."""
-        for counter in self._counters.values():
-            counter.reset()
-        for acc in self._accumulators.values():
-            acc.reset()
+        for name in self.counters:
+            self.counters[name] = 0
+        for name in self.accumulators:
+            self.accumulators[name] = _empty()
 
     def items(self) -> Iterator[Tuple[str, float]]:
         """Iterate ``(name, value)`` over counters then accumulator totals."""
-        for name, counter in sorted(self._counters.items()):
-            yield name, counter.value
-        for name, acc in sorted(self._accumulators.items()):
-            yield name, acc.total
+        yield from sorted(self.counters.items())
+        for name, acc in sorted(self.accumulators.items()):
+            yield name, acc[0]
 
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of all members as a plain dict."""

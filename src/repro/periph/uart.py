@@ -31,6 +31,9 @@ class Uart:
     WRITE_WAIT = 1
     READ_WAIT = 1
     RESOURCES = ResourceVector(slices=96)
+    #: Timing state the steady-state compiler (:mod:`repro.engine.batch`)
+    #: carries across a phase: when the transmitter finishes its last byte.
+    WATERMARKS = ("tx_busy_until_ps",)
 
     def __init__(self, base: int, baud: int = 115200, name: str = "uart") -> None:
         if baud <= 0:

@@ -40,14 +40,13 @@ def stream(cache: Cache, start: int, nbytes: int, write: bool = False) -> Tuple[
     evictions = min(dirty_before, misses) + own_dirty_evicted
 
     # Replay the last ``capacity_lines`` lines with the statistics shielded.
-    saved = {
-        name: cache.stats.counter(name).value for name in ("hits", "misses", "dirty_evictions")
-    }
+    for name in ("hits", "misses", "dirty_evictions"):
+        cache.stats.count(name, 0)
+    saved = dict(cache.stats.counters)
     keep_lines = min(line_count, capacity_lines)
     for line_number in range(last_line - keep_lines + 1, last_line + 1):
         cache.access(line_number * cache.line_bytes, write=write)
-    for name, value in saved.items():
-        cache.stats.counter(name).value = value
+    cache.stats.counters.update(saved)
     cache.stats.count("misses", misses)
     cache.stats.count("dirty_evictions", evictions)
     cache.stats.count("stream_bytes", nbytes)

@@ -42,13 +42,7 @@ def _full_stats(system):
     dma = getattr(system.dock, "dma", None)
     if dma is not None:
         groups.append(dma.stats)
-    out = {}
-    for group in groups:
-        for name, counter in group._counters.items():
-            out[f"{group.name}.{name}"] = counter.value
-        for name, acc in group._accumulators.items():
-            out[f"{group.name}.{name}"] = (acc.total, acc.count, acc.minimum, acc.maximum)
-    return out
+    return {group.name: group.state() for group in groups}
 
 
 def _run_both(builder, scenario, only_phases=None):

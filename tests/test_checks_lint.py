@@ -615,6 +615,23 @@ def test_lint008_timing_cursor_write_in_bulk():
     assert ids(found) == {"LINT008"}
 
 
+def test_lint008_busy_until_ps_write_in_bulk():
+    found = lint(
+        """
+        def run(system, n):
+            def step(i):
+                system.cpu.execute_cycles(4)
+
+            def bulk(start, count):
+                system.dock.dma_busy_until_ps = system.cpu.now_ps
+                system.uart.tx_busy_until_ps += count * 86_806_000
+
+            run_steady(system, n, step, bulk, phase="demo")
+        """
+    )
+    assert [f.rule for f in found] == ["LINT008", "LINT008"]
+
+
 def test_lint008_bulk_keyword_and_lambda_forms():
     found = lint(
         """

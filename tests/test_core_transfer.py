@@ -85,9 +85,9 @@ def test_dma_interleaved_block_structure(bench64, system64):
 
 
 def test_dma_completion_interrupt_taken(bench64, system64):
-    before = system64.cpu.interrupts_taken
+    before = system64.cpu.stats.get("interrupts")
     bench64.dma_write_sequence(N)
-    assert system64.cpu.interrupts_taken == before + 1
+    assert system64.cpu.stats.get("interrupts") == before + 1
 
 
 def test_bandwidth_computation(bench64):

@@ -155,7 +155,7 @@ def cache_programs(draw):
 
 
 def _state(cache):
-    counters = [(name, counter.value) for name, counter in cache.stats._counters.items()]
+    counters = list(cache.stats.counters.items())
     return cache._tags.tolist(), cache._dirty.tolist(), counters
 
 
@@ -203,7 +203,7 @@ def test_staged_stream_creates_counters_as_the_oracle_does():
     assert shipped.stream(0x40, STAGED_STREAM_BYTES) == oracle.stream(
         reference, 0x40, STAGED_STREAM_BYTES
     )
-    assert list(shipped.stats._counters) == [
+    assert list(shipped.stats.counters) == [
         "invalidates", "hits", "misses", "dirty_evictions", "stream_bytes"
     ]
     assert _state(shipped) == _state(reference)

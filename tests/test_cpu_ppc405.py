@@ -162,7 +162,7 @@ def test_interrupt_entry_and_exit(setup):
     cpu, _, _ = setup
     cpu.take_interrupt(when_ps=1_000_000)
     assert cpu.now_ps >= 1_000_000
-    assert cpu.interrupts_taken == 1
+    assert cpu.stats.get("interrupts") == 1
     t = cpu.now_ps
     cpu.return_from_interrupt()
     assert cpu.now_ps > t

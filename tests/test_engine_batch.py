@@ -6,14 +6,18 @@ per-component statistics and data contents must match the stepped
 reference exactly, and so must the totals of a trace.
 """
 
+import weakref
+from collections import deque
+
 import numpy as np
 import pytest
 
-from repro.core import HwPatternMatch, memmap
+from repro.core import HwPatternMatch, build_system64_dual, memmap
 from repro.engine import fastpath
 from repro.engine.batch import (
     MAX_PROBES,
     MIN_PROBES,
+    _Watch,
     declare_phases,
     declared_phases,
     phase_declared,
@@ -21,8 +25,13 @@ from repro.engine.batch import (
     run_steady,
     telemetry,
 )
+from repro.engine.clock import ClockDomain
+from repro.engine.stats import StatsGroup
+from repro.engine.time import PS_PER_MS
 from repro.engine.trace import TraceRecorder
 from repro.kernels.streams import LoopbackKernel
+from repro.periph.uart import REG_STATUS, REG_TX
+from repro.scenarios.dse import build_dse_rig
 from repro.scenarios.rigs import build_rig32, build_rig64
 from repro.sw.costmodel import charge_word_reads, charge_word_writes
 from repro.workloads import binary_image
@@ -66,12 +75,7 @@ def _observables(system):
     fifo = getattr(system.dock, "fifo", None)
     if fifo is not None:
         groups.append(fifo.stats)
-    stats = {}
-    for group in groups:
-        for name, counter in group._counters.items():
-            stats[f"{group.name}.{name}"] = counter.value
-        for name, acc in group._accumulators.items():
-            stats[f"{group.name}.{name}"] = (acc.total, acc.count, acc.minimum, acc.maximum)
+    stats = {group.name: group.state() for group in groups}
     drained = (
         system.dock.fifo.pop_many(len(system.dock.fifo))
         if fifo is not None
@@ -233,15 +237,10 @@ def test_phase_that_fills_the_data_cache_stays_exact(charge):
 
             run_steady(system, iterations, step, bulk, phase=PHASE)
             charge(system, memmap.STAGE_INPUT, 24)
-            stats = {}
-            for group in (cpu.stats, system.plb.stats, cpu.dcache.stats):
-                stats[group.name] = (
-                    {name: c.value for name, c in group._counters.items()},
-                    {
-                        name: (a.total, a.count, a.minimum, a.maximum)
-                        for name, a in group._accumulators.items()
-                    },
-                )
+            stats = {
+                group.name: group.state()
+                for group in (cpu.stats, system.plb.stats, cpu.dcache.stats)
+            }
             return cpu.now_ps, stats
 
     assert run(fastpath.forced_on) == run(fastpath.disabled)
@@ -273,3 +272,92 @@ def test_compiled_strip_loop_charges_every_bus_slave():
 
     assert run(fastpath.forced_on) == run(fastpath.disabled)
     assert telemetry().compiled_phases > 0
+
+
+# -- the component inventory -------------------------------------------------
+
+
+def _reachable(root):
+    """Every ``StatsGroup`` reachable from ``root``, and every int attribute
+    named ``*_ps`` or ``*busy_until*`` as ``(owner, name)``."""
+    groups, cursors, seen = [], [], set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, StatsGroup):
+            groups.append(obj)
+        elif isinstance(obj, weakref.ref):
+            stack.append(obj())
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif isinstance(getattr(obj, "__dict__", None), dict) and not isinstance(obj, type):
+            for name, value in vars(obj).items():
+                if (
+                    type(value) is int
+                    and (name.endswith("_ps") or "busy_until" in name)
+                    and not (isinstance(obj, ClockDomain) and name == "period_ps")
+                ):
+                    cursors.append((obj, name))
+                stack.append(value)
+    return groups, cursors
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [build_rig32, build_rig64, build_dse_rig, build_system64_dual],
+    ids=["rig32", "rig64", "dse", "dual"],
+)
+def test_every_timed_state_is_watched_or_declared_functional(builder):
+    """Walk the system's object graph, ``extras`` included: every statistics
+    group is watched unless its component declares it functional, and
+    every time cursor is watched (the CPU's is the phase's *now*)."""
+    system = builder()[0]
+    watch = _Watch(system)
+    watched = {id(group) for group in watch.groups}
+    functional = {
+        id(c.stats) for c in system.components if getattr(c, "FUNCTIONAL_STATS", False)
+    }
+    groups, cursors = _reachable(system)
+    assert len(groups) >= 14
+    missing = [g.name for g in groups if id(g) not in watched | functional]
+    assert missing == []
+    declared = {(id(obj), name) for obj, name in watch.cursors}
+    declared.add((id(system.cpu), "now_ps"))
+    unwatched = [
+        f"{type(obj).__name__}.{name}" for obj, name in cursors if (id(obj), name) not in declared
+    ]
+    assert unwatched == []
+
+
+def test_compiled_uart_phase_leaves_the_transmitter_busy():
+    """Bytes written to the UART keep its transmitter busy for their wire
+    time, far longer than the stores take: a compiled run must leave the
+    same watermark, so a status read a millisecond later still reads busy."""
+    count = 64
+
+    def run(ctx_factory):
+        with ctx_factory():
+            system, _ = build_rig32()
+            declare_phases(system, PHASE)
+            cpu, uart = system.cpu, system.uart
+
+            def step(i):
+                cpu.io_write(uart.base + REG_TX, i)
+                cpu.execute_cycles(4)
+
+            def bulk(start, n):
+                uart.tx_log.extend(range(start, start + n))
+
+            run_steady(system, count, step, bulk, phase=PHASE)
+            cpu.elapse_ps(PS_PER_MS)
+            status = cpu.io_read(uart.base + REG_STATUS)
+            return uart.tx_busy_until_ps, status, bytes(uart.tx_log), cpu.now_ps
+
+    fast, slow = run(fastpath.forced_on), run(fastpath.disabled)
+    assert fast == slow
+    assert slow[1] == 0  # transmitter still busy

@@ -1,41 +1,37 @@
 """Tests for statistics collection."""
 
+import json
+
 import pytest
 
-from repro.engine.stats import Accumulator, Counter, StatsGroup
+from repro.engine.stats import StatsGroup
 
 
 def test_counter_add():
-    c = Counter("x")
-    c.add()
-    c.add(4)
-    assert c.value == 5
+    g = StatsGroup("g")
+    g.count("x")
+    g.count("x", 4)
+    assert g.counters == {"x": 5}
 
 
 def test_counter_rejects_negative():
     with pytest.raises(ValueError):
-        Counter("x").add(-1)
+        StatsGroup("g").count("x", -1)
 
 
 def test_counter_reset():
-    c = Counter("x", value=9)
-    c.reset()
-    assert c.value == 0
+    g = StatsGroup("g")
+    g.count("x", 9)
+    g.reset()
+    assert g.counters == {"x": 0}
 
 
 def test_accumulator_statistics():
-    a = Accumulator("t")
+    g = StatsGroup("g")
     for v in (1.0, 3.0, 2.0):
-        a.add(v)
-    assert a.total == 6.0
-    assert a.count == 3
-    assert a.minimum == 1.0
-    assert a.maximum == 3.0
-    assert a.mean == 2.0
-
-
-def test_accumulator_mean_empty_is_zero():
-    assert Accumulator("t").mean == 0.0
+        g.record("t", v)
+    assert g.accumulators["t"] == [6.0, 3, 1.0, 3.0]
+    assert g.get("t") == 6.0
 
 
 def test_group_creates_on_first_use():
@@ -58,6 +54,7 @@ def test_group_reset_resets_all():
     g.reset()
     assert g.get("a") == 0
     assert g.get("b") == 0.0
+    assert g.accumulators["b"] == [0.0, 0, float("inf"), float("-inf")]
 
 
 def test_group_as_dict_sorted_members():
@@ -68,48 +65,58 @@ def test_group_as_dict_sorted_members():
     assert list(g.as_dict()) == ["alpha", "zeta", "mid"]
 
 
+def test_record_many_equals_recording_each_sample():
+    one_by_one, folded = StatsGroup("g"), StatsGroup("g")
+    for v in (4, 9, 2):
+        one_by_one.record("busy_ps", v)
+    folded.record_many("busy_ps", 15, 3, 2, 9)
+    assert folded.state() == one_by_one.state()
+    # Sample types are kept: an int extreme stays an int.
+    assert folded.accumulators["busy_ps"] == [15.0, 3, 2, 9]
+
+
+def test_state_is_exact_and_detached():
+    g = StatsGroup("g")
+    g.count("reads", 2)
+    g.record("busy_ps", 7)
+    state = g.state()
+    assert state == ({"reads": 2}, {"busy_ps": (7.0, 1, 7, 7)})
+    g.count("reads")
+    g.record("busy_ps", 1)
+    assert state == ({"reads": 2}, {"busy_ps": (7.0, 1, 7, 7)})
+    assert g.state() == ({"reads": 3}, {"busy_ps": (8.0, 2, 1, 7)})
+
+
 # -- merge (cross-process aggregation) ---------------------------------------
 
 
 def test_counter_merge_adds_values():
-    a = Counter("x", value=3)
-    b = Counter("x", value=4)
+    a, b = StatsGroup("g"), StatsGroup("g")
+    a.count("x", 3)
+    b.count("x", 4)
     a.merge(b)
-    assert a.value == 7
-    assert b.value == 4  # other side untouched
-
-
-def test_counter_merge_rejects_name_mismatch():
-    with pytest.raises(ValueError):
-        Counter("x").merge(Counter("y"))
+    assert a.counters["x"] == 7
+    assert b.counters["x"] == 4  # other side untouched
 
 
 def test_accumulator_merge_matches_replayed_samples():
-    left, right, combined = Accumulator("t"), Accumulator("t"), Accumulator("t")
+    left, right, combined = StatsGroup("g"), StatsGroup("g"), StatsGroup("g")
     for v in (1.0, 5.0):
-        left.add(v)
-        combined.add(v)
+        left.record("t", v)
+        combined.record("t", v)
     for v in (0.5, 2.0, 9.0):
-        right.add(v)
-        combined.add(v)
+        right.record("t", v)
+        combined.record("t", v)
     left.merge(right)
-    assert left.total == combined.total
-    assert left.count == combined.count
-    assert left.minimum == combined.minimum
-    assert left.maximum == combined.maximum
+    assert left.state() == combined.state()
 
 
 def test_accumulator_merge_empty_other_is_noop():
-    a = Accumulator("t")
-    a.add(2.0)
-    a.merge(Accumulator("t"))
-    assert a.count == 1
-    assert a.minimum == 2.0
-
-
-def test_accumulator_merge_rejects_name_mismatch():
-    with pytest.raises(ValueError):
-        Accumulator("t").merge(Accumulator("u"))
+    a, empty = StatsGroup("g"), StatsGroup("g")
+    a.record("t", 2.0)
+    empty.record_many("t", 0.0, 0, 0.0, 0.0)  # exists but never sampled
+    a.merge(empty)
+    assert a.accumulators["t"] == [2.0, 1, 2.0, 2.0]
 
 
 def test_group_merge_member_wise():
@@ -126,7 +133,7 @@ def test_group_merge_member_wise():
     assert a.get("writes") == 1
     assert a.get("busy") == 14.0
     assert a.get("stall") == 7.0
-    assert a.accumulator("busy").minimum == 4.0
+    assert a.accumulators["busy"][2] == 4.0
 
 
 def test_group_merge_returns_self_for_chaining():
@@ -139,18 +146,13 @@ def test_group_snapshot_round_trip():
     g.count("words", 8)
     g.record("beat_ps", 120.0)
     g.record("beat_ps", 80.0)
-    g.accumulator("empty")  # exists but never sampled
+    g.record_many("empty", 0.0, 0, 0.0, 0.0)  # exists but never sampled
     snap = g.snapshot()
     # The snapshot must be plain JSON (no ±inf for the empty accumulator).
-    import json
-
     restored = StatsGroup.from_snapshot(json.loads(json.dumps(snap)))
     assert restored.name == "dock"
-    assert restored.get("words") == 8
-    assert restored.accumulator("beat_ps").count == 2
-    assert restored.accumulator("beat_ps").minimum == 80.0
-    assert restored.accumulator("empty").count == 0
-    assert restored.as_dict() == g.as_dict()
+    assert restored.state() == g.state()
+    assert restored.accumulators["empty"] == [0.0, 0, float("inf"), float("-inf")]
 
 
 def test_group_snapshot_merge_equals_direct_merge():
@@ -164,4 +166,4 @@ def test_group_snapshot_merge_equals_direct_merge():
         StatsGroup.from_snapshot(b.snapshot())
     )
     a.merge(b)
-    assert via_snapshot.as_dict() == a.as_dict()
+    assert via_snapshot.state() == a.state()

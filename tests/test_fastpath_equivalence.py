@@ -31,18 +31,15 @@ def _seed_memory(system, n_words):
 
 def _full_stats(system):
     """Every observable statistic, including accumulator count/min/max."""
-    out = {}
-    for name, group in (
-        ("plb", system.plb.stats),
-        ("dock", system.dock.stats),
-        ("fifo", system.dock.fifo.stats),
-        ("dma", system.dock.dma.stats),
-    ):
-        for key, counter in group._counters.items():
-            out[f"{name}.{key}"] = counter.value
-        for key, acc in group._accumulators.items():
-            out[f"{name}.{key}"] = (acc.total, acc.count, acc.minimum, acc.maximum)
-    return out
+    return {
+        name: group.state()
+        for name, group in (
+            ("plb", system.plb.stats),
+            ("dock", system.dock.stats),
+            ("fifo", system.dock.fifo.stats),
+            ("dma", system.dock.dma.stats),
+        )
+    }
 
 
 def _run_both(scenario):

@@ -158,8 +158,8 @@ def test_worker_crash_triggers_serial_retry(scratch):
 def test_merged_stats_aggregate_across_scenarios(scratch):
     def with_stats(name, count):
         group = StatsGroup("bus")
-        group.counter("reads").add(count)
-        group.accumulator("latency").add(count * 10)
+        group.count("reads", count)
+        group.record("latency", count * 10)
         return ScenarioResult(
             name=name, headers=["n"], rows=[[count]], stats={"bus": group.snapshot()}
         )
@@ -170,10 +170,10 @@ def test_merged_stats_aggregate_across_scenarios(scratch):
         [get_scenario("scratch_stats_a"), get_scenario("scratch_stats_b")], jobs=1
     )
     merged = outcome.merged_stats()
-    assert merged["bus"].counter("reads").value == 8
-    latency = merged["bus"].accumulator("latency")
-    assert latency.count == 2
-    assert latency.total == 80
+    assert merged["bus"].counters["reads"] == 8
+    total, count, _, _ = merged["bus"].accumulators["latency"]
+    assert count == 2
+    assert total == 80
 
 
 # -- seed derivation ----------------------------------------------------------
