@@ -33,27 +33,6 @@ from .system import System
 #: Loop bookkeeping per PIO transfer in the driver loops.
 LOOP_CYCLES = 4
 
-#: Batchable-phase names the drivers declare to the steady-state compiler
-#: (`repro.engine.batch.run_steady`).  Rigs opt systems in via
-#: `repro.engine.batch.declare_phases`; on undeclared systems every loop
-#: below runs the per-word reference path.  Phases nest: the
-#: pattern-match strip loop (`pio-strip`) compiles as one phase whose
-#: probed strips run the `pio-write` and `pio-read` phases inside, and
-#: the data-cache sweeps each strip charges are watched state, so the
-#: strip loop compiles once those sweeps hit a settled cache.
-PHASE_PIO_WRITE = "pio-write"
-PHASE_PIO_READ = "pio-read"
-PHASE_PIO_STREAM = "pio-stream"
-PHASE_PIO_PAIRED = "pio-paired"
-PHASE_PIO_STRIP = "pio-strip"
-PIO_PHASES = (
-    PHASE_PIO_WRITE,
-    PHASE_PIO_READ,
-    PHASE_PIO_STREAM,
-    PHASE_PIO_PAIRED,
-    PHASE_PIO_STRIP,
-)
-
 #: Bulk feed/drain chunk: keeps a bounded output FIFO from seeing more
 #: than its depth in flight at once while staying wide enough to amortize
 #: the NumPy calls.
@@ -89,7 +68,7 @@ def _write_words(system: System, words: List[int], offset: int = 0) -> None:
     def bulk(start: int, n: int) -> None:
         dock.feed_words(words[start : start + n], 32, offset)
 
-    run_steady(system, len(words), step, bulk, phase=PHASE_PIO_WRITE)
+    run_steady(system, len(words), step, bulk)
 
 
 def _read_words(system: System, count: int, offset: int = 0) -> List[int]:
@@ -106,7 +85,7 @@ def _read_words(system: System, count: int, offset: int = 0) -> List[int]:
     def bulk(start: int, n: int) -> None:
         out.extend(dock.drain_words(n, 32, offset))
 
-    run_steady(system, count, step, bulk, phase=PHASE_PIO_READ)
+    run_steady(system, count, step, bulk)
     return out
 
 
@@ -159,7 +138,7 @@ class HwPatternMatch:
                 dock.feed_words([0], 32, PM_FLUSH_OFFSET)
                 result_words.append(dock.drain_words(expect_words, 32))
 
-        run_steady(system, strips, step, bulk, phase=PHASE_PIO_STRIP)
+        run_steady(system, strips, step, bulk)
         counts = np.array(result_words, dtype="<u4").view(np.uint8)
         result = counts[:, :positions].astype(np.int32)
         return RunResult(result=result, elapsed_ps=cpu.now_ps - start, label=self.name)
@@ -258,7 +237,7 @@ class HwBrightnessPio(_HwImageBase):
                 dock.feed_words(words[j : j + chunk], 32, 0)
                 out_words.extend(dock.drain_words(chunk, 32, 0))
 
-        run_steady(system, len(words), step, bulk, phase=PHASE_PIO_STREAM)
+        run_steady(system, len(words), step, bulk)
         cpu.io_write(system.dock.base + FLUSH_OFFSET, 0)
         tail = system.dock.pending_outputs if hasattr(system.dock, "pending_outputs") else len(system.dock.fifo)
         out_words.extend(_read_words(system, tail))
@@ -307,7 +286,7 @@ class _HwTwoSourcePio(_HwImageBase):
                 dock.feed_words(words[2 * j : 2 * (j + chunk)], 32, 0)
                 out_words.extend(dock.drain_words(chunk, 32, 0))
 
-        run_steady(system, pairs, step, bulk, phase=PHASE_PIO_PAIRED)
+        run_steady(system, pairs, step, bulk)
         if len(words) % 2:  # odd trailing word: written, nothing to read yet
             cpu.io_write(base, words[-1])
             cpu.execute_cycles(LOOP_CYCLES)

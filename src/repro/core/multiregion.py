@@ -78,10 +78,9 @@ def build_system64_dual() -> tuple[System, RegionSlot]:
     system.plb.attach(dock_b, DOCK_B_BASE, memmap.DOCK_SIZE, name="plb_dock_b", posted_writes=True)
     dock_b.connect_bus(system.plb)
     system.register(dock_b)
-    intc = system.extras.get("intc")
-    if intc is not None:
-        dock_b.connect_interrupts(intc, DOCK_B_IRQ_SOURCE)
-        intc.enabled |= 1 << DOCK_B_IRQ_SOURCE
+    intc = system.dock.intc
+    dock_b.connect_interrupts(intc, DOCK_B_IRQ_SOURCE)
+    intc.enabled |= 1 << DOCK_B_IRQ_SOURCE
 
     # Clear the new region's rows in configuration memory and refresh the
     # baseline: both BitLinkers must merge against the dual-region boot
@@ -98,5 +97,4 @@ def build_system64_dual() -> tuple[System, RegionSlot]:
     system.validate()
 
     slot = RegionSlot(name="slot_b", region=region_b, dock=dock_b, bitlinker=bitlinker_b)
-    system.extras["slot_b"] = slot
     return system, slot

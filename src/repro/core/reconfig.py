@@ -39,7 +39,7 @@ from ..bitstream.bitlinker import Placement
 from ..bitstream.bitstream import Bitstream, BitstreamKind
 from ..bitstream.generator import verify_preserves_static
 from ..dock.interface import StreamingKernel
-from ..engine.batch import declare_phases, run_steady
+from ..engine.batch import run_steady
 from ..errors import BitstreamError, FabricError, KernelError, ReconfigurationError, ResourceError
 from ..fabric.config_memory import ConfigMemory, ConfigSnapshot
 from ..fabric.frames import FrameAddress
@@ -47,10 +47,6 @@ from ..kernels.base import BaseKernel
 from ..sw.costmodel import charge_word_reads
 from . import memmap
 from .system import System
-
-#: The frame-readback loop, declared batchable by every manager (see
-#: :meth:`ReconfigManager._readback_frames`).
-PHASE_ICAP_READBACK = "icap-readback"
 
 
 @dataclass
@@ -128,7 +124,6 @@ class ReconfigManager:
         #: ``load_robust`` calls or :meth:`mark_golden`); the reference
         #: :meth:`scrub` repairs towards.
         self._golden = None
-        declare_phases(system, PHASE_ICAP_READBACK)
 
     # -- library ------------------------------------------------------------
     def register(self, kernel: BaseKernel, software=None) -> None:
@@ -492,8 +487,8 @@ class ReconfigManager:
         ``(n, words_per_frame)`` array.
 
         Every frame costs the same bridged transactions whatever its
-        address, so the frame loop is the declared :data:`PHASE_ICAP_READBACK`
-        phase of :func:`~repro.engine.batch.run_steady`: probed frames run
+        address, so the frame loop is a steady phase of
+        :func:`~repro.engine.batch.run_steady`: probed frames run
         :meth:`_readback_frame`, the rest are read functionally.
         """
         icap = self.system.hwicap
@@ -505,7 +500,7 @@ class ReconfigManager:
         def bulk(start: int, n: int) -> None:
             out[start:] = icap.bulk_readback(fars[start : start + n])
 
-        run_steady(self.system, len(fars), step, bulk, phase=PHASE_ICAP_READBACK)
+        run_steady(self.system, len(fars), step, bulk)
         return out
 
     def _mismatched(self, fars: np.ndarray, expected: np.ndarray) -> np.ndarray:

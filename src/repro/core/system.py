@@ -89,7 +89,6 @@ class System:
         self.register(self.cpu, plb, opb, bridge, dock, hwicap, uart, jtag, reset_block)
         self.register(*(att.slave for bus in (plb, opb) for att in bus.attachments))
         self._modules: List[ModuleEntry] = []
-        self.extras: Dict[str, object] = {}
         #: Armed :class:`~repro.faults.plan.FaultPlan`, or None.  Arm/disarm
         #: via :mod:`repro.faults.plan`, which also wires the component hooks.
         self.fault_plan = None

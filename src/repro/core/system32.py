@@ -111,7 +111,6 @@ def build_system32() -> System:
     )
     # On-chip BRAM is cacheable (tables, stack); external SRAM is not.
     system.cpu.add_cacheable(memmap.BRAM_BASE, memmap.BRAM_SIZE, bram)
-    system.extras["gpio"] = gpio
 
     # Table 1 inventory.
     system.add_module("PPC405 core", ResourceVector(), "hard", "dedicated block")

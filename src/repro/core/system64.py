@@ -154,7 +154,6 @@ def assemble_system64(
     )
     system.cpu.add_cacheable(memmap.EXT_MEM_BASE, memmap.DDR_SIZE, ddr)
     system.cpu.add_cacheable(memmap.BRAM_BASE, memmap.BRAM_SIZE, bram)
-    system.extras["intc"] = intc
     intc.enabled = 1 << DOCK_IRQ_SOURCE
 
     # Table 6 inventory.

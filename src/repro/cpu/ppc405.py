@@ -138,11 +138,16 @@ class Ppc405:
     def io_read_batch(self, address: int, count: int, size: int = 4) -> None:
         """Timing-only batch of ``count`` uncached loads from one device.
 
-        Issues a single real transaction to calibrate the steady-state cost
-        and multiplies — valid because the bus timing is deterministic and
-        the CPU is the only master during programmed I/O.  Use only for
-        side-effect-free targets (memory); stateful device reads go through
-        :meth:`io_read` per word, batched by :func:`~repro.engine.batch.run_steady`.
+        Issues two real loads and charges the second one's cost for each
+        of the other ``count - 2`` — valid because the bus timing is
+        deterministic and the CPU is the only master during programmed
+        I/O.  The device sees only those two loads (the rest return no
+        data and change no device state), and the rest charge only the
+        CPU clock, PLB ``reads`` and CPU ``io_reads``: no slave, bridge,
+        OPB or bus-watermark state and no trace event.  The transfer
+        benches read a data source this way; reads whose data or side
+        effects matter go through :meth:`io_read` per word, batched by
+        :func:`~repro.engine.batch.run_steady`.
         """
         if count <= 0:
             return
@@ -160,11 +165,14 @@ class Ppc405:
             self.stats.count("io_reads", count - 2)
 
     def io_write_batch(self, address: int, count: int, size: int = 4, value: int = 0) -> None:
-        """Timing-only batch of ``count`` uncached stores (see io_read_batch).
+        """Timing-only batch of ``count`` uncached stores of ``value``.
 
-        Steady-state posted-write throughput is limited by the bus tenure,
-        not the CPU release time, so the calibration uses two probe writes
-        and takes their spacing.
+        Issues three real stores and charges the spacing of the last two
+        for each of the other ``count - 3``: steady-state posted-write
+        throughput is limited by the bus tenure, not the CPU release
+        time.  As in :meth:`io_read_batch`, the device sees only those
+        stores, and the rest charge only the CPU clock, PLB ``writes`` and
+        CPU ``io_writes``.
         """
         if count <= 0:
             return

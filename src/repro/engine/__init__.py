@@ -6,7 +6,7 @@ is kept by cursors (``cpu.now_ps``, bus busy watermarks), not an event
 queue.
 """
 
-from .batch import declare_phases, declared_phases, phase_declared, run_steady
+from .batch import run_steady
 from .clock import ClockDomain, mhz
 from .stats import StatsGroup
 from .time import (
@@ -30,10 +30,7 @@ __all__ = [
     "PS_PER_S",
     "PS_PER_US",
     "StatsGroup",
-    "declare_phases",
-    "declared_phases",
     "format_time",
-    "phase_declared",
     "run_steady",
     "mhz",
     "ns_from_ps",

@@ -29,9 +29,9 @@ by the same delta.
    completions — plus one vectorized ``bulk`` callback for the functional
    effects (data movement only, never time or statistics);
 3. anything irregular — the fast path disabled via
-   ``REPRO_NO_FAST_PATH``, an undeclared phase, or signatures that never
-   converge — falls back to per-iteration reference execution, which is
-   always correct.
+   ``REPRO_NO_FAST_PATH``, no ``bulk`` callback, a loop too short to
+   probe, or signatures that never converge — falls back to
+   per-iteration reference execution, which is always correct.
 
 A trace hook does not change which path runs.  When a compiled phase
 extrapolates, each watched bus with a tracer gets one ``steady`` event at
@@ -62,10 +62,10 @@ movement and functional counters (FIFO statistics via
 callback must therefore never touch engine state — LINT008 flags
 violations (see ``docs/CHECKS.md``).
 
-Phases are **declared, not guessed**: scenarios/rigs opt loops in with
-:func:`declare_phases`, and :func:`run_steady` compiles only phases whose
-name was declared on the target system.  Undeclared loops simply run the
-reference path.
+Whether a loop compiles is **measured, not declared**: any loop that
+supplies a ``bulk`` callback compiles once its signatures converge, on
+every system, and a loop whose iterations differ in cost never converges
+and so runs the reference path.
 
 Phases **nest**: a ``step`` may itself call :func:`run_steady` (the
 pattern-match strip loop runs a PIO write phase and a PIO read phase per
@@ -83,20 +83,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import fastpath
 
 __all__ = [
-    "declare_phases",
-    "declared_phases",
-    "phase_declared",
     "run_steady",
     "telemetry",
     "reset_telemetry",
     "BatchTelemetry",
     "MIN_PROBES",
     "MAX_PROBES",
-    "EXTRAS_KEY",
 ]
-
-#: Key under ``system.extras`` holding the declared batchable phase names.
-EXTRAS_KEY = "batchable_phases"
 
 #: Iterations that must run through the reference path before the
 #: compiler may extrapolate: the first warms pipelines (bridge buffer,
@@ -142,28 +135,6 @@ def telemetry() -> BatchTelemetry:
 
 def reset_telemetry() -> None:
     _TELEMETRY.reset()
-
-
-# -- phase declarations ----------------------------------------------------
-
-def declare_phases(system, *names: str) -> None:
-    """Mark phase ``names`` as batchable on ``system``.
-
-    Declarations live in ``system.extras`` so they travel with the system
-    object and never leak across rigs.  Declaring is a statement of
-    intent, not a switch: the phase still only compiles when it proves
-    steady under probing with the fast path enabled.
-    """
-    system.extras.setdefault(EXTRAS_KEY, set()).update(names)
-
-
-def declared_phases(system) -> frozenset:
-    """The batchable phase names declared on ``system``."""
-    return frozenset(system.extras.get(EXTRAS_KEY, ()))
-
-
-def phase_declared(system, name: str) -> bool:
-    return name in declared_phases(system)
 
 
 # -- the compiler ----------------------------------------------------------
@@ -324,35 +295,25 @@ def run_steady(
     count: int,
     step: Callable[[int], None],
     bulk: Optional[Callable[[int, int], None]] = None,
-    *,
-    phase: Optional[str] = None,
 ) -> None:
-    """Run ``count`` iterations of a declared steady-state phase.
+    """Run ``count`` iterations of a steady-state phase.
 
     ``step(i)`` executes iteration ``i`` through the reference path —
     timing, statistics and data.  ``bulk(start, n)`` applies the *purely
     functional* effects of iterations ``start .. start+n-1`` (data
     movement only; the compiler has already charged time and statistics).
 
-    The phase compiles only when every gate passes: ``bulk`` provided,
-    ``phase`` declared on ``system`` via :func:`declare_phases`, the
-    fast path enabled, and signatures that converge within
-    :data:`MAX_PROBES`.  Otherwise every iteration runs ``step`` — the
-    result is identical either way; only host time and the number of
-    trace events differ.
+    The phase compiles only when every gate passes: the fast path
+    enabled, ``bulk`` provided, more than :data:`MIN_PROBES` iterations,
+    and signatures that converge within :data:`MAX_PROBES`.  Otherwise
+    every iteration runs ``step`` — the result is identical either way;
+    only host time and the number of trace events differ.
     """
     count = int(count)
     if count <= 0:
         return
 
-    compilable = (
-        bulk is not None
-        and count > MIN_PROBES
-        and phase is not None
-        and phase_declared(system, phase)
-        and fastpath.enabled()
-    )
-    if not compilable:
+    if bulk is None or count <= MIN_PROBES or not fastpath.enabled():
         for i in range(count):
             step(i)
         _TELEMETRY.reference_iterations += count

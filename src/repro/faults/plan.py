@@ -40,7 +40,9 @@ from typing import FrozenSet, Iterable, List, Tuple
 import numpy as np
 
 from ..bitstream.packets import PacketReader
+from ..dock.dma import SgDmaEngine
 from ..errors import BitstreamError
+from ..periph.hwicap import OpbHwIcap
 
 
 def derive_rng_seed(seed: int, label: str) -> int:
@@ -250,39 +252,20 @@ class FaultPlan:
 
 
 # -- arming -----------------------------------------------------------------
-def _dma_engines(system) -> List[object]:
-    engines = []
-    for dock in _docks(system):
-        engine = getattr(dock, "dma", None)
-        if engine is not None:
-            engines.append(engine)
-    return engines
-
-
-def _docks(system) -> List[object]:
-    docks = [system.dock]
-    for extra in getattr(system, "extras", {}).values():
-        dock = getattr(extra, "dock", None)
-        if dock is not None and dock not in docks:
-            docks.append(dock)
-    return docks
-
-
 def arm(system, plan: FaultPlan) -> FaultPlan:
-    """Attach ``plan`` to every injection site of ``system``."""
+    """Attach ``plan`` to every injection site of ``system``: the system
+    itself and, among its registered components, the HWICAP and every
+    DMA engine."""
     system.fault_plan = plan
-    system.hwicap.fault_plan = plan
-    for engine in _dma_engines(system):
-        engine.fault_plan = plan
+    for component in system.components:
+        if isinstance(component, (OpbHwIcap, SgDmaEngine)):
+            component.fault_plan = plan
     return plan
 
 
 def disarm(system) -> None:
     """Detach any armed plan; all hooks revert to zero-cost no-ops."""
-    system.fault_plan = None
-    system.hwicap.fault_plan = None
-    for engine in _dma_engines(system):
-        engine.fault_plan = None
+    arm(system, None)
 
 
 class armed:

@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..core import build_system32, build_system64
-from ..core.apps import PIO_PHASES
 from ..core.reconfig import ReconfigManager
-from ..engine.batch import declare_phases
 from ..errors import ResourceError
 from ..kernels import (
     BlendKernel,
@@ -37,13 +35,9 @@ PATTERN_SEED = 2006
 def register_all(system, pattern) -> ReconfigManager:
     """Register the paper's kernel set on a freshly built system.
 
-    Also declares the PIO driver loops as batchable phases: the kernels
-    registered here are exactly the ones whose bulk data paths have been
-    verified word-for-word equivalent to the interleaved reference loops,
-    so the steady-state compiler (:mod:`repro.engine.batch`) may compress
-    them.  Scenarios that bypass this helper run their driver loops interpreted.
+    The Sha1 kernel is skipped where it does not fit the dynamic region
+    (the 32-bit system).
     """
-    declare_phases(system, *PIO_PHASES)
     manager = ReconfigManager(system)
     manager.register(PatternMatchKernel(pattern))
     manager.register(JenkinsHashKernel())

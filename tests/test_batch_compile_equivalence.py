@@ -16,15 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.apps import (
-    HwBrightnessPio,
-    HwFadePio,
-    HwJenkinsHash,
-    HwPatternMatch,
-    PHASE_PIO_STRIP,
-)
+from repro.core.apps import HwBrightnessPio, HwFadePio, HwJenkinsHash, HwPatternMatch
 from repro.engine import fastpath
-from repro.engine.batch import EXTRAS_KEY, MIN_PROBES, telemetry
+from repro.engine.batch import MIN_PROBES, telemetry
 from repro.errors import KernelError
 from repro.scenarios.rigs import build_rig32, build_rig64
 from repro.workloads import binary_image, grayscale_image, random_key
@@ -45,13 +39,10 @@ def _full_stats(system):
     return {group.name: group.state() for group in groups}
 
 
-def _run_both(builder, scenario, only_phases=None):
-    """Run ``scenario`` compiled and stepped and diff every observable;
-    ``only_phases`` narrows the compiled run's declared phases."""
+def _run_both(builder, scenario):
+    """Run ``scenario`` compiled and stepped and diff every observable."""
     with fastpath.forced_on():
         fast_system, fast_manager = builder()
-        if only_phases is not None:
-            fast_system.extras[EXTRAS_KEY] = set(only_phases)
         fast_run = scenario(fast_system, fast_manager)
     with fastpath.disabled():
         slow_system, slow_manager = builder()
@@ -95,13 +86,28 @@ def test_patmatch_equivalence(builder, height, width):
         return HwPatternMatch().run(system, binary_image(height, width, seed=height + width))
 
     _run_both(builder, scenario)
-    # With only the strip loop declared, the inner PIO phases step, so every
-    # compiled phase is a pio-strip phase: the strip loop compiles exactly
-    # once whenever it is long enough to probe.
-    before = telemetry().compiled_phases
-    _run_both(builder, scenario, only_phases=[PHASE_PIO_STRIP])
-    strips = height - 7
-    assert telemetry().compiled_phases - before == (1 if strips > MIN_PROBES else 0)
+
+
+@pytest.mark.parametrize("builder", [build_rig32, build_rig64], ids=["32", "64"])
+@given(height=st.integers(min_value=11, max_value=24), width=st.integers(min_value=8, max_value=12))
+@settings(max_examples=4, deadline=None)
+def test_strip_loop_compiles_over_stepping_inner_phases(builder, height, width):
+    """An image at most 12 pixels wide gives each strip at most three column
+    words to write and two count words to read, too few for the inner PIO
+    loops to probe, so they step; with more than ``MIN_PROBES`` strips the
+    strip loop itself compiles, exactly once."""
+    assert height - 7 > MIN_PROBES
+    compiled = []
+
+    def scenario(system, manager):
+        manager.load("patmatch")
+        before = telemetry().compiled_phases
+        run = HwPatternMatch().run(system, binary_image(height, width, seed=height + width))
+        compiled.append(telemetry().compiled_phases - before)
+        return run
+
+    _run_both(builder, scenario)
+    assert compiled == [1, 0]
 
 
 @pytest.mark.parametrize("builder", [build_rig32, build_rig64], ids=["32", "64"])

@@ -593,7 +593,7 @@ def test_lint008_cpu_primitive_in_bulk():
                 for i in range(start, start + count):
                     cpu.io_write(0x100, words[i])  # charges bus time twice
 
-            run_steady(system, len(words), step, bulk, phase="demo")
+            run_steady(system, len(words), step, bulk)
         """
     )
     assert ids(found) == {"LINT008"}
@@ -609,7 +609,7 @@ def test_lint008_timing_cursor_write_in_bulk():
             def bulk(start, count):
                 system.cpu.now_ps = system.cpu.now_ps + count * 40
 
-            run_steady(system, n, step, bulk, phase="demo")
+            run_steady(system, n, step, bulk)
         """
     )
     assert ids(found) == {"LINT008"}
@@ -626,7 +626,7 @@ def test_lint008_busy_until_ps_write_in_bulk():
                 system.dock.dma_busy_until_ps = system.cpu.now_ps
                 system.uart.tx_busy_until_ps += count * 86_806_000
 
-            run_steady(system, n, step, bulk, phase="demo")
+            run_steady(system, n, step, bulk)
         """
     )
     assert [f.rule for f in found] == ["LINT008", "LINT008"]
@@ -642,7 +642,6 @@ def test_lint008_bulk_keyword_and_lambda_forms():
             run_steady(
                 system, n, step,
                 bulk=lambda start, count: system.cpu.elapse_cycles(4 * count),
-                phase="demo",
             )
         """
     )
@@ -663,7 +662,7 @@ def test_lint008_data_movement_bulk_is_clean():
                 dock.feed_words(words[start : start + count], 32, 0)
                 out_words.extend(dock.drain_words(count, 32, 0))
 
-            run_steady(system, len(words), step, bulk, phase="demo")
+            run_steady(system, len(words), step, bulk)
         """
     )
     assert found == []
@@ -690,7 +689,7 @@ def test_lint008_noqa_suppresses():
             def bulk(start, count):
                 system.cpu.count("retired")  # repro: noqa LINT008 (measured elsewhere)
 
-            run_steady(system, n, step, bulk, phase="demo")
+            run_steady(system, n, step, bulk)
         """
     )
     assert found == []

@@ -5,6 +5,7 @@ import pytest
 from repro.core import build_system32, build_system64, memmap
 from repro.dock.opb_dock import OpbDock
 from repro.dock.plb_dock import PlbDock
+from repro.periph import Gpio, InterruptController
 
 
 def test_system32_headline_numbers(system32):
@@ -51,10 +52,14 @@ def test_memory_characteristics(system32, system64):
 def test_system32_has_gpio_system64_has_intc(system32, system64):
     # "Minor differences include the addition of an interrupt controller
     #  ... and the absence of the GPIO controller."
-    assert "gpio" in system32.extras
-    assert "intc" not in system32.extras
-    assert "intc" in system64.extras
-    assert "gpio" not in system64.extras
+    def kinds(system):
+        return {type(component) for component in system.components}
+
+    assert Gpio in kinds(system32)
+    assert InterruptController not in kinds(system32)
+    assert InterruptController in kinds(system64)
+    assert Gpio not in kinds(system64)
+    assert system64.dock.intc is system64.opb.decode(memmap.INTC_BASE).slave
 
 
 def test_module_inventories_cover_paper_tables(system32, system64):

@@ -1,9 +1,9 @@
 """Unit contract of the steady-state phase compiler (`repro.engine.batch`).
 
 `run_steady` must be a pure host-time optimization: for any mix of gates
-(declaration, fast-path switch, irregular timing) the simulated clock,
-per-component statistics and data contents must match the stepped
-reference exactly, and so must the totals of a trace.
+(fast-path switch, missing ``bulk``, short or irregular loops) the
+simulated clock, per-component statistics and data contents must match
+the stepped reference exactly, and so must the totals of a trace.
 """
 
 import weakref
@@ -18,9 +18,6 @@ from repro.engine.batch import (
     MAX_PROBES,
     MIN_PROBES,
     _Watch,
-    declare_phases,
-    declared_phases,
-    phase_declared,
     reset_telemetry,
     run_steady,
     telemetry,
@@ -37,7 +34,6 @@ from repro.sw.costmodel import charge_word_reads, charge_word_writes
 from repro.workloads import binary_image
 
 N = 64
-PHASE = "unit-phase"
 
 
 @pytest.fixture(autouse=True)
@@ -50,11 +46,10 @@ def _clean_telemetry():
 def _loaded_system(builder):
     system, manager = builder()
     system.dock.attach_kernel(LoopbackKernel(pipeline_depth=1))
-    declare_phases(system, PHASE)
     return system
 
 
-def _drive(system, n=N, use_bulk=True, phase=PHASE):
+def _drive(system, n=N, use_bulk=True):
     """A canonical steady loop: write one word per iteration via PIO."""
     base = system.dock.base
     cpu = system.cpu
@@ -67,7 +62,7 @@ def _drive(system, n=N, use_bulk=True, phase=PHASE):
     def bulk(start, count):
         system.dock.feed_words(np.asarray(words[start : start + count], dtype=np.uint64), 32, 0)
 
-    run_steady(system, n, step, bulk if use_bulk else None, phase=phase)
+    run_steady(system, n, step, bulk if use_bulk else None)
 
 
 def _observables(system):
@@ -95,25 +90,6 @@ def test_compiled_phase_matches_stepped_run(builder):
     assert _observables(fast) == _observables(slow)
     assert telemetry().compiled_phases == 1
     assert telemetry().extrapolated_iterations == N - telemetry().probe_iterations
-
-
-def test_declaration_gates_compilation():
-    with fastpath.forced_on():
-        system = _loaded_system(build_rig32)
-        _drive(system, phase="never-declared")
-    assert telemetry().compiled_phases == 0
-    assert telemetry().reference_iterations == N
-
-
-def test_phase_declarations_live_on_the_system():
-    system = _loaded_system(build_rig32)
-    assert phase_declared(system, PHASE)
-    assert not phase_declared(system, "other")
-    declare_phases(system, "other")
-    assert {"other", PHASE} <= set(declared_phases(system))
-    # A fresh system does not inherit the declaration.
-    other = _loaded_system(build_rig32)
-    assert "other" not in declared_phases(other)
 
 
 def test_missing_bulk_falls_back_to_reference():
@@ -184,7 +160,7 @@ def test_irregular_phase_falls_back_and_stays_exact():
                     np.arange(start, start + count, dtype=np.uint64), 32, 0
                 )
 
-            run_steady(system, N, step, bulk, phase=PHASE)
+            run_steady(system, N, step, bulk)
             return _observables(system)
 
     assert run(fastpath.forced_on) == run(fastpath.disabled)
@@ -207,7 +183,7 @@ def test_probe_budget_is_bounded():
         def bulk(start, count):
             system.dock.feed_words(np.arange(start, start + count, dtype=np.uint64), 32, 0)
 
-        run_steady(system, N, step, bulk, phase=PHASE)
+        run_steady(system, N, step, bulk)
     assert seen == list(range(N))
     assert MAX_PROBES < N
 
@@ -224,7 +200,6 @@ def test_phase_that_fills_the_data_cache_stays_exact(charge):
     def run(ctx_factory):
         with ctx_factory():
             system, _ = build_rig64()
-            declare_phases(system, PHASE)
             cpu = system.cpu
             base = system.dock.base
 
@@ -235,7 +210,7 @@ def test_phase_that_fills_the_data_cache_stays_exact(charge):
             def bulk(start, count):
                 system.dock.feed_words(np.arange(start, start + count, dtype=np.uint64), 32, 0)
 
-            run_steady(system, iterations, step, bulk, phase=PHASE)
+            run_steady(system, iterations, step, bulk)
             charge(system, memmap.STAGE_INPUT, 24)
             stats = {
                 group.name: group.state()
@@ -313,7 +288,7 @@ def _reachable(root):
     ids=["rig32", "rig64", "dse", "dual"],
 )
 def test_every_timed_state_is_watched_or_declared_functional(builder):
-    """Walk the system's object graph, ``extras`` included: every statistics
+    """Walk the system's object graph: every statistics
     group is watched unless its component declares it functional, and
     every time cursor is watched (the CPU's is the phase's *now*)."""
     system = builder()[0]
@@ -343,7 +318,6 @@ def test_compiled_uart_phase_leaves_the_transmitter_busy():
     def run(ctx_factory):
         with ctx_factory():
             system, _ = build_rig32()
-            declare_phases(system, PHASE)
             cpu, uart = system.cpu, system.uart
 
             def step(i):
@@ -353,7 +327,7 @@ def test_compiled_uart_phase_leaves_the_transmitter_busy():
             def bulk(start, n):
                 uart.tx_log.extend(range(start, start + n))
 
-            run_steady(system, count, step, bulk, phase=PHASE)
+            run_steady(system, count, step, bulk)
             cpu.elapse_ps(PS_PER_MS)
             status = cpu.io_read(uart.base + REG_STATUS)
             return uart.tx_busy_until_ps, status, bytes(uart.tx_log), cpu.now_ps

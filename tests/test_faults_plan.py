@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bitstream.packets import TYPE1_MAX_WORDS, Command, PacketWriter, Register
+from repro.core import build_system64_dual
 from repro.errors import ReconfigurationError, TransferError
 from repro.faults import FaultPlan, arm, armed, disarm, payload_word_indices
 from repro.kernels import BrightnessKernel
@@ -147,16 +148,22 @@ def test_inject_upset_is_reproducible(system32, system64):
 
 # -- arming / disarming ------------------------------------------------------
 
-def test_arm_and_disarm_wire_every_site(system64):
+def _assert_arming_wires(system, docks):
+    sites = [system, system.hwicap] + [dock.dma for dock in docks]
     plan = FaultPlan(1)
-    arm(system64, plan)
-    assert system64.fault_plan is plan
-    assert system64.hwicap.fault_plan is plan
-    assert system64.dock.dma.fault_plan is plan
-    disarm(system64)
-    assert system64.fault_plan is None
-    assert system64.hwicap.fault_plan is None
-    assert system64.dock.dma.fault_plan is None
+    arm(system, plan)
+    assert [site.fault_plan for site in sites] == [plan] * len(sites)
+    disarm(system)
+    assert [site.fault_plan for site in sites] == [None] * len(sites)
+
+
+def test_arm_and_disarm_wire_every_site(system64):
+    _assert_arming_wires(system64, [system64.dock])
+
+
+def test_arm_and_disarm_wire_every_site_of_the_dual_system():
+    system, slot = build_system64_dual()
+    _assert_arming_wires(system, [system.dock, slot.dock])
 
 
 def test_armed_context_manager_disarms_on_exit(system64):
